@@ -65,6 +65,14 @@ def parse_base_list(text: str) -> list[int]:
     return out
 
 
+def _default_threads() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
+
+
 def _report(command: str, parameters: dict, results, started: float, checkpoint_path=None) -> dict:
     report = {
         "command": command,
@@ -280,8 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            default=os.cpu_count() or 1,
-            help="worker processes (default: all cores; 1 gives a sequential reference run)",
+            default=_default_threads(),
+            help="worker processes (default: the CPUs this process may use; 1 gives a "
+            "sequential reference run)",
         )
         p.add_argument("--enumeration-base", type=int, default=None)
         p.add_argument("--checkpoint-interval", type=float, default=300.0)

@@ -1,10 +1,10 @@
 """Search engine for integers that are palindromes in two bases at once.
 
-The engine enumerates palindromes in one base (chosen by exact count
-comparison so the sparser stream drives) and tests each candidate in the
-other base with an early-exit digit comparison.  Long runs persist a
-resumable checkpoint; resuming yields output identical to an
-uninterrupted run.
+The engine walks the digits of palindromes in one base, pruning digit
+prefixes that cannot also give a palindrome in the other base, and tests
+each surviving candidate in the other base with an early-exit digit
+comparison.  Long runs persist a resumable checkpoint; resuming yields
+output identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -14,10 +14,12 @@ import os
 import tempfile
 import time
 import warnings
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .lindep import multiplicatively_independent
 from .palgen import _half_range, _least_half_reaching, count_palindromes_upto, mirror_half
 from .radix import DomainError, check_base, digit_count
 
@@ -26,31 +28,20 @@ CHECKPOINT_VERSION = "simulpal-checkpoint-v1"
 # halves per work unit; one unit is the parallelism and mid-block checkpoint grain
 CHUNK_HALVES = 400_000
 
-# fixed-width digit-reversal tables are capped at this many entries
-_REV_TABLE_CAP = 65536
-
 
 class CheckpointMismatchError(RuntimeError):
     """Checkpoint on disk does not belong to the requested search."""
 
 
-def is_palindrome_early_exit(n: int, h: int) -> bool:
-    """Palindrome test in base ``h`` that stops at the first digit mismatch.
-
-    Walks the digit string from both ends at once: the i-th highest digit
-    comes from dividing a running upper remainder by the stored power
-    h**(k-i) (the power itself is divided down, never re-exponentiated),
-    the i-th lowest from reducing a running lower remainder mod h.
-    Equivalent to ``radix.is_palindrome(n, h)`` but usually far cheaper on
-    non-palindromes.
-    """
-    check_base(h)
-    if n < 1:
-        raise DomainError("palindrome test is defined for positive integers only")
-    if n < h:
-        return True
-    k = digit_count(n, h) - 1
-    p = h**k
+def _mirror_test(n: int, h: int, k: int, p: int) -> bool:
+    # n has k + 1 base-h digits and p == h**k.  The i-th highest digit comes
+    # from dividing a running upper remainder by p (the power is divided
+    # down, never re-exponentiated), the i-th lowest from reducing a running
+    # lower remainder mod h.  Base 2 compares the binary string with its
+    # reversal instead, which is cheaper than any loop over the bits.
+    if h == 2:
+        s = bin(n)
+        return s[2:] == s[:1:-1]
     top = n
     bot = n
     i = 0
@@ -65,16 +56,39 @@ def is_palindrome_early_exit(n: int, h: int) -> bool:
     return True
 
 
-def plan_enumeration_base(g: int, h: int, bound: int) -> int:
-    """The base of ``g, h`` with fewer palindromes in [1, bound].
+def is_palindrome_early_exit(n: int, h: int) -> bool:
+    """Palindrome test in base ``h`` that stops at the first digit mismatch.
 
-    Counts are exact (per-digit-length counts plus a bisected partial top
-    length); ties go to the larger base.
+    Walks the digit string from both ends at once.  Equivalent to
+    ``radix.is_palindrome(n, h)`` but usually far cheaper on
+    non-palindromes.
+    """
+    check_base(h)
+    if n < 1:
+        raise DomainError("palindrome test is defined for positive integers only")
+    k = digit_count(n, h) - 1
+    return _mirror_test(n, h, k, h**k)
+
+
+def plan_enumeration_base(g: int, h: int, bound: int) -> int:
+    """The base of ``g, h`` that drives the enumeration up to ``bound``.
+
+    When every prime of one base divides the other but not conversely,
+    the base with the extra primes drives: its outer digits fix the low
+    digits in the other base, on which the digit walk prunes.  Otherwise
+    the base with fewer palindromes in [1, bound] drives; counts are exact
+    (per-digit-length counts plus a bisected partial top length) and ties
+    go to the larger base.
     """
     check_base(g)
     check_base(h)
     if g == h:
         raise DomainError("the two bases must differ")
+    # every prime of h divides g iff h divides g**e for e >= log2(h)
+    h_in_g = pow(g, h.bit_length(), h) == 0
+    g_in_h = pow(h, g.bit_length(), g) == 0
+    if h_in_g != g_in_h:
+        return g if h_in_g else h
     cg = count_palindromes_upto(g, bound)
     ch = count_palindromes_upto(h, bound)
     if cg != ch:
@@ -82,129 +96,97 @@ def plan_enumeration_base(g: int, h: int, bound: int) -> int:
     return max(g, h)
 
 
-def _is_power_of(x: int, b: int) -> bool:
-    p = b
-    while p < x:
-        p *= b
-    return p == x
-
-
 def _warn_if_power_related(g: int, h: int) -> None:
-    lo, hi = min(g, h), max(g, h)
-    if _is_power_of(hi, lo):
+    if not multiplicatively_independent(g, h):
         warnings.warn(
-            f"base {hi} is a perfect power of base {lo}; infinitely many integers are "
-            f"palindromes in both bases (e.g. every {hi}**n + 1), so a finite search "
-            "is only a sample",
+            f"bases {g} and {h} are perfect powers of a common base b; infinitely many "
+            "integers are palindromes in both bases (e.g. every b**n + 1 where b**n is a "
+            "power of both), so a finite search is only a sample",
             stacklevel=3,
         )
 
 
 def _scan_chunk(driver: int, tested: int, d: int, half_lo: int, half_hi: int) -> list[int]:
     """Simultaneous palindromes among d-digit base-``driver`` palindromes
-    built from half-values in [half_lo, half_hi)."""
-    hits: list[int] = []
+    built from half-values in [half_lo, half_hi), ascending.
+
+    Depth-first walk over the half-value's digits, most significant first,
+    in ascending digit order.  A node with k digits fixed knows the top k
+    and the low k base-``driver`` digits of N.  The low part ``low = N mod
+    g**k`` fixes N mod h**j for every h**j dividing g**k, so a base-h
+    palindrome's top j digits are the low j, mirrored: a number ``top``
+    with N in [top*h**(L-j), (top+1)*h**(L-j)) when N has L base-h digits.
+    A child is pruned when N mod h is 0, or when its base-g interval misses
+    that interval for every length L it can have.  The test is only
+    necessary, so every leaf still gets the full base-h test.  Coprime
+    bases give j = 0 at every depth and the walk prunes nothing.
+    """
+    g, h = driver, tested
     t = (d + 1) // 2
     odd = d % 2 == 1
-    # when tested | driver, a candidate's residue mod tested equals its leading
-    # digit, so leading digits divisible by tested can never give a palindrome
-    prune = driver % tested == 0
-    lead_pow = driver ** (t - 1)
-    shift_pow = driver ** (t - 1) if odd else driver**t
-    h2 = tested == 2
+    gp = [g**i for i in range(d + 1)]
+    hp = [1]
+    while hp[-1] <= gp[d]:
+        hp.append(hp[-1] * h)
+    # js[k] = largest j with h**j | g**k
+    js = [0] * (t + 1)
+    for k in range(1, t + 1):
+        j = js[k - 1]
+        while gp[k] % hp[j + 1] == 0:
+            j += 1
+        js[k] = j
+    # a leaf is N = half * shift + low, where low is the parent's N mod
+    # g**(t-1) plus, for even d, the last half digit mirrored
+    shift = gp[t - 1] if odd else gp[t]
+    step = gp[t - 1] if odd else gp[t] + gp[t - 1]
+    hits: list[int] = []
 
-    u = 0
-    while u + 1 <= t - 1 and driver ** (u + 1) <= _REV_TABLE_CAP:
-        u += 1
+    def walk(k: int, prefix: int, low: int, top: int) -> None:
+        width = gp[t - k - 1]
+        base = prefix * g
+        c0 = max(0, half_lo // width - base)
+        c1 = min(g, (half_hi - 1) // width - base + 1)
+        if k + 1 == t:
+            n = base * shift + low + c0 * step
+            for _ in range(c0, c1):
+                L = bisect_right(hp, n)
+                if _mirror_test(n, h, L - 1, hp[L - 1]):
+                    hits.append(n)
+                n += step
+            return
+        j0, j1 = js[k], js[k + 1]
+        gk = gp[k]
+        span = gp[d - k - 1]
+        for c in range(c0, c1):
+            low1 = low + c * gk
+            top1 = top
+            if j1:
+                if low1 % h == 0:
+                    continue
+                x = low1 // hp[j0]
+                for _ in range(j1 - j0):
+                    x, r = divmod(x, h)
+                    top1 = top1 * h + r
+                # the child's N lie in [lo, hi); lo >= g**(d-1) >= h**j1, so
+                # each base-h length L they can have exceeds j1
+                lo = (base + c) * span
+                hi = lo + span
+                for L in range(bisect_right(hp, lo), bisect_right(hp, hi - 1) + 1):
+                    w = hp[L - j1]
+                    if top1 * w < hi and lo < (top1 + 1) * w:
+                        break
+                else:
+                    continue
+            walk(k + 1, base + c, low1, top1)
 
-    cur_k = 0
-    cur_pow = 1
-
-    def check(n: int) -> bool:
-        nonlocal cur_k, cur_pow
-        if h2:
-            if not n & 1:
-                return False
-            k = n.bit_length() - 1
-            p = 1 << k
-            top = n
-            bot = n
-            i = 0
-            while i < k - i:
-                d_top = top >= p
-                if d_top != bot & 1:
-                    return False
-                if d_top:
-                    top -= p
-                p >>= 1
-                bot >>= 1
-                i += 1
-            return True
-        # candidates arrive ascending, so the digit-count window only moves up
-        while n >= cur_pow * tested:
-            cur_pow *= tested
-            cur_k += 1
-        k = cur_k
-        p = cur_pow
-        top = n
-        bot = n
-        i = 0
-        while i < k - i:
-            d_top = top // p
-            bot, d_bot = divmod(bot, tested)
-            if d_top != d_bot:
-                return False
-            top -= d_top * p
-            p //= tested
-            i += 1
-        return True
-
-    if u == 0:
-        for half in range(half_lo, half_hi):
-            if prune and (half // lead_pow) % tested == 0:
-                continue
-            x = half // driver if odd else half
-            rev = 0
-            while x:
-                x, dd = divmod(x, driver)
-                rev = rev * driver + dd
-            n = half * shift_pow + rev
-            if check(n):
-                hits.append(n)
-        return hits
-
-    gu = driver**u
-    mul = driver ** (t - u)
-    lead_div = lead_pow // gu
-    # value reversal of the low u digits (even blocks) or of those digits with
-    # the last one dropped (odd blocks share the middle digit)
-    table = [0] * gu
-    for x in range(gu):
-        v = x // driver if odd else x
-        r = 0
-        for _ in range(u - 1 if odd else u):
-            v, dd = divmod(v, driver)
-            r = r * driver + dd
-        table[x] = r
-
-    hi0, lo0 = divmod(half_lo, gu)
-    hi1, lo1 = divmod(half_hi, gu)
-    for hi in range(hi0, hi1 + (1 if lo1 else 0)):
-        if prune and (hi // lead_div) % tested == 0:
-            continue
-        v = hi
-        rhi = 0
-        while v:
-            v, dd = divmod(v, driver)
-            rhi = rhi * driver + dd
-        base_half = hi * gu
-        a = lo0 if hi == hi0 else 0
-        b = lo1 if hi == hi1 and lo1 else gu
-        for lo in range(a, b):
-            n = (base_half + lo) * shift_pow + table[lo] * mul + rhi
-            if check(n):
-                hits.append(n)
+    walk(0, 0, 0, 0)
     return hits
+
+
+def _int(x) -> int:
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
 
 
 @dataclass
@@ -246,28 +228,67 @@ class SearchCheckpoint:
 
     @classmethod
     def from_json(cls, text: str) -> "SearchCheckpoint":
-        doc = json.loads(text)
-        cursor = doc.get("cursor")
-        if cursor is not None:
-            cursor = (int(cursor["digit_length"]), cursor["parity"], int(cursor["half_value"]))
-        return cls(
-            g=int(doc["g"]),
-            h=int(doc["h"]),
-            bound=int(doc["bound"]),
-            enumeration_base=int(doc["enumeration_base"]),
-            cursor=cursor,
-            found=[int(x) for x in doc["found"]],
-            complete=bool(doc.get("complete", False)),
-            version=doc.get("version", "?"),
-        )
+        """Parse and validate a checkpoint document.
+
+        Every fault raises :class:`CheckpointMismatchError`: text that is
+        not JSON, a missing key or a value of the wrong type, a cursor
+        that names no palindrome, and a ``found`` entry that is not a
+        palindrome in both bases, not ascending, or beyond the cursor.
+        """
+        try:
+            doc = json.loads(text)
+            cur = doc["cursor"]
+            if cur is not None:
+                cur = (_int(cur["digit_length"]), cur["parity"], _int(cur["half_value"]))
+            state = cls(
+                g=_int(doc["g"]),
+                h=_int(doc["h"]),
+                bound=_int(doc["bound"]),
+                enumeration_base=_int(doc["enumeration_base"]),
+                cursor=cur,
+                found=[_int(x) for x in doc["found"]],
+                complete=doc["complete"],
+                version=doc["version"],
+            )
+            if type(state.complete) is not bool:
+                raise TypeError(f"'complete' must be true or false, got {state.complete!r}")
+            state._validate()
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointMismatchError(f"damaged checkpoint: {exc!r}") from exc
+        return state
+
+    def _validate(self) -> None:
+        # found must hold simultaneous palindromes, ascending, none beyond
+        # the last palindrome the cursor says was processed
+        g = self.enumeration_base
+        if g not in (self.g, self.h):
+            raise ValueError(f"enumeration base {g} is neither base")
+        limit = 0
+        if self.cursor is not None:
+            length, parity, half = self.cursor
+            if not 1 <= length <= digit_count(self.bound, g):
+                raise ValueError(f"cursor length {length} does not fit the bound")
+            h0, h1, t, odd = _half_range(g, length)
+            if parity != ("odd" if odd else "even") or not h0 <= half < h1:
+                raise ValueError(f"cursor {self.cursor} names no palindrome")
+            limit = mirror_half(half, g, t, odd)
+        previous = 0
+        for n in self.found:
+            if not previous < n <= limit:
+                raise ValueError(f"entry {n} is out of order or beyond the cursor's {limit}")
+            if not (is_palindrome_early_exit(n, self.g) and is_palindrome_early_exit(n, self.h)):
+                raise ValueError(f"entry {n} is not a palindrome in both bases")
+            previous = n
 
     def save(self, path: str) -> None:
-        """Atomic write: temp file in the same directory, then rename."""
+        """Atomic write: temp file in the same directory, synced, then renamed."""
         directory = os.path.dirname(os.path.abspath(path))
         fd, tmp = tempfile.mkstemp(prefix=".simulpal-cp-", dir=directory)
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(self.to_json())
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -278,9 +299,12 @@ class SearchCheckpoint:
     def load(cls, path: str) -> "SearchCheckpoint":
         try:
             with open(path) as fh:
-                return cls.from_json(fh.read())
+                text = fh.read()
         except FileNotFoundError as exc:
             raise CheckpointMismatchError(f"no checkpoint at {path}") from exc
+        except (OSError, ValueError) as exc:
+            raise CheckpointMismatchError(f"cannot read checkpoint {path}: {exc}") from exc
+        return cls.from_json(text)
 
     def require_match(self, g: int, h: int, bound: int, enumeration_base: int | None) -> None:
         if self.version != CHECKPOINT_VERSION:

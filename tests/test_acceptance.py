@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines.  Criteria 2, 3, 6, 8 and 10 do real work (full scans, ten thousand
-reductions, exhaustive property sweeps); the whole module finishes in a
-few minutes.
+lines.  Criteria 2, 3, 6, 8, 10 and 12 do real work (full scans, ten
+thousand reductions, exhaustive property sweeps, the search to 1e18); the
+whole module finishes in a few minutes.
 """
 
 import random
@@ -276,3 +276,12 @@ def test_criterion_11_continued_fraction_stability(model_pairs):
     assert len(model_pairs) == 16
     assert all(pair.q > 1.06e16 for pair in model_pairs)
     _pass(11, "50 quotients stable from 192 to 384 bits; exactly 16 usable pairs above 1.06e16")
+
+
+def test_criterion_12_known_list_1e18(known_list_10_2):
+    started = time.perf_counter()
+    found = search(10, 2, 10**18, threads=2)
+    elapsed = time.perf_counter() - started
+    assert len(known_list_10_2) == 62
+    assert found == known_list_10_2
+    _pass(12, f"all 62 entries below 1e18 reproduced in {elapsed:.1f}s")

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -167,3 +168,28 @@ def test_cf_report(capsys):
 def test_cf_csv(capsys):
     code, out, _ = run(capsys, "cf", "10", "2", "3", "--format", "csv")
     assert out.splitlines() == ["index,quotient,p,q", "0,3,3,1", "1,3,10,3", "2,9,93,28"]
+
+
+def test_threads_default_follows_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert cli.build_parser().parse_args(["search", "10", "2", "100"]).threads == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert cli.build_parser().parse_args(["count", "10", "2", "100"]).threads == 5
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda text: text[: len(text) // 2],  # truncated
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "cursor"}),
+        lambda text: json.dumps({**json.loads(text), "found": [4], "complete": False}),
+    ],
+    ids=["truncated", "missing-key", "tampered-found"],
+)
+def test_damaged_checkpoint_exit_code(capsys, tmp_path, damage):
+    path = tmp_path / "cp.json"
+    run(capsys, "search", "10", "2", "1e5", "--checkpoint", str(path))
+    path.write_text(damage(path.read_text()))
+    code, out, err = run(capsys, "search", "10", "2", "1e5", "--resume", str(path))
+    assert code == 3 and err.startswith("checkpoint error") and out == ""

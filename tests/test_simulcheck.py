@@ -1,12 +1,19 @@
 import json
+import os
 import random
+import warnings
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from simulpal.palgen import _half_range, mirror_half
 from simulpal.radix import DomainError
 from simulpal.simulcheck import (
+    CHUNK_HALVES,
     CheckpointMismatchError,
     SearchCheckpoint,
+    _scan_chunk,
     count,
     is_palindrome_early_exit,
     plan_enumeration_base,
@@ -151,3 +158,152 @@ def interrupted_then_resumed(g, h, bound, kill_after, tmp_path):
 def test_kill_and_resume_determinism(kill_after, tmp_path):
     reference = search(10, 2, 10**7)
     assert interrupted_then_resumed(10, 2, 10**7, kill_after, tmp_path) == reference
+
+
+def test_dependent_bases_warning():
+    # 4**3 == 8**2: neither base is a power of the other, yet they are dependent
+    with pytest.warns(UserWarning, match="bases 4 and 8 are perfect powers of a common base"):
+        search(4, 8, 100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        search(10, 2, 100)
+        search(6, 12, 100)
+
+
+def test_plan_prefers_base_carrying_the_other_primes():
+    # base 10 drives (10, 2) at every bound, so the digit walk's pruning applies
+    for bound in (10**6, 10**13, 10**18):
+        assert plan_enumeration_base(10, 2, bound) == 10
+        assert plan_enumeration_base(2, 10, bound) == 10
+    assert plan_enumeration_base(12, 8, 10**9) == 12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    a=st.integers(1, 7),
+    b=st.integers(1, 7),
+    bound=st.integers(1, 3 * 10**4),
+)
+def test_digit_walk_matches_oracle_on_bases_sharing_a_prime(p, a, b, bound):
+    g, h = p * a, p * b
+    assume(g != h)
+    expected = oracle_simultaneous(bound, g, h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for base in (g, h):
+            assert search(g, h, bound, enumeration_base=base) == expected
+
+
+@pytest.mark.parametrize("driver,tested,d", [(10, 2, 9), (12, 8, 6), (2, 3, 17)])
+def test_scan_chunk_equals_linear_scan_over_any_split(driver, tested, d):
+    h0, h1, t, odd = _half_range(driver, d)
+    linear = [
+        n
+        for n in (mirror_half(half, driver, t, odd) for half in range(h0, h1))
+        if oracle_is_palindrome(n, tested)
+    ]
+    rng = random.Random(d)
+    edges = sorted({h0, h1, *(rng.randrange(h0, h1) for _ in range(5))})
+    pieces = [_scan_chunk(driver, tested, d, c0, c1) for c0, c1 in zip(edges[:-1], edges[1:])]
+    assert [n for piece in pieces for n in piece] == linear
+
+
+def test_kill_and_resume_inside_a_digit_length(tmp_path, known_list_10_2):
+    # at 1e11 the 11-digit block spans three chunks; stop after the second
+    bound = 10**11
+    path = tmp_path / "cp.json"
+    seen = []
+
+    def bomb(info):
+        seen.append(info["digit_length"])
+        if seen.count(11) == 2:
+            raise _AbortAfter
+
+    with pytest.raises(_AbortAfter):
+        search(10, 2, bound, checkpoint_path=str(path), progress=bomb, checkpoint_interval=0.0)
+    cursor = json.loads(path.read_text())["cursor"]
+    assert cursor == {"digit_length": 11, "parity": "odd", "half_value": 2 * CHUNK_HALVES + 99_999}
+    resumed = search(10, 2, bound, checkpoint_path=str(path), resume=True)
+    assert resumed == [n for n in known_list_10_2 if n <= bound]
+
+
+def _saved_checkpoint(tmp_path, **edits):
+    path = tmp_path / "cp.json"
+    search(10, 2, 10**5, checkpoint_path=str(path))
+    doc = json.loads(path.read_text())
+    doc.update(edits)
+    path.write_text(json.dumps(doc))
+    return path, doc
+
+
+def test_checkpoint_missing_key_is_refused(tmp_path):
+    path, doc = _saved_checkpoint(tmp_path)
+    del doc["found"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointMismatchError, match="damaged"):
+        search(10, 2, 10**5, checkpoint_path=str(path), resume=True)
+
+
+def test_checkpoint_wrong_type_is_refused(tmp_path):
+    path, _ = _saved_checkpoint(tmp_path, bound="100000")
+    with pytest.raises(CheckpointMismatchError, match="damaged"):
+        search(10, 2, 10**5, checkpoint_path=str(path), resume=True)
+
+
+def test_checkpoint_truncated_json_is_refused(tmp_path):
+    path, _ = _saved_checkpoint(tmp_path)
+    path.write_text(path.read_text()[:40])
+    with pytest.raises(CheckpointMismatchError, match="damaged"):
+        search(10, 2, 10**5, checkpoint_path=str(path), resume=True)
+
+
+def test_checkpoint_non_json_is_refused(tmp_path):
+    path = tmp_path / "cp.json"
+    path.write_bytes(b"\xff\xfe not a checkpoint")
+    with pytest.raises(CheckpointMismatchError):
+        search(10, 2, 10**5, checkpoint_path=str(path), resume=True)
+    path.write_text("cursor = 7\n")
+    with pytest.raises(CheckpointMismatchError, match="damaged"):
+        search(10, 2, 10**5, checkpoint_path=str(path), resume=True)
+
+
+def test_checkpoint_tampered_found_is_refused(tmp_path):
+    # 4 is no palindrome in base 2 (100)
+    path, _ = _saved_checkpoint(tmp_path, found=[4], complete=False)
+    with pytest.raises(CheckpointMismatchError, match="not a palindrome"):
+        search(10, 2, 10**5, checkpoint_path=str(path), resume=True)
+
+
+def test_checkpoint_entry_beyond_cursor_is_refused(tmp_path):
+    # 585 is a simultaneous palindrome, but the cursor says only length 1 was scanned
+    cursor = {"digit_length": 1, "parity": "odd", "half_value": 9}
+    path, _ = _saved_checkpoint(tmp_path, found=[1, 585], complete=False, cursor=cursor)
+    with pytest.raises(CheckpointMismatchError, match="beyond the cursor"):
+        search(10, 2, 10**5, checkpoint_path=str(path), resume=True)
+
+
+def test_checkpoint_cursor_outside_the_bound_is_refused(tmp_path):
+    # refused before any power of the base is built for the absurd length
+    cursor = {"digit_length": 10**9, "parity": "even", "half_value": 10}
+    path, _ = _saved_checkpoint(tmp_path, cursor=cursor, complete=False)
+    with pytest.raises(CheckpointMismatchError, match="does not fit the bound"):
+        search(10, 2, 10**5, checkpoint_path=str(path), resume=True)
+
+
+def test_checkpoint_save_syncs_before_rename(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(os, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(os, name, wrapper)
+
+    spy("fsync")
+    spy("replace")
+    SearchCheckpoint(g=10, h=2, bound=100, enumeration_base=10).save(str(tmp_path / "cp.json"))
+    assert calls == ["fsync", "replace"]
