@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lindep
+from .lindep import PreconditionError
 from .precise import PreciseReal, hp_exp, hp_log
 from .radix import DomainError, check_base
 
@@ -28,10 +29,6 @@ THREE_LOG_COEFF = Fraction(2_022 * 10**7)  # 2.022e10, with the three-log bound
 TWO_LOG_COEFF = Fraction(142)  # with the two-log bound
 SHIFT_THREE_LOG_COEFF = Fraction(511 * 10**10)  # 5.11e12, solved form of the above
 SHIFT_TWO_LOG_COEFF = Fraction(191 * 10**5)  # 1.91e7, solved form of the above
-
-
-class PreconditionError(ValueError):
-    """Inputs outside the regime in which the bound is proved."""
 
 
 def _float_up(q: Fraction) -> float:

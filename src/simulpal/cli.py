@@ -4,7 +4,7 @@ bound evaluation and continued fractions, with structured reports.
 Reports go to stdout as a single JSON document (or CSV of the results
 only); progress and diagnostics go to stderr.  Exit codes: 0 success,
 1 negative predicate, 2 usage or validation error, 3 checkpoint mismatch,
-4 family verification left undecided.
+4 certification left undecided.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import precise, reduction, simulcheck
-from .lindep import PreconditionError
-from .radix import DomainError, InvalidBaseError, InvalidDigitError, is_palindrome, reverse_in_base
+from .lindep import multiplicatively_independent
+from .radix import DomainError, check_base, is_palindrome, reverse_in_base
 from .simulcheck import CheckpointMismatchError
 
 EXIT_OK = 0
@@ -29,15 +29,6 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_CHECKPOINT = 3
 EXIT_UNDECIDED = 4
-
-_VALIDATION_ERRORS = (
-    DomainError,
-    InvalidBaseError,
-    InvalidDigitError,
-    PreconditionError,
-    bounds_mod.PreconditionError,
-    ValueError,
-)
 
 
 def parse_exact_int(text: str) -> int:
@@ -234,6 +225,11 @@ def cmd_bound(args) -> int:
 
 def cmd_cf(args) -> int:
     started = time.perf_counter()
+    check_base(args.g)
+    check_base(args.h)
+    # equal or power-related bases make log g / log h rational
+    if not multiplicatively_independent(args.g, args.h):
+        raise DomainError(f"bases {args.g} and {args.h} are multiplicatively dependent")
     x = precise.PreciseReal.log_ratio(args.g, args.h, args.precision)
     cf = reduction.continued_fraction(x, args.count)
     results = {
@@ -258,7 +254,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--precision",
         type=int,
         default=precise.DEFAULT_PRECISION,
-        help="working precision in bits (default from SIMULPAL_PRECISION or 192)",
+        help=f"working precision in bits, 1 to {precise.MAX_PRECISION} "
+        f"(default {precise.DEFAULT_PRECISION})",
     )
 
 
@@ -289,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=_default_threads(),
-            help="worker processes (default: the CPUs this process may use; 1 gives a "
-            "sequential reference run)",
+            help="worker processes, at least 1 (default: the CPUs this process may use; "
+            "1 gives a sequential reference run)",
         )
         p.add_argument("--enumeration-base", type=int, default=None)
         p.add_argument("--checkpoint-interval", type=float, default=300.0)
@@ -333,7 +330,10 @@ def main(argv: list[str] | None = None) -> int:
     except CheckpointMismatchError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT
-    except _VALIDATION_ERRORS as exc:
+    except precise.UndecidedComparisonError as exc:
+        print(f"undecided: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

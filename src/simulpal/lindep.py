@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, log
+from math import gcd
 
 from sympy import factorint
 
@@ -28,12 +28,11 @@ def _as_fraction(x) -> Fraction:
     return q
 
 
-def prime_exponent_vector(x, primes: list[int], *, full_support: bool = False) -> list[int]:
+def prime_exponent_vector(x, primes: list[int]) -> list[int]:
     """p-adic valuations of a positive rational at each listed prime.
 
-    Denominator factors count negatively.  In projection mode (default)
-    prime factors of ``x`` outside ``primes`` are ignored; with
-    ``full_support=True`` they raise.
+    Denominator factors count negatively; prime factors of ``x`` outside
+    ``primes`` are ignored.
 
     >>> prime_exponent_vector(12, [2, 3])
     [2, 1]
@@ -52,8 +51,6 @@ def prime_exponent_vector(x, primes: list[int], *, full_support: bool = False) -
             den //= p
             e -= 1
         vec.append(e)
-    if full_support and (num != 1 or den != 1):
-        raise DomainError(f"{q} has prime factors outside {primes}")
     return vec
 
 
@@ -156,14 +153,3 @@ def dependence_witness(alpha, g: int, h: int) -> DependenceWitness | None:
         return None
     return witness
 
-
-def witness_within_expected_magnitude(w: DependenceWitness, a: int, g: int, h: int) -> bool:
-    """Magnitude sanity flags for witnesses arising from the palindrome
-    construction (alpha a ratio of integers below a*g*h); advisory only."""
-    lagh = log(a * g * h)
-    l2 = log(2)
-    return (
-        abs(w.r) <= log(g) * log(h) * lagh / l2**3
-        and abs(w.s) <= log(h) * lagh**2 / l2**3
-        and abs(w.t) <= log(g) * lagh**2 / l2**3
-    )

@@ -20,24 +20,14 @@ class FamilyError(DomainError):
     """The requested family instance is not a well-formed palindrome."""
 
 
-def _rev_value(n: int, g: int) -> int:
-    # value of n's base-g digits reversed; 0 maps to 0 (empty high half)
-    r = 0
-    while n:
-        n, d = divmod(n, g)
-        r = r * g + d
-    return r
-
-
 def mirror_half(half: int, g: int, half_len: int, odd: bool) -> int:
     """Palindrome obtained by mirroring ``half`` (its ``half_len`` digits).
 
     For odd total length the last digit of ``half`` is the shared middle
-    digit; for even total length the full half is mirrored.
+    digit; for even total length the full half is mirrored.  Requires
+    ``half >= 1``.
     """
-    if odd:
-        return half * g ** (half_len - 1) + _rev_value(half // g, g)
-    return half * g**half_len + _rev_value(half, g)
+    return (half // g if odd else half) * g**half_len + reverse_in_base(half, g)
 
 
 def make_even_palindrome(a: int, g: int) -> int:
@@ -212,4 +202,4 @@ def zero_padded_palindrome(a: int, g: int, m: int, parity: str) -> int:
         raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
     n_a = digit_count(a, g)
     shift = n_a + (2 * m if parity == "even" else m)
-    return a * g**shift + _rev_value(a, g)
+    return a * g**shift + reverse_in_base(a, g)

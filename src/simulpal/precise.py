@@ -11,13 +11,12 @@ guessing, and raise if certainty is unreachable.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import Callable
 
 from mpmath.ctx_iv import MPIntervalContext
 
-DEFAULT_PRECISION = int(os.environ.get("SIMULPAL_PRECISION", "192"))
+DEFAULT_PRECISION = 192
 MAX_PRECISION = 1 << 16
 
 _Endpoints = tuple[Fraction, Fraction]
@@ -33,6 +32,8 @@ _contexts: dict[int, MPIntervalContext] = {}
 def _context(bits: int) -> MPIntervalContext:
     ctx = _contexts.get(bits)
     if ctx is None:
+        if not 1 <= bits <= MAX_PRECISION:
+            raise ValueError(f"precision must be in [1, {MAX_PRECISION}] bits, got {bits}")
         ctx = MPIntervalContext()
         ctx.prec = bits
         _contexts[bits] = ctx
@@ -95,12 +96,6 @@ class PreciseReal:
         return cls(q, q, MAX_PRECISION)
 
     @classmethod
-    def log_of(cls, q, bits: int = DEFAULT_PRECISION) -> "PreciseReal":
-        """Certified enclosure of the natural logarithm of a positive rational."""
-        q = Fraction(q)
-        return cls(*_log_endpoints(q, bits), bits, lambda b: _log_endpoints(q, b))
-
-    @classmethod
     def log_ratio(cls, x, y, bits: int = DEFAULT_PRECISION) -> "PreciseReal":
         """Certified enclosure of log(x)/log(y) for positive rationals, y != 1."""
         x = Fraction(x)
@@ -121,10 +116,6 @@ class PreciseReal:
         return (self.lower + self.upper) / 2
 
     @property
-    def radius(self) -> Fraction:
-        return (self.upper - self.lower) / 2
-
-    @property
     def refinable(self) -> bool:
         return self._source is not None
 
@@ -133,10 +124,6 @@ class PreciseReal:
         if self._source is None or bits <= self.bits:
             return self
         return PreciseReal(*self._source(bits), bits, self._source)
-
-    def contains(self, q) -> bool:
-        q = Fraction(q)
-        return self.lower <= q <= self.upper
 
     def __repr__(self):
         return f"PreciseReal([{float(self.lower)!r}, {float(self.upper)!r}], bits={self.bits})"
@@ -219,7 +206,7 @@ class PreciseReal:
         while me.lower <= 0:
             if not me.refinable or me.bits >= MAX_PRECISION:
                 raise ValueError("logarithm of an interval not certainly positive")
-            me = me.refined(me.bits * 2)
+            me = me.refined(min(me.bits * 2, MAX_PRECISION))
 
         def compute(b: int) -> _Endpoints:
             a = me.refined(b)
@@ -306,7 +293,7 @@ def hp_log(x, bits: int = DEFAULT_PRECISION) -> PreciseReal:
         raise ValueError(f"logarithm requires a positive argument, got {x!r}")
     if q == 1:
         return PreciseReal.exact(0)
-    return PreciseReal.log_of(q, bits)
+    return PreciseReal(*_log_endpoints(q, bits), bits, lambda b: _log_endpoints(q, b))
 
 
 def hp_exp(x, bits: int = DEFAULT_PRECISION) -> PreciseReal:

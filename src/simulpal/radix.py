@@ -124,8 +124,34 @@ def reverse_in_base(a: int, g: int) -> int:
     return r
 
 
+def _mirror_test(n: int, h: int, k: int, p: int) -> bool:
+    # n has k + 1 base-h digits and p == h**k.  The i-th highest digit comes
+    # from dividing a running upper remainder by p (the power is divided
+    # down, never re-exponentiated), the i-th lowest from reducing a running
+    # lower remainder mod h.  Base 2 compares the binary string with its
+    # reversal instead, which is cheaper than any loop over the bits.
+    if h == 2:
+        s = bin(n)
+        return s[2:] == s[:1:-1]
+    top = n
+    bot = n
+    i = 0
+    while i < k - i:
+        d_top = top // p
+        bot, d_bot = divmod(bot, h)
+        if d_top != d_bot:
+            return False
+        top -= d_top * p
+        p //= h
+        i += 1
+    return True
+
+
 def is_palindrome(n: int, g: int) -> bool:
     """True iff ``n >= 1`` equals its digit-reversed companion in base ``g``.
+
+    Walks the digit string from both ends at once and stops at the first
+    mismatch.
 
     >>> is_palindrome(585, 2)
     True
@@ -136,7 +162,12 @@ def is_palindrome(n: int, g: int) -> bool:
     """
     if n < 1:
         raise DomainError("palindrome test is defined for positive integers only")
-    return n == reverse_in_base(n, g)
+    k = digit_count(n, g) - 1
+    return _mirror_test(n, g, k, g**k)
+
+
+# the name under which the search and the certification scan call the test
+is_palindrome_early_exit = is_palindrome
 
 
 def digit_count(n: int, g: int) -> int:

@@ -21,12 +21,12 @@ from .lindep import DependenceWitness, dependence_witness
 from .palgen import FamilyError
 from .precise import (
     DEFAULT_PRECISION,
+    MAX_PRECISION,
     PreciseReal,
     UndecidedComparisonError,
     hp_log,
 )
-from .radix import DomainError, digit_count, reverse_in_base
-from .simulcheck import is_palindrome_early_exit
+from .radix import DomainError, digit_count, is_palindrome_early_exit, reverse_in_base
 
 __all__ = [
     "ContinuedFraction",
@@ -40,8 +40,6 @@ __all__ = [
     "baker_davenport_reduce",
     "dependent_case_check",
     "verify_family",
-    "PreciseReal",
-    "hp_log",
 ]
 
 
@@ -65,8 +63,9 @@ def continued_fraction(x: PreciseReal, count: int) -> ContinuedFraction:
     endpoints of the enclosure; a quotient is emitted only when both
     endpoints agree on it, and the enclosure is recomputed at doubled
     precision whenever they stop agreeing before ``count`` quotients are
-    certain.  Rational inputs terminate exactly and may return fewer
-    quotients.
+    certain; past ``MAX_PRECISION`` bits, or on a value that cannot be
+    refined, :class:`UndecidedComparisonError` is raised.  Rational inputs
+    terminate exactly and may return fewer quotients.
     """
     if count < 1:
         raise DomainError("need at least one quotient")
@@ -93,16 +92,13 @@ def continued_fraction(x: PreciseReal, count: int) -> ContinuedFraction:
                 stuck = True
                 break
             lo, hi = 1 / hi, 1 / lo
-        if not stuck and (exact or len(quotients) == count):
+        if not stuck:
             break
-        if not cur.refinable:
-            if stuck:
-                raise UndecidedComparisonError(
-                    f"continued fraction undecided after {len(quotients)} quotients "
-                    "on a fixed-precision value"
-                )
-            break
-        cur = cur.refined(cur.bits * 2)
+        if not cur.refinable or cur.bits >= MAX_PRECISION:
+            raise UndecidedComparisonError(
+                f"continued fraction undecided after {len(quotients)} quotients at {cur.bits} bits"
+            )
+        cur = cur.refined(min(cur.bits * 2, MAX_PRECISION))
 
     ps: list[int] = [0, 1]
     qs: list[int] = [1, 0]

@@ -21,7 +21,7 @@ from typing import Callable
 
 from .lindep import multiplicatively_independent
 from .palgen import _half_range, _least_half_reaching, count_palindromes_upto, mirror_half
-from .radix import DomainError, check_base, digit_count
+from .radix import DomainError, _mirror_test, check_base, digit_count, is_palindrome_early_exit
 
 CHECKPOINT_VERSION = "simulpal-checkpoint-v1"
 
@@ -31,43 +31,6 @@ CHUNK_HALVES = 400_000
 
 class CheckpointMismatchError(RuntimeError):
     """Checkpoint on disk does not belong to the requested search."""
-
-
-def _mirror_test(n: int, h: int, k: int, p: int) -> bool:
-    # n has k + 1 base-h digits and p == h**k.  The i-th highest digit comes
-    # from dividing a running upper remainder by p (the power is divided
-    # down, never re-exponentiated), the i-th lowest from reducing a running
-    # lower remainder mod h.  Base 2 compares the binary string with its
-    # reversal instead, which is cheaper than any loop over the bits.
-    if h == 2:
-        s = bin(n)
-        return s[2:] == s[:1:-1]
-    top = n
-    bot = n
-    i = 0
-    while i < k - i:
-        d_top = top // p
-        bot, d_bot = divmod(bot, h)
-        if d_top != d_bot:
-            return False
-        top -= d_top * p
-        p //= h
-        i += 1
-    return True
-
-
-def is_palindrome_early_exit(n: int, h: int) -> bool:
-    """Palindrome test in base ``h`` that stops at the first digit mismatch.
-
-    Walks the digit string from both ends at once.  Equivalent to
-    ``radix.is_palindrome(n, h)`` but usually far cheaper on
-    non-palindromes.
-    """
-    check_base(h)
-    if n < 1:
-        raise DomainError("palindrome test is defined for positive integers only")
-    k = digit_count(n, h) - 1
-    return _mirror_test(n, h, k, h**k)
 
 
 def plan_enumeration_base(g: int, h: int, bound: int) -> int:
@@ -352,6 +315,8 @@ def search(
         raise DomainError("the two bases must differ")
     if bound < 1:
         raise DomainError("search bound must be >= 1")
+    if threads < 1:
+        raise DomainError(f"need at least one worker, got threads={threads}")
     if enumeration_base is not None and enumeration_base not in (g, h):
         raise DomainError(f"enumeration base must be {g} or {h}")
     _warn_if_power_related(g, h)
@@ -434,30 +399,7 @@ def search(
             pool.shutdown(cancel_futures=True)
 
 
-def count(
-    g: int,
-    h: int,
-    bound: int,
-    *,
-    enumeration_base: int | None = None,
-    checkpoint_path: str | None = None,
-    resume: bool = False,
-    threads: int = 1,
-    checkpoint_interval: float = 300.0,
-    progress: Callable[[dict], None] | None = None,
-) -> int:
-    """Number of simultaneous palindromes in [1, bound]; same checkpoint
-    semantics as :func:`search` (the hit list such searches retain is tiny)."""
-    return len(
-        search(
-            g,
-            h,
-            bound,
-            enumeration_base=enumeration_base,
-            checkpoint_path=checkpoint_path,
-            resume=resume,
-            threads=threads,
-            checkpoint_interval=checkpoint_interval,
-            progress=progress,
-        )
-    )
+def count(g: int, h: int, bound: int, **kwargs) -> int:
+    """Number of simultaneous palindromes in [1, bound]; takes the keyword
+    arguments of :func:`search` (the hit list such searches retain is tiny)."""
+    return len(search(g, h, bound, **kwargs))

@@ -22,6 +22,7 @@ from simulpal.bounds import (
     zero_run_threshold,
     zero_run_threshold_terms,
 )
+from simulpal.lindep import PreconditionError as LindepPreconditionError
 from simulpal.radix import DomainError
 
 
@@ -69,6 +70,10 @@ def test_matveev_assembled_coefficient_consistency():
     c0 = 20.2 + 5.5 * math.log(3)
     assembled = c3 * c0 * 1.152
     assert 0.9 * float(THREE_LOG_COEFF) <= assembled <= float(THREE_LOG_COEFF)
+
+
+def test_precondition_error_is_shared():
+    assert PreconditionError is LindepPreconditionError
 
 
 def test_matveev_validation():

@@ -1,5 +1,8 @@
 import json
 import os
+import signal
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,25 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+GOLDENS = Path(__file__).parent.parent / "perfbench" / "goldens"
+
+
+@contextmanager
+def deadline(seconds):
+    """Turn a run that does not return within ``seconds`` into a failure."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def run_json(capsys, *argv):
@@ -193,3 +215,45 @@ def test_damaged_checkpoint_exit_code(capsys, tmp_path, damage):
     path.write_text(damage(path.read_text()))
     code, out, err = run(capsys, "search", "10", "2", "1e5", "--resume", str(path))
     assert code == 3 and err.startswith("checkpoint error") and out == ""
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("search-10-2-1e9", ["search", "10", "2", "1e9", "--threads", "1"]),
+        ("family-74-10-2", ["family", "74", "10", "2"]),
+        ("cf-10-2-50", ["cf", "10", "2", "50"]),
+    ],
+)
+def test_reports_match_goldens(capsys, golden, argv):
+    code, out, _ = run(capsys, *argv)
+    doc = json.loads(out)
+    doc["timing_seconds"] = None
+    assert code == 0
+    assert json.dumps(doc, indent=2) + "\n" == (GOLDENS / f"{golden}.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # dependent or equal bases make log g / log h rational: escalation never settled
+        pytest.param(["cf", "2", "4", "5"], 2, id="cf-2-4"),
+        pytest.param(["cf", "4", "2", "3"], 2, id="cf-4-2"),
+        pytest.param(["cf", "10", "10", "3"], 2, id="cf-10-10"),
+        # base 1 used to print a bogus exact expansion with exit 0
+        pytest.param(["cf", "10", "1", "3"], 2, id="cf-10-1"),
+        # zero or negative precision used to refine to the same precision forever
+        pytest.param(["cf", "10", "2", "3", "--precision", "0"], 2, id="cf-precision-0"),
+        pytest.param(["family", "74", "10", "2", "--precision", "-4"], 2, id="family-precision-negative"),
+        # more quotients than the precision cap certifies
+        pytest.param(["cf", "10", "2", "25000", "--precision", "65536"], 4, id="cf-past-precision-cap"),
+        # fewer than one worker used to run one silently
+        pytest.param(["search", "10", "2", "1e3", "--threads", "0"], 2, id="search-threads-0"),
+        pytest.param(["count", "10", "2", "1e3", "--threads", "-3"], 2, id="count-threads-negative"),
+    ],
+)
+def test_bad_input_exits_with_documented_code(capsys, argv, code):
+    with deadline(30):
+        got, out, err = run(capsys, *argv)
+    assert got == code
+    assert out == "" and "Traceback" not in err and len(err.splitlines()) == 1

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from simulpal.palgen import _half_range, mirror_half
-from simulpal.radix import DomainError
+from simulpal.radix import DomainError, is_palindrome
 from simulpal.simulcheck import (
     CHUNK_HALVES,
     CheckpointMismatchError,
@@ -24,6 +24,7 @@ from conftest import oracle_is_palindrome, oracle_simultaneous
 
 
 def test_early_exit_examples():
+    assert is_palindrome_early_exit is is_palindrome
     assert is_palindrome_early_exit(585, 2)
     assert not is_palindrome_early_exit(6, 2)  # 110: top 1 vs bottom 0
     assert is_palindrome_early_exit(7451111547, 2)
