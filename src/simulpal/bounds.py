@@ -57,7 +57,13 @@ def weil_height(x) -> float:
     q = Fraction(x)
     if q <= 0:
         raise DomainError(f"height computed for positive rationals only, got {x!r}")
-    return _float_up(hp_log(max(abs(q.numerator), q.denominator), _EVAL_BITS).upper)
+    return _float_up(_height_and_abs_log(q)[0])
+
+
+def _height_and_abs_log(q: Fraction) -> tuple[Fraction, Fraction]:
+    # upper ends of the enclosures of log max(|p|, q) and of |log q|
+    height = hp_log(max(abs(q.numerator), q.denominator), _EVAL_BITS)
+    return height.upper, abs(hp_log(q, _EVAL_BITS)).upper
 
 
 def require_family_bases(a: int, g: int, h: int) -> None:
@@ -128,10 +134,8 @@ def _height_bounds(inst: MatveevInstance) -> tuple[float, ...]:
         return tuple(float(a) for a in inst.A)
     out = []
     for x in inst.alphas:
-        q = Fraction(x)
-        height = hp_log(max(abs(q.numerator), q.denominator), _EVAL_BITS)
-        logabs = abs(hp_log(q, _EVAL_BITS))
-        out.append(_float_up(max(inst.D * height.upper, logabs.upper)))
+        height, logabs = _height_and_abs_log(Fraction(x))
+        out.append(_float_up(max(inst.D * height, logabs)))
     return tuple(out)
 
 
@@ -243,8 +247,7 @@ class LaurentEvaluation:
 def _laurent_logA(x: Fraction, D: int, given: float | None) -> Fraction:
     if given is not None:
         return Fraction(given)
-    height = hp_log(max(abs(x.numerator), x.denominator), _EVAL_BITS).upper
-    logabs = abs(hp_log(x, _EVAL_BITS)).upper
+    height, logabs = _height_and_abs_log(x)
     return max(height, logabs / D, Fraction(1, D))
 
 
@@ -300,22 +303,24 @@ def min_zero_run_for_tail_fit(a: int, g: int, h: int) -> int:
     return m
 
 
+def _shared_terms(a: int, g: int, h: int) -> tuple[PreciseReal, PreciseReal, dict[str, PreciseReal]]:
+    # log g, log(a g h) and the dependence-degree term, which both thresholds use
+    log_g = hp_log(g, _EVAL_BITS)
+    log_agh = hp_log(a * g * h, _EVAL_BITS)
+    log2cubed = _pow(hp_log(2, _EVAL_BITS), 3)
+    return log_g, log_agh, {"dependence_degree": log_g * _pow(log_agh, 2) / log2cubed}
+
+
 def zero_run_threshold_terms(a: int, g: int, h: int, n: int) -> dict[str, float]:
     """The four competing expressions whose maximum is the zero-run threshold."""
     require_family_bases(a, g, h)
     if n < 1:
         raise DomainError("shift exponent must be positive")
-    log_g = hp_log(g, _EVAL_BITS)
-    log_agh = hp_log(a * g * h, _EVAL_BITS)
+    log_g, log_agh, terms = _shared_terms(a, g, h)
     log_n = hp_log(n, _EVAL_BITS)
-    log2cubed = _pow(hp_log(2, _EVAL_BITS), 3)
-    terms = {
-        "tail_fit": PreciseReal.log_ratio(g * a, h, _EVAL_BITS),
-        "dependence_degree": log_g * _pow(log_agh, 2) / log2cubed,
-        "two_log": TWO_LOG_COEFF * _pow(log_n, 2) * log_g,
-        "three_log": THREE_LOG_COEFF * log_g * log_agh * log_n,
-    }
-    return {k: _float_up(v.upper) for k, v in terms.items()}
+    terms["two_log"] = TWO_LOG_COEFF * _pow(log_n, 2) * log_g
+    terms["three_log"] = THREE_LOG_COEFF * log_g * log_agh * log_n
+    return {"tail_fit": tail_fit_threshold(a, g, h)} | {k: _float_up(v.upper) for k, v in terms.items()}
 
 
 def zero_run_threshold(a: int, g: int, h: int, n: int) -> float:
@@ -328,20 +333,14 @@ def zero_run_threshold(a: int, g: int, h: int, n: int) -> float:
 def shift_exponent_bound_terms(a: int, g: int, h: int) -> dict[str, float]:
     """The competing expressions whose maximum bounds the shift exponent."""
     require_family_bases(a, g, h)
-    log_g = hp_log(g, _EVAL_BITS)
-    log_agh = hp_log(a * g * h, _EVAL_BITS)
-    log2cubed = _pow(hp_log(2, _EVAL_BITS), 3)
-    terms = {
-        "tail_fit": PreciseReal.log_ratio(g * a, h, _EVAL_BITS),
-        "dependence_degree": log_g * _pow(log_agh, 2) / log2cubed,
-        "three_log_solved": SHIFT_THREE_LOG_COEFF * log_g * log_agh * _pow((log_g * log_agh).log(), 2),
-    }
+    log_g, log_agh, terms = _shared_terms(a, g, h)
+    terms["three_log_solved"] = SHIFT_THREE_LOG_COEFF * log_g * log_agh * _pow((log_g * log_agh).log(), 2)
     if a >= 3:
         # below a = 3 the iterated logarithm is non-positive and the other
         # expressions dominate every solution of the two-log equation
         log_a = hp_log(a, _EVAL_BITS)
         terms["two_log_solved"] = SHIFT_TWO_LOG_COEFF * log_a * _pow(log_a.log(), 3)
-    return {k: _float_up(v.upper) for k, v in terms.items()}
+    return {"tail_fit": tail_fit_threshold(a, g, h)} | {k: _float_up(v.upper) for k, v in terms.items()}
 
 
 def shift_exponent_bound(a: int, g: int, h: int) -> float:

@@ -158,7 +158,7 @@ def cmd_count(args) -> int:
 
 def cmd_family(args) -> int:
     started = time.perf_counter()
-    kwargs = {"n_floor": args.n_floor, "bits": args.precision, "exhaustive_limit": args.exhaustive_limit}
+    kwargs = {"bits": args.precision, "exhaustive_limit": args.exhaustive_limit}
     if args.bound is not None:
         kwargs["bound"] = parse_exact_int(args.bound)
     report_obj = reduction.verify_family(args.a, args.g, args.h, **kwargs)
@@ -248,35 +248,33 @@ def cmd_cf(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument(
+def build_parser() -> argparse.ArgumentParser:
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "csv"), default="json")
+    precision = argparse.ArgumentParser(add_help=False)
+    precision.add_argument(
         "--precision",
         type=int,
         default=precise.DEFAULT_PRECISION,
         help=f"working precision in bits, 1 to {precise.MAX_PRECISION} "
         f"(default {precise.DEFAULT_PRECISION})",
     )
-
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simulpal",
         description="Find, count and certify integers that are palindromes in two bases at once.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="test palindromicity of N in each base")
+    p = sub.add_parser("check", parents=[fmt], help="test palindromicity of N in each base")
     p.add_argument("n")
     p.add_argument("--bases", required=True, help="comma-separated bases, e.g. 10,2")
-    _add_common(p)
     p.set_defaults(func=cmd_check)
 
     for name, helptext in (
         ("search", "list all simultaneous palindromes up to a bound"),
         ("count", "count simultaneous palindromes up to a bound"),
     ):
-        p = sub.add_parser(name, help=helptext)
+        p = sub.add_parser(name, parents=[fmt], help=helptext)
         p.add_argument("g", type=int)
         p.add_argument("h", type=int)
         p.add_argument("bound", help="inclusive bound; scientific shorthand like 1e14 is exact")
@@ -292,32 +290,29 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--enumeration-base", type=int, default=None)
         p.add_argument("--checkpoint-interval", type=float, default=300.0)
         p.add_argument("--progress", action="store_true", help="progress lines on stderr")
-        _add_common(p)
         p.set_defaults(func=cmd_search if name == "search" else cmd_count)
 
-    p = sub.add_parser("family", help="certify all n with a*g**n + rev(a) palindromic in base h")
+    p = sub.add_parser(
+        "family", parents=[fmt, precision], help="certify all n with a*g**n + rev(a) palindromic in base h"
+    )
     p.add_argument("a", type=int)
     p.add_argument("g", type=int)
     p.add_argument("h", type=int)
-    p.add_argument("--n-floor", type=int, default=30)
     p.add_argument("--bound", default=None, help="override the unconditional bound X")
     p.add_argument("--exhaustive-limit", type=int, default=2000)
-    _add_common(p)
     p.set_defaults(func=cmd_family)
 
-    p = sub.add_parser("bound", help="evaluate the explicit bounds term by term")
+    p = sub.add_parser("bound", parents=[fmt], help="evaluate the explicit bounds term by term")
     p.add_argument("a", type=int)
     p.add_argument("g", type=int)
     p.add_argument("h", type=int)
     p.add_argument("n", type=int, nargs="?", default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("cf", help="continued fraction of log g / log h")
+    p = sub.add_parser("cf", parents=[fmt, precision], help="continued fraction of log g / log h")
     p.add_argument("g", type=int)
     p.add_argument("h", type=int)
     p.add_argument("count", type=int)
-    _add_common(p)
     p.set_defaults(func=cmd_cf)
     return parser
 

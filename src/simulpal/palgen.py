@@ -86,20 +86,27 @@ def _least_half_reaching(g: int, d: int, target: int) -> int:
     return lo
 
 
+def half_ranges(g: int, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
+    """Per digit length ``d``, ascending, the half-values ``[start, stop)``
+    whose mirrored ``d``-digit palindromes lie in [lo, hi], as
+    ``(d, start, stop)``; lengths with none in range are skipped."""
+    d = 1
+    while True:
+        h0, _, t, odd = _half_range(g, d)
+        first = mirror_half(h0, g, t, odd)
+        if first > hi:
+            return
+        start = h0 if first >= lo else _least_half_reaching(g, d, lo)
+        stop = _least_half_reaching(g, d, hi + 1)
+        if start < stop:
+            yield d, start, stop
+        d += 1
+
+
 def count_palindromes_upto(g: int, bound: int) -> int:
     """Exact count of base-``g`` palindromes in [1, bound]."""
     check_base(g)
-    if bound < 1:
-        return 0
-    total = 0
-    d = 1
-    while True:
-        lo, hi, t, odd = _half_range(g, d)
-        if mirror_half(lo, g, t, odd) > bound:
-            break
-        total += _least_half_reaching(g, d, bound + 1) - lo
-        d += 1
-    return total
+    return sum(stop - start for _, start, stop in half_ranges(g, 1, bound))
 
 
 def iter_palindromes(g: int, lo: int, hi: int) -> Iterator[int]:
@@ -111,17 +118,10 @@ def iter_palindromes(g: int, lo: int, hi: int) -> Iterator[int]:
     check_base(g)
     if not 1 <= lo <= hi:
         raise DomainError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    d = 1
-    while True:
-        h0, h1, t, odd = _half_range(g, d)
-        if mirror_half(h0, g, t, odd) > hi:
-            return
-        for half in range(_least_half_reaching(g, d, lo), h1):
-            n = mirror_half(half, g, t, odd)
-            if n > hi:
-                break
-            yield n
-        d += 1
+    for d, start, stop in half_ranges(g, lo, hi):
+        _, _, t, odd = _half_range(g, d)
+        for half in range(start, stop):
+            yield mirror_half(half, g, t, odd)
 
 
 @dataclass(frozen=True)

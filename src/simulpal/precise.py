@@ -29,11 +29,16 @@ class UndecidedComparisonError(ArithmeticError):
 _contexts: dict[int, MPIntervalContext] = {}
 
 
+def check_precision(bits: int) -> None:
+    """Reject a working precision outside [1, MAX_PRECISION] bits."""
+    if not 1 <= bits <= MAX_PRECISION:
+        raise ValueError(f"precision must be in [1, {MAX_PRECISION}] bits, got {bits}")
+
+
 def _context(bits: int) -> MPIntervalContext:
     ctx = _contexts.get(bits)
     if ctx is None:
-        if not 1 <= bits <= MAX_PRECISION:
-            raise ValueError(f"precision must be in [1, {MAX_PRECISION}] bits, got {bits}")
+        check_precision(bits)
         ctx = MPIntervalContext()
         ctx.prec = bits
         _contexts[bits] = ctx
@@ -55,14 +60,37 @@ def _interval_endpoints(x) -> _Endpoints:
     return _mpf_tuple_to_fraction(lo), _mpf_tuple_to_fraction(hi)
 
 
+def _interval(ctx: MPIntervalContext, q: Fraction):
+    # an interval at ctx's precision enclosing the rational q
+    return ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
+
+
 def _log_endpoints(q: Fraction, bits: int) -> _Endpoints:
     if q <= 0:
         raise ValueError(f"logarithm of non-positive value {q}")
     if q == 1:
         return Fraction(0), Fraction(0)
     ctx = _context(bits)
-    enc = ctx.log(ctx.mpf(q.numerator) / ctx.mpf(q.denominator))
-    return _interval_endpoints(enc)
+    return _interval_endpoints(ctx.log(_interval(ctx, q)))
+
+
+def _escalate(operands: tuple["PreciseReal", ...], decide, error: type[Exception], what: str):
+    """Apply ``decide`` to finer and finer enclosures of ``operands`` until it
+    returns something other than None, and return that.
+
+    Each round recomputes every refinable operand at twice the precision of
+    the finest one, capped at ``MAX_PRECISION``; once no operand can be
+    refined further, ``error`` is raised with ``what`` and the last enclosures.
+    """
+    while True:
+        verdict = decide(*operands)
+        if verdict is not None:
+            return verdict
+        refinable_bits = [x.bits for x in operands if x.refinable]
+        if not refinable_bits or min(refinable_bits) >= MAX_PRECISION:
+            raise error(f"{what}: " + " vs ".join(map(repr, operands)))
+        bits = min(max(refinable_bits) * 2, MAX_PRECISION)
+        operands = tuple(x.refined(bits) for x in operands)
 
 
 class PreciseReal:
@@ -103,9 +131,7 @@ class PreciseReal:
 
         def compute(b: int) -> _Endpoints:
             ctx = _context(b)
-            num = ctx.log(ctx.mpf(x.numerator) / ctx.mpf(x.denominator))
-            den = ctx.log(ctx.mpf(y.numerator) / ctx.mpf(y.denominator))
-            return _interval_endpoints(num / den)
+            return _interval_endpoints(ctx.log(_interval(ctx, x)) / ctx.log(_interval(ctx, y)))
 
         return cls(*compute(bits), bits, compute)
 
@@ -176,11 +202,12 @@ class PreciseReal:
         return min(ps), max(ps)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        while other.lower <= 0 <= other.upper:
-            if not other.refinable or other.bits >= MAX_PRECISION:
-                raise ZeroDivisionError("divisor interval contains zero")
-            other = other.refined(min(other.bits * 2, MAX_PRECISION))
+        other = _escalate(
+            (self._coerce(other),),
+            lambda b: None if b.lower <= 0 <= b.upper else b,
+            ZeroDivisionError,
+            "divisor interval contains zero",
+        )
         return self._compose(other, self._div_endpoints)
 
     def __rtruediv__(self, other):
@@ -202,11 +229,12 @@ class PreciseReal:
 
     def log(self) -> "PreciseReal":
         """Enclosure of the natural logarithm (self must be certainly positive)."""
-        me = self
-        while me.lower <= 0:
-            if not me.refinable or me.bits >= MAX_PRECISION:
-                raise ValueError("logarithm of an interval not certainly positive")
-            me = me.refined(min(me.bits * 2, MAX_PRECISION))
+        me = _escalate(
+            (self,),
+            lambda a: a if a.lower > 0 else None,
+            ValueError,
+            "logarithm of an interval not certainly positive",
+        )
 
         def compute(b: int) -> _Endpoints:
             a = me.refined(b)
@@ -236,25 +264,8 @@ class PreciseReal:
 
     # certified decisions -------------------------------------------------
 
-    def _escalate_against(self, other: "PreciseReal", decided) -> bool:
-        a, b = self, other
-        while True:
-            verdict = decided(a, b)
-            if verdict is not None:
-                return verdict
-            refinable_bits = [x.bits for x in (a, b) if x.refinable]
-            if not refinable_bits or min(refinable_bits) >= MAX_PRECISION:
-                raise UndecidedComparisonError(
-                    f"comparison undecided: [{float(a.lower)}, {float(a.upper)}] "
-                    f"vs [{float(b.lower)}, {float(b.upper)}]"
-                )
-            bits = min(max(refinable_bits) * 2, MAX_PRECISION)
-            a = a.refined(bits)
-            b = b.refined(bits)
-
     def is_greater(self, other) -> bool:
         """Certified strict comparison self > other (ties count as False)."""
-        other = self._coerce(other)
 
         def decided(a, b):
             if a.lower > b.upper:
@@ -263,24 +274,19 @@ class PreciseReal:
                 return False
             return None
 
-        return self._escalate_against(other, decided)
+        return _escalate((self, self._coerce(other)), decided, UndecidedComparisonError, "comparison undecided")
 
     def is_less(self, other) -> bool:
         return self._coerce(other).is_greater(self)
 
     def floor(self) -> int:
         """Certified floor of the value."""
-        me = self
-        while True:
-            flo = me.lower.__floor__()
-            fhi = me.upper.__floor__()
-            if flo == fhi:
-                return flo
-            if not me.refinable or me.bits >= MAX_PRECISION:
-                raise UndecidedComparisonError(
-                    f"floor undecided at {me.bits} bits: [{float(me.lower)}, {float(me.upper)}]"
-                )
-            me = me.refined(min(me.bits * 2, MAX_PRECISION))
+
+        def decided(a):
+            flo = a.lower.__floor__()
+            return flo if flo == a.upper.__floor__() else None
+
+        return _escalate((self,), decided, UndecidedComparisonError, "floor undecided")
 
 
 def hp_log(x, bits: int = DEFAULT_PRECISION) -> PreciseReal:
@@ -289,10 +295,6 @@ def hp_log(x, bits: int = DEFAULT_PRECISION) -> PreciseReal:
     ``hp_log(1)`` is exactly zero with radius zero.
     """
     q = Fraction(x)
-    if q <= 0:
-        raise ValueError(f"logarithm requires a positive argument, got {x!r}")
-    if q == 1:
-        return PreciseReal.exact(0)
     return PreciseReal(*_log_endpoints(q, bits), bits, lambda b: _log_endpoints(q, b))
 
 
@@ -304,6 +306,6 @@ def hp_exp(x, bits: int = DEFAULT_PRECISION) -> PreciseReal:
 
     def compute(b: int) -> _Endpoints:
         ctx = _context(b)
-        return _interval_endpoints(ctx.exp(ctx.mpf(q.numerator) / ctx.mpf(q.denominator)))
+        return _interval_endpoints(ctx.exp(_interval(ctx, q)))
 
     return PreciseReal(*compute(bits), bits, compute)

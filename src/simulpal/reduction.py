@@ -21,9 +21,10 @@ from .lindep import DependenceWitness, dependence_witness
 from .palgen import FamilyError
 from .precise import (
     DEFAULT_PRECISION,
-    MAX_PRECISION,
     PreciseReal,
     UndecidedComparisonError,
+    _escalate,
+    check_precision,
     hp_log,
 )
 from .radix import DomainError, digit_count, is_palindrome_early_exit, reverse_in_base
@@ -69,36 +70,28 @@ def continued_fraction(x: PreciseReal, count: int) -> ContinuedFraction:
     """
     if count < 1:
         raise DomainError("need at least one quotient")
-    cur = x
-    while True:
+
+    def expand(cur: PreciseReal) -> tuple[list[int], bool] | None:
         lo, hi = cur.lower, cur.upper
         quotients: list[int] = []
-        exact = False
-        stuck = False
         while len(quotients) < count:
             flo = lo.__floor__()
-            fhi = hi.__floor__()
-            if flo != fhi:
-                stuck = True
-                break
+            if flo != hi.__floor__():
+                return None
             quotients.append(flo)
             lo, hi = lo - flo, hi - flo
             if lo == 0 and hi == 0:
-                exact = True
-                break
+                return quotients, True
             if lo <= 0:
                 # enclosure touches the integer: cannot certify whether the
                 # expansion terminates here
-                stuck = True
-                break
+                return None
             lo, hi = 1 / hi, 1 / lo
-        if not stuck:
-            break
-        if not cur.refinable or cur.bits >= MAX_PRECISION:
-            raise UndecidedComparisonError(
-                f"continued fraction undecided after {len(quotients)} quotients at {cur.bits} bits"
-            )
-        cur = cur.refined(min(cur.bits * 2, MAX_PRECISION))
+        return quotients, False
+
+    quotients, exact = _escalate(
+        (x,), expand, UndecidedComparisonError, f"continued fraction: {count} quotients not certain"
+    )
 
     ps: list[int] = [0, 1]
     qs: list[int] = [1, 0]
@@ -123,12 +116,10 @@ class ReductionPair:
     kappa: Fraction
 
 
-def precompute_reduction_pairs(
-    epsilon: PreciseReal, X: int, count: int = 50, margin: int = 4
-) -> list[ReductionPair]:
+def precompute_reduction_pairs(epsilon: PreciseReal, X: int, count: int = 50) -> list[ReductionPair]:
     """Usable reduction pairs among the first ``count`` convergents of epsilon.
 
-    Only convergents with q > margin*X qualify (margin 4 keeps
+    Only convergents with q > 4X qualify (which keeps
     kappa = q/(2X) above 2, so the per-instance test ||q delta|| > 1/kappa
     has room to succeed); for each the hypothesis ||q epsilon|| < 1/q is
     certified by interval arithmetic before the pair is admitted.
@@ -140,7 +131,7 @@ def precompute_reduction_pairs(
     cf = continued_fraction(epsilon, count)
     pairs = []
     for p, q in cf.convergents:
-        if q <= margin * X:
+        if q <= 4 * X:
             continue
         kappa = Fraction(q, 2 * X)
         dist = abs(epsilon * q - p)
@@ -336,11 +327,9 @@ def verify_family(
     g: int,
     h: int,
     *,
-    n_floor: int = 30,
     bits: int = DEFAULT_PRECISION,
     pairs: list[ReductionPair] | None = None,
     bound: int | None = None,
-    pair_count: int = 50,
     exhaustive_limit: int = 2000,
 ) -> FamilyReport:
     """The complete list of shifts n making a*g**n + rev(a) a base-h palindrome.
@@ -354,6 +343,7 @@ def verify_family(
     exceeds ``exhaustive_limit``, the report comes back ``undecided``
     above the tested range instead of silently truncating.
     """
+    check_precision(bits)
     require_family_bases(a, g, h)
     if a % g == 0:
         raise FamilyError(f"{g} divides {a}: family values are not base-{g} palindromes")
@@ -393,7 +383,7 @@ def verify_family(
         delta = hp_log(alpha, bits) / log_h
         c1 = Fraction(11 * h**slack, 9) / log_h
         if pairs is None:
-            pairs = precompute_reduction_pairs(epsilon, X, pair_count)
+            pairs = precompute_reduction_pairs(epsilon, X)
         problem = ReductionProblem(epsilon, delta, c1, log_h, X, tuple(pairs))
         outcome = baker_davenport_reduce(problem)
         common["reduced_bound"] = outcome.new_bound
@@ -409,7 +399,7 @@ def verify_family(
             undecided_above = top
     else:
         result = dependent_case_check(
-            witness, a, g, h, X, n_floor=max(n_floor, regime_floor), slack=slack, bits=bits
+            witness, a, g, h, X, n_floor=max(30, regime_floor), slack=slack, bits=bits
         )
         common["dependent_result"] = result
         branch = "dependent"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .lindep import multiplicatively_independent
-from .palgen import _half_range, _least_half_reaching, count_palindromes_upto, mirror_half
+from .palgen import _half_range, count_palindromes_upto, half_ranges, mirror_half
 from .radix import DomainError, _mirror_test, check_base, digit_count, is_palindrome_early_exit
 
 CHECKPOINT_VERSION = "simulpal-checkpoint-v1"
@@ -344,27 +344,17 @@ def search(
             state.save(checkpoint_path)
             last_save = time.monotonic()
 
+    # resume just past the last palindrome the cursor says was processed
+    first = 1
+    if state.cursor is not None:
+        cur_d, _, cur_half = state.cursor
+        _, _, t, odd = _half_range(driver, cur_d)
+        first = mirror_half(cur_half, driver, t, odd) + 1
+
     pool = ProcessPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
-        d = 1
-        while True:
-            h0, h1, t, odd = _half_range(driver, d)
-            if mirror_half(h0, driver, t, odd) > bound:
-                break
+        for d, start, h1e in half_ranges(driver, first, bound):
             parity = "odd" if d % 2 else "even"
-            h1e = _least_half_reaching(driver, d, bound + 1)
-            start = h0
-            if state.cursor is not None:
-                cur_d, _, cur_half = state.cursor
-                if d < cur_d or (d == cur_d and cur_half >= h1e - 1):
-                    d += 1
-                    continue
-                if d == cur_d:
-                    start = cur_half + 1
-            if start >= h1e:
-                d += 1
-                continue
-
             edges = list(range(start, h1e, CHUNK_HALVES)) + [h1e]
             chunks = list(zip(edges[:-1], edges[1:]))
             if pool is not None and len(chunks) > 1:
@@ -387,7 +377,6 @@ def search(
                         }
                     )
             persist(force=True)
-            d += 1
         state.complete = True
         persist(force=True)
         return list(state.found)

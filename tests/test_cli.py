@@ -245,6 +245,8 @@ def test_reports_match_goldens(capsys, golden, argv):
         # zero or negative precision used to refine to the same precision forever
         pytest.param(["cf", "10", "2", "3", "--precision", "0"], 2, id="cf-precision-0"),
         pytest.param(["family", "74", "10", "2", "--precision", "-4"], 2, id="family-precision-negative"),
+        # the excluded-parity branch takes no logarithm, so only a range check sees the bits
+        pytest.param(["family", "2", "10", "2", "--precision", "0"], 2, id="family-precision-0-no-logarithm"),
         # more quotients than the precision cap certifies
         pytest.param(["cf", "10", "2", "25000", "--precision", "65536"], 4, id="cf-past-precision-cap"),
         # fewer than one worker used to run one silently
@@ -257,3 +259,23 @@ def test_bad_input_exits_with_documented_code(capsys, argv, code):
         got, out, err = run(capsys, *argv)
     assert got == code
     assert out == "" and "Traceback" not in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # --precision only on the commands that do certified arithmetic
+        ["check", "585", "--bases", "10,2", "--precision", "0"],
+        ["bound", "1", "10", "2", "--precision", "0"],
+        ["search", "10", "2", "100", "--precision", "0"],
+        ["count", "10", "2", "100", "--precision", "0"],
+        ["family", "74", "10", "2", "--n-floor", "3"],
+    ],
+    ids=["check-precision", "bound-precision", "search-precision", "count-precision", "family-n-floor"],
+)
+def test_unknown_option_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == "" and "Traceback" not in err and "unrecognized arguments" in err

@@ -65,6 +65,16 @@ def test_division_by_zero_interval():
         PreciseReal.exact(1) / z
 
 
+def test_division_and_log_escalate():
+    # true value about 2.8e-5; the 8-bit enclosure straddles zero
+    x = PreciseReal.log_ratio(10, 2, 8) - Fraction(33219, 10000)
+    assert x.lower < 0 < x.upper
+    inverse = 1 / x
+    assert inverse.bits > 8 and 35000 < inverse.lower <= inverse.upper < 36000
+    log = x.log()
+    assert log.bits > 8 and log.lower <= log.upper < -10
+
+
 def test_log_positive_requirement():
     with pytest.raises(ValueError):
         PreciseReal.exact(-1).log()

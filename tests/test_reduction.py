@@ -256,6 +256,14 @@ def test_verify_family_undecided_reports_honestly():
     assert report.ns == (2,)
 
 
+def test_verify_family_rejects_bad_precision_without_logarithms():
+    # (2, 10, 2) takes the excluded-parity branch, which computes no logarithm
+    with pytest.raises(ValueError):
+        verify_family(2, 10, 2, bits=0)
+    with pytest.raises(ValueError):
+        verify_family(2, 10, 2, bits=(1 << 16) + 1)
+
+
 def test_verify_family_small_bound_is_exhaustive():
     report = verify_family(74, 10, 2, pairs=[], bound=300, exhaustive_limit=2000)
     assert report.status == "complete"
