@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import lindep
 from .lindep import PreconditionError
@@ -303,11 +304,16 @@ def min_zero_run_for_tail_fit(a: int, g: int, h: int) -> int:
     return m
 
 
+@lru_cache
+def _base_terms(g: int) -> tuple[PreciseReal, PreciseReal]:
+    # log g and (log 2)**3, shared by every prefix over base g
+    return hp_log(g, _EVAL_BITS), _pow(hp_log(2, _EVAL_BITS), 3)
+
+
 def _shared_terms(a: int, g: int, h: int) -> tuple[PreciseReal, PreciseReal, dict[str, PreciseReal]]:
     # log g, log(a g h) and the dependence-degree term, which both thresholds use
-    log_g = hp_log(g, _EVAL_BITS)
+    log_g, log2cubed = _base_terms(g)
     log_agh = hp_log(a * g * h, _EVAL_BITS)
-    log2cubed = _pow(hp_log(2, _EVAL_BITS), 3)
     return log_g, log_agh, {"dependence_degree": log_g * _pow(log_agh, 2) / log2cubed}
 
 

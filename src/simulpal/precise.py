@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
+from mpmath import mpf, nstr
 from mpmath.ctx_iv import MPIntervalContext
 
 DEFAULT_PRECISION = 192
@@ -72,6 +73,14 @@ def _log_endpoints(q: Fraction, bits: int) -> _Endpoints:
         return Fraction(0), Fraction(0)
     ctx = _context(bits)
     return _interval_endpoints(ctx.log(_interval(ctx, q)))
+
+
+def _show(q: Fraction) -> str:
+    # a float where one holds the value, else 15 significant digits
+    try:
+        return repr(float(q))
+    except OverflowError:
+        return nstr(mpf(q.numerator) / q.denominator, 15)
 
 
 def _escalate(operands: tuple["PreciseReal", ...], decide, error: type[Exception], what: str):
@@ -152,7 +161,7 @@ class PreciseReal:
         return PreciseReal(*self._source(bits), bits, self._source)
 
     def __repr__(self):
-        return f"PreciseReal([{float(self.lower)!r}, {float(self.upper)!r}], bits={self.bits})"
+        return f"PreciseReal([{_show(self.lower)}, {_show(self.upper)}], bits={self.bits})"
 
     # exact interval ring operations -------------------------------------
 
@@ -186,6 +195,8 @@ class PreciseReal:
 
     @staticmethod
     def _mul_endpoints(a: "PreciseReal", b: "PreciseReal") -> _Endpoints:
+        if a.lower >= 0 and b.lower >= 0:
+            return a.lower * b.lower, a.upper * b.upper
         ps = (a.lower * b.lower, a.lower * b.upper, a.upper * b.lower, a.upper * b.upper)
         return min(ps), max(ps)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil
 
 from .bounds import min_zero_run_for_tail_fit, require_family_bases, shift_exponent_bound
@@ -116,6 +117,15 @@ class ReductionPair:
     kappa: Fraction
 
 
+def _certified(epsilon: PreciseReal, convergents) -> tuple[tuple[int, int], ...]:
+    # the convergents p/q whose hypothesis ||q epsilon|| < 1/q is certified
+    return tuple((p, q) for p, q in convergents if abs(epsilon * q - p).is_less(Fraction(1, q)))
+
+
+def _pairs(certified, X: int) -> list[ReductionPair]:
+    return [ReductionPair(p=p, q=q, kappa=Fraction(q, 2 * X)) for p, q in certified if q > 4 * X]
+
+
 def precompute_reduction_pairs(epsilon: PreciseReal, X: int, count: int = 50) -> list[ReductionPair]:
     """Usable reduction pairs among the first ``count`` convergents of epsilon.
 
@@ -128,16 +138,26 @@ def precompute_reduction_pairs(epsilon: PreciseReal, X: int, count: int = 50) ->
     """
     if X < 1:
         raise DomainError("the prior bound X must be a positive integer")
-    cf = continued_fraction(epsilon, count)
-    pairs = []
-    for p, q in cf.convergents:
-        if q <= 4 * X:
-            continue
-        kappa = Fraction(q, 2 * X)
-        dist = abs(epsilon * q - p)
-        if dist.is_less(Fraction(1, q)):
-            pairs.append(ReductionPair(p=p, q=q, kappa=kappa))
-    return pairs
+    return _pairs(_certified(epsilon, continued_fraction(epsilon, count).convergents), X)
+
+
+@dataclass(frozen=True)
+class _BasePair:
+    """What every prefix over one base pair shares: log h, epsilon =
+    log g / log h, its first 50 partial quotients and the convergents that
+    pass the certified check ||q epsilon|| < 1/q, which does not depend on X."""
+
+    log_h: PreciseReal
+    epsilon: PreciseReal
+    cf: ContinuedFraction
+    certified: tuple[tuple[int, int], ...]
+
+
+@lru_cache
+def _base_pair(g: int, h: int, bits: int) -> _BasePair:
+    epsilon = PreciseReal.log_ratio(g, h, bits)
+    cf = continued_fraction(epsilon, 50)
+    return _BasePair(hp_log(h, bits), epsilon, cf, _certified(epsilon, cf.convergents))
 
 
 @dataclass(frozen=True)
@@ -240,8 +260,8 @@ def dependent_case_check(
     if slack is None:
         slack = digit_count(a, g)
     c = Fraction(11 * r, 9) * h**slack
-    log_h = hp_log(h, bits)
-    eps = PreciseReal.log_ratio(g, h, bits)
+    base = _base_pair(g, h, bits)
+    log_h, eps = base.log_h, base.epsilon
 
     # raise the floor until a non-convergent ratio is impossible for all
     # n >= floor: h**n log h >= 2 c (r n + s_bound), plus an increment check
@@ -260,26 +280,24 @@ def dependent_case_check(
         factor_floor = max(1, r * floor_n + s)
 
     q_ceiling = r * X + s_bound
-    count = 40
-    while True:
-        cf = continued_fraction(eps, count)
-        if cf.exact or cf.convergents[-1][1] > q_ceiling:
-            break
-        count += 20
+    cf = base.cf
+    while not (cf.exact or cf.convergents[-1][1] > q_ceiling):
+        cf = continued_fraction(eps, len(cf.quotients) + 20)
     candidates = [(p, q) for p, q in cf.convergents if q <= q_ceiling]
 
     small_regime = []
     large_regime = []
     survivors = []
     log_c = hp_log(c, bits)
+    log_log_h = log_h.log()
+    rhs_small = Fraction(c, factor_floor * h**floor_n) / log_h
     for p, q in candidates:
         err = abs(eps - Fraction(p, q))
-        rhs_small = Fraction(c, factor_floor * h**floor_n) / log_h
         if err.is_greater(rhs_small):
             small_regime.append(q)
             continue
         n_sub = max(floor_n, -((s_bound - q) // r))  # ceil((q - s_bound) / r)
-        rhs_log = log_c - n_sub * log_h - (hp_log(q, bits) + log_h.log())
+        rhs_log = log_c - n_sub * log_h - (hp_log(q, bits) + log_log_h)
         if err.log().is_greater(rhs_log):
             large_regime.append(q)
         else:
@@ -338,8 +356,9 @@ def verify_family(
     alpha = a / rev(rev(a, g), h); Baker-Davenport reduction (independent
     case) or the convergent sieve (dependent case) to shrink X to a small
     top; then direct early-exit testing of every remaining shift.
-    Precomputed ``pairs`` may be shared across prefixes over the same base
-    pair and prior bound.  If no reduction applies and the unreduced range
+    The work that depends only on (g, h, bits) is done once per process;
+    ``pairs`` replaces the reduction pairs built from it, for example with
+    pairs for a model bound or an empty list.  If no reduction applies and the unreduced range
     exceeds ``exhaustive_limit``, the report comes back ``undecided``
     above the tested range instead of silently truncating.
     """
@@ -367,6 +386,8 @@ def verify_family(
         )
 
     X = bound if bound is not None else ceil(shift_exponent_bound(a, g, h))
+    if X < 1:
+        raise DomainError("the prior bound X must be a positive integer")
     R = reverse_in_base(rev_a, h)
     alpha = Fraction(a, R)
     witness = dependence_witness(alpha, g, h)
@@ -378,13 +399,13 @@ def verify_family(
     undecided_above = None
     status = "complete"
     if witness is None:
-        log_h = hp_log(h, bits)
-        epsilon = PreciseReal.log_ratio(g, h, bits)
+        base = _base_pair(g, h, bits)
+        log_h = base.log_h
         delta = hp_log(alpha, bits) / log_h
         c1 = Fraction(11 * h**slack, 9) / log_h
         if pairs is None:
-            pairs = precompute_reduction_pairs(epsilon, X)
-        problem = ReductionProblem(epsilon, delta, c1, log_h, X, tuple(pairs))
+            pairs = _pairs(base.certified, X)
+        problem = ReductionProblem(base.epsilon, delta, c1, log_h, X, tuple(pairs))
         outcome = baker_davenport_reduce(problem)
         common["reduced_bound"] = outcome.new_bound
         common["pair_used"] = outcome.pair_used
@@ -397,6 +418,11 @@ def verify_family(
             top = max(regime_floor - 1, exhaustive_limit)
             status = "undecided"
             undecided_above = top
+    elif X < max(30, regime_floor):
+        # the sieve needs X at least at its floor; below it the direct scan
+        # covers every shift up to X
+        branch = "dependent"
+        top = X
     else:
         result = dependent_case_check(
             witness, a, g, h, X, n_floor=max(30, regime_floor), slack=slack, bits=bits

@@ -138,6 +138,14 @@ def test_family_independent_trail(capsys):
     assert res["pair_used"]["q"] > 0 and res["reduced_bound"] <= 81
 
 
+def test_family_dependent_small_bound(capsys):
+    code, doc, err = run_json(capsys, "family", "1", "10", "2", "--bound", "5")
+    assert code == 0 and err == ""
+    res = doc["results"]
+    assert res["status"] == "complete" and res["branch"] == "dependent"
+    assert res["shifts"] == [] and res["tested_upper"] == 5
+
+
 def test_family_rejected_prefix(capsys):
     code, out, err = run(capsys, "family", "20", "10", "2")
     assert code == 2 and "divides" in err

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
 from simulpal.precise import (
     PreciseReal,
@@ -132,6 +133,33 @@ def test_undecidable_comparison_raises():
     wide = PreciseReal(Fraction(0), Fraction(1), 64)  # fixed, no source
     with pytest.raises(UndecidedComparisonError):
         wide.is_greater(Fraction(1, 2))
+
+
+def test_undecided_error_prints_enclosures_beyond_float_range():
+    # the error message shows both operands; float() of 10**400 overflows
+    huge = PreciseReal(Fraction(10**400), Fraction(10**400 + 1), 64)
+    with pytest.raises(UndecidedComparisonError, match=r"1\.0e\+400"):
+        huge.is_greater(Fraction(10**400))
+    assert repr(PreciseReal.exact(Fraction(-(10**5000)))) == "PreciseReal([-1.0e+5000, -1.0e+5000], bits=65536)"
+    assert repr(PreciseReal.exact(Fraction(1, 4))) == "PreciseReal([0.25, 0.25], bits=65536)"
+
+
+_endpoint = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
+_interval = st.one_of(
+    # non-negative, mixed-sign, containing zero as an endpoint, non-positive
+    st.tuples(_endpoint.map(abs), _endpoint.map(abs)),
+    st.tuples(_endpoint.map(lambda x: -abs(x) - 1), _endpoint.map(lambda x: abs(x) + 1)),
+    st.tuples(st.just(Fraction(0)), _endpoint.map(abs)),
+    st.tuples(_endpoint.map(lambda x: -abs(x)), st.just(Fraction(0))),
+    st.tuples(_endpoint.map(lambda x: -abs(x)), _endpoint.map(lambda x: -abs(x))),
+).map(sorted)
+
+
+@given(_interval, _interval)
+def test_product_endpoints_are_the_four_product_hull(x, y):
+    ps = [u * v for u in x for v in y]
+    product = PreciseReal(*x, 64) * PreciseReal(*y, 64)
+    assert (product.lower, product.upper) == (min(ps), max(ps))
 
 
 def test_immutability():

@@ -1,13 +1,17 @@
 from fractions import Fraction
+from math import ceil
 
 import mpmath
 import pytest
 
+from simulpal.bounds import shift_exponent_bound
 from simulpal.lindep import DependenceWitness, dependence_witness
 from simulpal.palgen import FamilyError, family_instance
 from simulpal.precise import PreciseReal, hp_log
 from simulpal.radix import is_palindrome, reverse_in_base
 from simulpal.reduction import (
+    _base_pair,
+    _pairs,
     ReductionOutcome,
     ReductionProblem,
     baker_davenport_reduce,
@@ -269,3 +273,56 @@ def test_verify_family_small_bound_is_exhaustive():
     assert report.status == "complete"
     assert report.tested_upper == 300
     assert report.ns == (2,)
+
+
+@pytest.mark.parametrize("g, h", [(10, 2), (12, 4)])
+def test_base_pair_table_gives_the_precomputed_pairs(g, h):
+    table = _base_pair(g, h, 192)
+    eps = PreciseReal.log_ratio(g, h)
+    shift_bounds = [ceil(shift_exponent_bound(a, 10, 2)) for a in (1, 74, 999_999)]
+    for X in [1, 10**3, 10**9, *shift_bounds]:
+        assert _pairs(table.certified, X) == precompute_reduction_pairs(eps, X)
+
+
+@pytest.mark.parametrize("g, h", [(10, 2), (12, 4)])
+def test_verify_family_default_pairs_match_explicit_pairs(g, h):
+    eps = PreciseReal.log_ratio(g, h)
+    for a in range(1, 200):
+        if a % g == 0:
+            continue
+        X = ceil(shift_exponent_bound(a, g, h))
+        explicit = verify_family(a, g, h, pairs=precompute_reduction_pairs(eps, X))
+        assert verify_family(a, g, h) == explicit
+
+
+@pytest.mark.parametrize("X", [X_MODEL, 10**40])
+def test_dependent_case_candidates_match_fresh_expansion(X):
+    # the sieve starts from the table's 50 quotients and extends past them
+    # only when q_ceiling needs it; its candidates are all convergents up
+    # to q_ceiling either way
+    result = dependent_case_check(DependenceWitness(1, 0, 0, degenerate=True), 999_999, 10, 2, X)
+    eps = PreciseReal.log_ratio(10, 2, 192)
+    count = 40
+    cf = continued_fraction(eps, count)
+    while cf.convergents[-1][1] <= result.q_ceiling:
+        count += 20
+        cf = continued_fraction(eps, count)
+    fresh = [q for _, q in cf.convergents if q <= result.q_ceiling]
+    assert sorted(result.small_regime + result.large_regime + result.survivors) == fresh
+    if X == X_MODEL:
+        assert count == 40
+    else:
+        assert len(fresh) > 50
+
+
+def test_verify_family_dependent_small_bound_scans_directly():
+    # X below the sieve floor max(30, regime floor): every shift up to X is
+    # tested, as on the independent branch
+    report = verify_family(1, 10, 2, bound=5)
+    assert (report.branch, report.status, report.tested_upper) == ("dependent", "complete", 5)
+    assert report.dependent_result is None and report.ns == ()
+    assert verify_family(9, 10, 2, bound=20).ns == (1, 3)
+    assert verify_family(11, 10, 2, bound=5).status == "complete"
+    for a in (1, 11):
+        with pytest.raises(ValueError):
+            verify_family(a, 10, 2, bound=0)
