@@ -20,7 +20,7 @@ from functools import lru_cache
 from . import lindep
 from .lindep import PreconditionError
 from .precise import PreciseReal, hp_exp, hp_log
-from .radix import DomainError, check_base
+from .radix import DomainError, check_base, digit_count
 
 # evaluation precision for closed-form bound expressions
 _EVAL_BITS = 128
@@ -292,16 +292,10 @@ def tail_fit_threshold(a: int, g: int, h: int) -> float:
 
 
 def min_zero_run_for_tail_fit(a: int, g: int, h: int) -> int:
-    """Smallest integer zero-run length m with h**m > g*a, computed exactly."""
+    """Smallest integer zero-run length m with h**m > g*a: the base-h digit
+    count of g*a."""
     check_base(g)
-    check_base(h)
-    target = g * a
-    m = 0
-    p = 1
-    while p <= target:
-        p *= h
-        m += 1
-    return m
+    return digit_count(g * a, h)
 
 
 @lru_cache

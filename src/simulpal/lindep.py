@@ -54,16 +54,12 @@ def prime_exponent_vector(x, primes: list[int]) -> list[int]:
     return vec
 
 
-def _support(q: Fraction) -> list[int]:
-    primes = set(factorint(q.numerator)) | set(factorint(q.denominator))
-    return sorted(primes)
-
-
 def multiplicatively_independent(g: int, h: int) -> bool:
     """True iff g**x = h**y has no solution in positive integers x, y.
 
-    Decided exactly: the full prime-exponent vectors of ``g`` and ``h``
-    are proportional over the rationals iff the bases are dependent.
+    Decided exactly by division, with no factoring: g and h are dependent
+    iff both are powers of one integer b.  For g > h that holds iff h | g
+    and g/h, h are dependent in turn, and it ends at g = h.
 
     >>> multiplicatively_independent(10, 2)
     True
@@ -74,17 +70,12 @@ def multiplicatively_independent(g: int, h: int) -> bool:
     """
     if g < 2 or h < 2:
         raise DomainError("multiplicative independence is considered for integers >= 2")
-    fg = factorint(g)
-    fh = factorint(h)
-    if set(fg) != set(fh):
-        return True
-    primes = sorted(fg)
-    e_g = [fg[p] for p in primes]
-    e_h = [fh[p] for p in primes]
-    for i in range(len(primes)):
-        for j in range(i + 1, len(primes)):
-            if e_g[i] * e_h[j] != e_g[j] * e_h[i]:
-                return True
+    while g != h:
+        if g < h:
+            g, h = h, g
+        if g % h:
+            return True
+        g //= h
     return False
 
 
@@ -126,7 +117,7 @@ def dependence_witness(alpha, g: int, h: int) -> DependenceWitness | None:
     if a == 1:
         return DependenceWitness(1, 0, 0, degenerate=True)
 
-    primes = _support(Fraction(g * h))
+    primes = sorted(factorint(g * h))
     e_g = prime_exponent_vector(g, primes)
     e_h = prime_exponent_vector(h, primes)
     pivot = None

@@ -58,14 +58,6 @@ def make_odd_palindrome(a: int, g: int) -> int:
     return mirror_half(a, g, digit_count(a, g), odd=True)
 
 
-def palindromes_with_length(g: int, d: int) -> int:
-    """Exact count of base-``g`` palindromes with exactly ``d`` digits."""
-    check_base(g)
-    if d < 1:
-        raise DomainError("digit length must be positive")
-    return (g - 1) * g ** ((d + 1) // 2 - 1)
-
-
 def _half_range(g: int, d: int) -> tuple[int, int, int, bool]:
     # half-value interval [lo, hi) producing the d-digit palindromes, ascending
     t = (d + 1) // 2

@@ -368,75 +368,51 @@ def verify_family(
         raise FamilyError(f"{g} divides {a}: family values are not base-{g} palindromes")
     rev_a = reverse_in_base(a, g)
     n_a = digit_count(a, g)
-    common = dict(a=a, g=g, h=h, reduced_bound=None, pair_used=None, dependent_result=None)
-
+    alpha = witness = reduced_bound = pair_used = dependent_result = None
+    # each branch proves that no shift n > certified with n >= floor gives a
+    # palindrome (certified None: it proves nothing); the shifts below floor
+    # are left to the direct scan
     if rev_a % h == 0:
         # h | g makes every family value congruent to rev(a) mod h; a base-h
         # palindrome cannot be divisible by h
-        return FamilyReport(
-            alpha=None,
-            ns=(),
-            status="complete",
-            branch="excluded-parity",
-            bound=0,
-            witness=None,
-            tested_upper=0,
-            undecided_above=None,
-            **common,
-        )
-
-    X = bound if bound is not None else ceil(shift_exponent_bound(a, g, h))
-    if X < 1:
-        raise DomainError("the prior bound X must be a positive integer")
-    R = reverse_in_base(rev_a, h)
-    alpha = Fraction(a, R)
-    witness = dependence_witness(alpha, g, h)
-    # below this shift the digit-containment regime does not apply; the
-    # range is covered by the direct scan
-    regime_floor = n_a + max(min_zero_run_for_tail_fit(a, g, h), 2)
-    slack = n_a
-
-    undecided_above = None
-    status = "complete"
-    if witness is None:
-        base = _base_pair(g, h, bits)
-        log_h = base.log_h
-        delta = hp_log(alpha, bits) / log_h
-        c1 = Fraction(11 * h**slack, 9) / log_h
-        if pairs is None:
-            pairs = _pairs(base.certified, X)
-        problem = ReductionProblem(base.epsilon, delta, c1, log_h, X, tuple(pairs))
-        outcome = baker_davenport_reduce(problem)
-        common["reduced_bound"] = outcome.new_bound
-        common["pair_used"] = outcome.pair_used
-        branch = "independent"
-        if outcome.status == "reduced":
-            top = max(outcome.new_bound, regime_floor - 1)
-        elif X <= exhaustive_limit:
-            top = X
+        branch, X, certified, floor = "excluded-parity", 0, 0, 0
+    else:
+        X = bound if bound is not None else ceil(shift_exponent_bound(a, g, h))
+        if X < 1:
+            raise DomainError("the prior bound X must be a positive integer")
+        alpha = Fraction(a, reverse_in_base(rev_a, h))
+        witness = dependence_witness(alpha, g, h)
+        # below this shift the digit-containment regime does not apply
+        regime_floor = n_a + max(min_zero_run_for_tail_fit(a, g, h), 2)
+        branch = "independent" if witness is None else "dependent"
+        if witness is None:
+            base = _base_pair(g, h, bits)
+            log_h = base.log_h
+            delta = hp_log(alpha, bits) / log_h
+            c1 = Fraction(11 * h**n_a, 9) / log_h
+            pairs = tuple(_pairs(base.certified, X) if pairs is None else pairs)
+            outcome = baker_davenport_reduce(ReductionProblem(base.epsilon, delta, c1, log_h, X, pairs))
+            reduced_bound, pair_used = outcome.new_bound, outcome.pair_used
+            certified, floor = reduced_bound, regime_floor
+        elif X < max(30, regime_floor):
+            # the sieve needs X at least at its floor; below it the prior
+            # bound alone leaves every shift up to X to the scan
+            certified, floor = X, 0
         else:
-            top = max(regime_floor - 1, exhaustive_limit)
-            status = "undecided"
-            undecided_above = top
-    elif X < max(30, regime_floor):
-        # the sieve needs X at least at its floor; below it the direct scan
-        # covers every shift up to X
-        branch = "dependent"
+            dependent_result = dependent_case_check(
+                witness, a, g, h, X, n_floor=max(30, regime_floor), slack=n_a, bits=bits
+            )
+            certified = None if dependent_result.survivors else dependent_result.bound
+            floor = dependent_result.floor
+
+    status, undecided_above = "complete", None
+    if certified is not None:
+        top = max(certified, floor - 1)
+    elif X <= exhaustive_limit:
         top = X
     else:
-        result = dependent_case_check(
-            witness, a, g, h, X, n_floor=max(30, regime_floor), slack=slack, bits=bits
-        )
-        common["dependent_result"] = result
-        branch = "dependent"
-        if not result.survivors:
-            top = result.bound
-        elif X <= exhaustive_limit:
-            top = X
-        else:
-            top = max(result.floor - 1, exhaustive_limit)
-            status = "undecided"
-            undecided_above = top
+        status = "undecided"
+        top = undecided_above = max(floor - 1, exhaustive_limit)
 
     ns = []
     power = g**n_a
@@ -446,13 +422,18 @@ def verify_family(
         power *= g
 
     return FamilyReport(
+        a=a,
+        g=g,
+        h=h,
         alpha=alpha,
         ns=tuple(ns),
         status=status,
         branch=branch,
         bound=X,
+        reduced_bound=reduced_bound,
+        pair_used=pair_used,
+        dependent_result=dependent_result,
         witness=witness,
         tested_upper=top,
         undecided_above=undecided_above,
-        **common,
     )

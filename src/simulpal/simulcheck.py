@@ -195,8 +195,10 @@ class SearchCheckpoint:
 
         Every fault raises :class:`CheckpointMismatchError`: text that is
         not JSON, a missing key or a value of the wrong type, a cursor
-        that names no palindrome, and a ``found`` entry that is not a
-        palindrome in both bases, not ascending, or beyond the cursor.
+        that names no palindrome within the bound, a ``complete`` flag
+        whose cursor is not the last palindrome in range, and a ``found``
+        entry that is not a palindrome in both bases, not ascending, or
+        beyond the cursor.
         """
         try:
             doc = json.loads(text)
@@ -220,21 +222,35 @@ class SearchCheckpoint:
             raise CheckpointMismatchError(f"damaged checkpoint: {exc!r}") from exc
         return state
 
+    def _processed(self) -> int:
+        # the last palindrome the cursor says was processed, 0 before any
+        if self.cursor is None:
+            return 0
+        length, _, half = self.cursor
+        _, _, t, odd = _half_range(self.enumeration_base, length)
+        return mirror_half(half, self.enumeration_base, t, odd)
+
     def _validate(self) -> None:
-        # found must hold simultaneous palindromes, ascending, none beyond
-        # the last palindrome the cursor says was processed
+        # the cursor must name a palindrome within the bound, the last one if
+        # the search is complete; found must hold simultaneous palindromes,
+        # ascending, none beyond the cursor
         g = self.enumeration_base
         if g not in (self.g, self.h):
             raise ValueError(f"enumeration base {g} is neither base")
-        limit = 0
         if self.cursor is not None:
             length, parity, half = self.cursor
             if not 1 <= length <= digit_count(self.bound, g):
                 raise ValueError(f"cursor length {length} does not fit the bound")
-            h0, h1, t, odd = _half_range(g, length)
+            h0, h1, _, odd = _half_range(g, length)
             if parity != ("odd" if odd else "even") or not h0 <= half < h1:
                 raise ValueError(f"cursor {self.cursor} names no palindrome")
-            limit = mirror_half(half, g, t, odd)
+        if self.complete:
+            *_, (d, _, stop) = half_ranges(g, 1, self.bound)
+            if self.cursor != (d, "odd" if d % 2 else "even", stop - 1):
+                raise ValueError(f"complete, but cursor {self.cursor} is not at the last palindrome")
+        limit = self._processed()
+        if limit > self.bound:
+            raise ValueError(f"cursor {self.cursor} lies beyond the bound {self.bound}")
         previous = 0
         for n in self.found:
             if not previous < n <= limit:
@@ -313,6 +329,8 @@ def search(
     check_base(h)
     if g == h:
         raise DomainError("the two bases must differ")
+    if type(bound) is not int:
+        raise DomainError(f"search bound must be an integer, got {bound!r}")
     if bound < 1:
         raise DomainError("search bound must be >= 1")
     if threads < 1:
@@ -345,12 +363,7 @@ def search(
             last_save = time.monotonic()
 
     # resume just past the last palindrome the cursor says was processed
-    first = 1
-    if state.cursor is not None:
-        cur_d, _, cur_half = state.cursor
-        _, _, t, odd = _half_range(driver, cur_d)
-        first = mirror_half(cur_half, driver, t, odd) + 1
-
+    first = state._processed() + 1
     pool = ProcessPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         for d, start, h1e in half_ranges(driver, first, bound):

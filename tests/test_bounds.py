@@ -141,6 +141,13 @@ def test_tail_fit_threshold():
     assert min_zero_run_for_tail_fit(1, 10, 9) == 2
 
 
+@pytest.mark.parametrize("g, h", [(10, 2), (12, 4), (12, 6), (24, 6), (6, 2)])
+def test_min_zero_run_is_the_least_fitting_power(g, h):
+    for a in range(1, 3000):
+        m = min_zero_run_for_tail_fit(a, g, h)
+        assert h**m > g * a >= h ** (m - 1)
+
+
 def test_zero_run_threshold_values():
     val = zero_run_threshold(1, 10, 2, 10**6)
     oracle = float(THREE_LOG_COEFF) * math.log(10) * math.log(20) * math.log(10**6)

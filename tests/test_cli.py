@@ -225,6 +225,17 @@ def test_damaged_checkpoint_exit_code(capsys, tmp_path, damage):
     assert code == 3 and err.startswith("checkpoint error") and out == ""
 
 
+def test_complete_checkpoint_with_an_early_cursor_exit_code(capsys, tmp_path):
+    path = tmp_path / "cp.json"
+    run(capsys, "count", "10", "2", "1e6", "--checkpoint", str(path))
+    doc = json.loads(path.read_text())
+    doc["cursor"] = {"digit_length": 3, "parity": "odd", "half_value": 31}
+    doc["found"] = [n for n in doc["found"] if n <= 313]
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "count", "10", "2", "1e6", "--resume", str(path))
+    assert code == 3 and "last palindrome" in err and out == ""
+
+
 @pytest.mark.parametrize(
     "golden, argv",
     [

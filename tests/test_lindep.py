@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy import factorint
 
 from simulpal.lindep import (
     PreconditionError,
@@ -36,6 +37,38 @@ def test_multiplicative_independence_examples():
 def test_powers_are_dependent(g, k):
     assert not multiplicatively_independent(g, g**k)
     assert not multiplicatively_independent(g**k, g)
+
+
+def _dependent_by_factoring(g, h):
+    # dependent iff both bases have the same primes with proportional exponents
+    fg, fh = factorint(g), factorint(h)
+    if set(fg) != set(fh):
+        return False
+    p0 = min(fg)
+    return all(fg[p] * fh[p0] == fh[p] * fg[p0] for p in fg)
+
+
+def test_independence_matches_factor_oracle():
+    for g in range(2, 201):
+        for h in range(2, 201):
+            assert multiplicatively_independent(g, h) != _dependent_by_factoring(g, h), (g, h)
+
+
+@pytest.mark.parametrize(
+    "g, h",
+    [
+        (6**40, 36**7 * 6),
+        (6**40, 36**7 * 3),
+        (2**61 - 1, (2**61 - 1) ** 3),
+        ((2**61 - 1) ** 2 * 2, (2**61 - 1) ** 3),
+        (12**30, 18**20),
+        (2**64, 4**31),
+        (10**18 + 9, 10**18 + 9),
+    ],
+)
+def test_independence_matches_factor_oracle_on_large_bases(g, h):
+    assert multiplicatively_independent(g, h) != _dependent_by_factoring(g, h)
+    assert multiplicatively_independent(h, g) == multiplicatively_independent(g, h)
 
 
 def test_dependence_witness_examples():

@@ -268,6 +268,18 @@ def test_verify_family_rejects_bad_precision_without_logarithms():
         verify_family(2, 10, 2, bits=(1 << 16) + 1)
 
 
+def test_verify_family_scans_every_shift_below_the_certificate_floor():
+    # a certificate says nothing below its floor, so the scan reaches floor - 1
+    # whether the certified top is lower (999999: reduced to 20, regime floor
+    # 30) or there is none (no pairs: undecided above the regime floor 12 - 1)
+    report = verify_family(999999, 10, 2, bound=40)
+    assert (report.reduced_bound, report.tested_upper) == (20, 29)
+    report = verify_family(1, 10, 2)
+    assert report.tested_upper == report.dependent_result.floor - 1 == 29
+    report = verify_family(74, 10, 2, pairs=[], bound=10**9, exhaustive_limit=5)
+    assert (report.status, report.undecided_above, report.tested_upper) == ("undecided", 11, 11)
+
+
 def test_verify_family_small_bound_is_exhaustive():
     report = verify_family(74, 10, 2, pairs=[], bound=300, exhaustive_limit=2000)
     assert report.status == "complete"

@@ -292,6 +292,50 @@ def test_checkpoint_cursor_outside_the_bound_is_refused(tmp_path):
         search(10, 2, 10**5, checkpoint_path=str(path), resume=True)
 
 
+def test_checkpoint_cursor_beyond_the_bound_is_refused(tmp_path):
+    # 999999 has as many digits as the bound 10**5 + 1 but exceeds it; resuming
+    # would return the simultaneous palindrome 585585 above the bound
+    path = tmp_path / "cp.json"
+    cp = SearchCheckpoint(g=10, h=2, bound=10**5 + 1, enumeration_base=10, cursor=(6, "even", 999))
+    cp.found = search(10, 2, 10**6)
+    cp.save(str(path))
+    with pytest.raises(CheckpointMismatchError, match="beyond the bound"):
+        search(10, 2, 10**5 + 1, checkpoint_path=str(path), resume=True)
+
+
+@pytest.mark.parametrize("cursor", [None, (3, "odd", 31), (6, "even", 998)])
+def test_checkpoint_complete_before_the_last_palindrome_is_refused(tmp_path, cursor):
+    # found agrees with the cursor, so only the complete flag is wrong; resuming
+    # such a file would return only the hits up to the cursor (8 of 19 for 313)
+    path = tmp_path / "cp.json"
+    reached = SearchCheckpoint(g=10, h=2, bound=10**6, enumeration_base=10, cursor=cursor)._processed()
+    found = [n for n in search(10, 2, 10**6) if n <= reached]
+    SearchCheckpoint(
+        g=10, h=2, bound=10**6, enumeration_base=10, cursor=cursor, found=found, complete=True
+    ).save(str(path))
+    with pytest.raises(CheckpointMismatchError, match="not at the last palindrome"):
+        search(10, 2, 10**6, checkpoint_path=str(path), resume=True)
+
+
+@pytest.mark.parametrize("bound", [1, 9, 10, 11, 100, 12345, 10**6])
+@pytest.mark.parametrize("driver", [10, 2])
+def test_checkpoint_of_a_finished_run_is_accepted(tmp_path, bound, driver):
+    # the cursor a finished run leaves is the one a complete file must carry
+    path = tmp_path / "cp.json"
+    first = search(10, 2, bound, checkpoint_path=str(path), enumeration_base=driver)
+    assert json.loads(path.read_text())["complete"] is True
+    assert search(10, 2, bound, checkpoint_path=str(path), resume=True) == first
+
+
+@pytest.mark.parametrize("bound", [1e4, "10000", True])
+def test_search_rejects_a_bound_that_is_not_an_integer(tmp_path, bound):
+    # a float bound would go into the checkpoint, whose resume refuses it
+    path = tmp_path / "cp.json"
+    with pytest.raises(DomainError, match="integer"):
+        search(10, 2, bound, checkpoint_path=str(path))
+    assert not path.exists()
+
+
 def test_checkpoint_save_syncs_before_rename(tmp_path, monkeypatch):
     calls = []
 
