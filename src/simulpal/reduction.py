@@ -173,9 +173,10 @@ class ReductionProblem:
 
     def __post_init__(self):
         for pair in self.pairs:
-            if pair.kappa <= 1:
+            if pair.kappa.numerator <= pair.kappa.denominator:
                 raise DomainError(f"pair q={pair.q} has kappa <= 1")
-            if Fraction(self.X, pair.q) > 1 / (2 * pair.kappa):
+            # X/q > 1/(2 kappa), cross-multiplied
+            if 2 * self.X * pair.kappa.numerator > pair.q * pair.kappa.denominator:
                 raise DomainError(f"pair q={pair.q} violates X/q <= 1/(2 kappa)")
 
 

@@ -1,9 +1,13 @@
+import math
+import operator
+import time
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from simulpal import precise
 from simulpal.precise import (
     PreciseReal,
     UndecidedComparisonError,
@@ -46,8 +50,8 @@ def test_log_ratio_rejects_a_logarithm_it_cannot_enclose(x, y):
 
 @pytest.mark.parametrize("bits", [16, 64, 192])
 def test_log_endpoints_are_the_logs_of_the_endpoints(bits):
-    # the hull [lower rounded down, upper rounded up] keeps both endpoints of
-    # hp_log; dividing by 3 makes them non-dyadic, so their roundings differ
+    # the hull [lower, upper] keeps both endpoints of hp_log; an exact 1/3
+    # is not dyadic, so the hull must take its lower and upper roundings
     x = PreciseReal.log_ratio(10, 2, bits) / 3
     for b in (bits, 2 * bits + 1):
         y, log = x.refined(b), x.log().refined(b)
@@ -218,6 +222,96 @@ def test_abs_endpoints_are_the_hull_of_the_absolute_values(x):
     lo, hi = x
     a = abs(PreciseReal(lo, hi, 64))
     assert (a.lower, a.upper) == (0 if lo <= 0 <= hi else min(abs(lo), abs(hi)), max(abs(lo), abs(hi)))
+
+
+def test_hp_exp_of_a_huge_argument_is_cheap():
+    # e**(10**9) has a binary exponent of about 1.44e9: the enclosure keeps it
+    # apart from the 64-bit mantissa instead of building a rational that size
+    started = time.perf_counter()
+    big, tiny = hp_exp(10**9, 64), hp_exp(-(10**16), 64)
+    assert time.perf_counter() - started < 1.0
+    assert big.bits == tiny.bits == 64
+    back = big.log()
+    assert back.is_greater(10**9 - 1) and back.is_less(10**9 + 1)
+
+
+def test_decisions_against_an_exact_value_round_the_exact_side(monkeypatch):
+    def no_rational(x):
+        raise AssertionError("a decision built the rational of a dyadic endpoint")
+
+    monkeypatch.setattr(precise, "to_rational", no_rational)
+    assert hp_exp(-(10**9), 64).is_less(Fraction(1, 10**100))
+    # cross-multiplying by 2**(1.44e16) instead would exhaust memory
+    assert hp_exp(-(10**16), 64).is_less(Fraction(1, 10**100))
+    assert hp_exp(10**9, 64).is_greater(10**100)
+    assert hp_exp(-(10**9), 64).is_greater(0)
+
+
+_positive = st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000)
+# integers and dyadic rationals round exactly, so an inward rounding of the
+# result is not masked by the outward rounding of the operand
+_rational = st.one_of(
+    _endpoint,
+    st.integers(-1000, 1000).map(Fraction),
+    st.builds(lambda n, e: Fraction(n, 2**e), st.integers(-(10**6), 10**6), st.integers(0, 20)),
+)
+_bits = st.integers(8, 256)
+_computed = st.one_of(
+    st.builds(hp_log, _positive, _bits),
+    st.builds(PreciseReal.log_ratio, _positive, _positive.filter(lambda q: q != 1), _bits),
+)
+
+
+def _ends(x) -> tuple[Fraction, Fraction]:
+    return (x.lower, x.upper) if isinstance(x, PreciseReal) else (Fraction(x), Fraction(x))
+
+
+def _hull(values) -> tuple[Fraction, Fraction]:
+    return min(values), max(values)
+
+
+def _assert_encloses(x: PreciseReal, exact: tuple[Fraction, Fraction]):
+    assert x.lower <= exact[0] and exact[1] <= x.upper, (x, exact)
+
+
+# each operation with the exact image of the operands' rational intervals
+_BINARY = {
+    "+": (operator.add, lambda x, y: (x[0] + y[0], x[1] + y[1])),
+    "-": (operator.sub, lambda x, y: (x[0] - y[1], x[1] - y[0])),
+    "*": (operator.mul, lambda x, y: _hull([u * v for u in x for v in y])),
+    "/": (operator.truediv, lambda x, y: _hull([u / v for u in x for v in y])),
+}
+
+
+@settings(max_examples=300)
+@given(_computed, st.one_of(_rational, _computed), st.sampled_from(sorted(_BINARY)), st.booleans())
+def test_computed_operations_enclose_the_exact_interval_result(x, y, op, swap):
+    a, b = (y, x) if swap else (x, y)
+    divisor = _ends(b)
+    assume(op != "/" or not divisor[0] <= 0 <= divisor[1])
+    compute, exact = _BINARY[op]
+    _assert_encloses(compute(a, b), exact(_ends(a), divisor))
+
+
+def _dist_image(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    # |t - round(t)| is linear between integers (where it is 0) and
+    # half-integers (where it is 1/2)
+    half = Fraction(1, 2)
+    values = [abs(t - math.floor(t + half)) for t in (lo, hi)]
+    if math.ceil(lo) <= hi:
+        values.append(Fraction(0))
+    if math.ceil(lo - half) <= hi - half:
+        values.append(half)
+    return _hull(values)
+
+
+@given(_computed, _rational)
+def test_computed_unary_operations_enclose_the_exact_image(x, scale):
+    x = x * scale
+    lo, hi = x.lower, x.upper
+    _assert_encloses(-x, (-hi, -lo))
+    _assert_encloses(abs(x), (0 if lo <= 0 <= hi else min(abs(lo), abs(hi)), max(abs(lo), abs(hi))))
+    _assert_encloses(x.dist_to_nearest_int(), _dist_image(lo, hi))
 
 
 def test_immutability():

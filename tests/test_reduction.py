@@ -90,9 +90,16 @@ def test_precompute_pairs_rational_epsilon():
 def test_reduction_problem_validation():
     eps = PreciseReal.log_ratio(10, 2, 192)
     pairs = precompute_reduction_pairs(eps, X_MODEL, 50)
-    bad = type(pairs[0])(p=pairs[0].p, q=pairs[0].q, kappa=Fraction(1, 2))
-    with pytest.raises(ValueError):
-        ReductionProblem(eps, eps, hp_log(2), hp_log(2), X_MODEL, (bad,))
+    p, q = pairs[0].p, pairs[0].q
+    # kappa > 1 above q/(2X) makes X/q > 1/(2 kappa)
+    for kappa, message in [
+        (Fraction(1, 2), "kappa <= 1"),
+        (Fraction(1), "kappa <= 1"),
+        (Fraction(q, X_MODEL), "violates X/q"),
+    ]:
+        bad = type(pairs[0])(p=p, q=q, kappa=kappa)
+        with pytest.raises(ValueError, match=message):
+            ReductionProblem(eps, eps, hp_log(2), hp_log(2), X_MODEL, (bad,))
 
 
 def _model_problem(a, pairs, bits=192):
