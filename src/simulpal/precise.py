@@ -3,24 +3,22 @@
 A :class:`PreciseReal` is an interval certified to contain one real number.
 An exact value keeps rational endpoints, and arithmetic among exact values
 is exact.  A computed value has a recipe to recompute it at any precision
-and dyadic endpoints, raw mpmath ``mpf`` tuples, which every operation rounds
-outward at the result's precision, after rounding any exact operand outward
-to it.  Logarithms and exponentials come from mpmath's interval context
-through the one bridge :func:`_enclosure`.  Undecided comparisons refine
-the operands instead of guessing, and raise if certainty is unreachable.
+and dyadic endpoints, raw mpmath ``mpf`` tuples.  Every operation on it is
+one of mpmath's interval functions (``mpi_add``, ``mpi_log``, ...) at the
+result's precision, and an exact operand is first rounded outward to that
+precision.  Undecided comparisons refine the operands instead of guessing,
+and raise if certainty is unreachable.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
 from typing import Callable
 
-from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import fhalf, from_int, from_rational, mpf_add, mpf_div, mpf_mul, mpf_neg
-from mpmath.libmp import mpf_sign, mpf_sub, to_float, to_int, to_rational, to_str
+from mpmath.libmp import fhalf, from_rational, fzero, mpf_add, mpf_floor, mpf_lt, mpf_sign
+from mpmath.libmp import mpi_abs, mpi_add, mpi_div, mpi_exp, mpi_gt, mpi_log, mpi_mul, mpi_neg
+from mpmath.libmp import mpi_sub, to_float, to_int, to_rational, to_str
 
 DEFAULT_PRECISION = 192
 MAX_PRECISION = 1 << 16
@@ -36,31 +34,17 @@ def check_precision(bits: int) -> None:
         raise ValueError(f"precision must be in [1, {MAX_PRECISION}] bits, got {bits}")
 
 
-@lru_cache(maxsize=None)
-def _context(bits: int) -> MPIntervalContext:
-    check_precision(bits)
-    ctx = MPIntervalContext()
-    ctx.prec = bits
-    return ctx
+def _enclosure(f: Callable[[tuple, int], tuple], x: "PreciseReal", bits: int) -> "PreciseReal":
+    """The image of ``x`` under ``f``, mpmath's ``mpi_log`` or ``mpi_exp``.
 
-
-def _interval(ctx: MPIntervalContext, q: Fraction):
-    # an interval at ctx's precision enclosing the rational q
-    if q.denominator == 1:
-        return ctx.mpf(q.numerator)
-    return ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
-
-
-def _enclosure(f: Callable[[MPIntervalContext], object], bits: int) -> "PreciseReal":
-    """The value enclosed at every precision b by the mpmath interval
-    ``f(ctx)``, where ctx is the interval context of precision b.
-
-    This is the one bridge from mpmath: every logarithm and exponential
-    passes through it, at ``bits`` now and on each refinement.
+    Both are increasing, so ``f`` of x's endpoints at precision b (an exact
+    x rounded outward) encloses the image, at ``bits`` now and at each
+    refinement.
     """
 
     def endpoints(b: int) -> tuple:
-        return f(_context(b))._mpi_
+        check_precision(b)
+        return f(x.refined(b)._dyadic(b), b)
 
     return PreciseReal(*endpoints(bits), bits, endpoints)
 
@@ -75,95 +59,56 @@ def _show(x) -> str:
         return to_str(x, 15)
 
 
-class _Rational:
-    """Interval formulas (the methods ending in ``_``) on (lo, hi) endpoint
-    pairs, over primitives that round as told ("f" down, "c" up).  Here the
-    endpoints are rationals and the primitives exact; :class:`_Dyadic`
-    overrides the primitives to round mpf tuples."""
-
-    add, sub, mul, div = (
-        staticmethod(lambda x, y, _rnd, f=f: f(x, y))
-        for f in (operator.add, operator.sub, operator.mul, operator.truediv)
-    )
-    neg, floor, of, half = operator.neg, math.floor, Fraction, Fraction(1, 2)
-    sign = staticmethod(lambda x: (x > 0) - (x < 0))
-
-    def add_(self, a, b):
-        return self.add(a[0], b[0], "f"), self.add(a[1], b[1], "c")
-
-    def sub_(self, a, b):
-        return self.sub(a[0], b[1], "f"), self.sub(a[1], b[0], "c")
-
-    def neg_(self, a):
-        return self.neg(a[1]), self.neg(a[0])
-
-    def hull(self, f, a, b):
-        # the least of the four f(x, y) rounded down, the greatest rounded up
-        order = cmp_to_key(lambda x, y: self.sign(self.sub(x, y, "f")))
-        pairs = [(x, y) for x in a for y in b]
-        return min([f(*p, "f") for p in pairs], key=order), max([f(*p, "c") for p in pairs], key=order)
-
-    def mul_(self, a, b):
-        if self.sign(a[0]) >= 0 and self.sign(b[0]) >= 0:
-            return self.mul(a[0], b[0], "f"), self.mul(a[1], b[1], "c")
-        return self.hull(self.mul, a, b)
-
-    def div_(self, a, b):
-        if self.sign(b[0]) <= 0 <= self.sign(b[1]):
-            raise ZeroDivisionError("divisor interval contains zero")
-        if self.sign(a[0]) >= 0 and self.sign(b[0]) > 0:
-            return self.div(a[0], b[1], "f"), self.div(a[1], b[0], "c")
-        return self.hull(self.div, a, b)
-
-    def abs_(self, a):
-        lo, hi = a
-        if self.sign(lo) >= 0:
-            return lo, hi
-        if self.sign(hi) <= 0:
-            return self.neg(hi), self.neg(lo)
-        return self.of(0), self.neg(lo) if self.sign(self.add(lo, hi, "f")) < 0 else hi
-
-    def dist_(self, a):
-        # shift by the integer k nearest the lower end; an interval that then
-        # leaves [-1/2, 1/2] holds a half-integer, and its image is [0, 1/2]
-        k = self.of(self.floor(self.add(a[0], self.half, "f")))
-        lo, hi = self.sub(a[0], k, "f"), self.sub(a[1], k, "c")
-        if self.sign(self.add(lo, self.half, "f")) < 0 or self.sign(self.sub(hi, self.half, "c")) > 0:
-            return self.of(0), self.half
-        return self.abs_((lo, hi))
+def _endpoints(operands: tuple["PreciseReal", ...], bits: int) -> tuple[bool, list]:
+    # whether every operand is exact, and then their rational endpoint pairs,
+    # else their mpf pairs at bits, an exact operand's rounded outward
+    exact = all(x._source is None for x in operands)
+    return exact, [(x._lo, x._hi) if exact else x._dyadic(bits) for x in operands]
 
 
-class _Dyadic(_Rational):
-    """The formulas on raw mpf tuples, rounding each result to ``bits``, which
-    keeps its sign: the sign of a difference decides an order."""
+def _corners(f):
+    # the interval spanned by f over the four pairs of endpoints
+    def op(a, b):
+        values = [f(x, y) for x in a for y in b]
+        return min(values), max(values)
 
-    neg, sign, of = map(staticmethod, (mpf_neg, mpf_sign, from_int))
-    floor, half = staticmethod(lambda x: int(to_int(x, "f"))), fhalf  # int(): gmpy's mpz
-
-    def __init__(self, bits: int):
-        self.bits = bits
-        self.add, self.sub, self.mul, self.div = (
-            lambda x, y, rnd, f=f: f(x, y, bits, rnd) for f in (mpf_add, mpf_sub, mpf_mul, mpf_div)
-        )
-
-    def endpoints(self, x: "PreciseReal") -> tuple:
-        # an exact value's are rounded outward to bits
-        if x._source is not None:
-            return x._lo, x._hi
-        outward = ((x._lo, "f"), (x._hi, "c"))
-        return tuple(from_rational(q.numerator, q.denominator, self.bits, rnd) for q, rnd in outward)
+    return op
 
 
-_RATIONAL = _Rational()
-_dyadic = lru_cache(maxsize=None)(_Dyadic)
+def _exact_abs(a):
+    return max(0, a[0], -a[1]), max(-a[0], a[1])
 
 
-def _view(operands: tuple["PreciseReal", ...], bits: int) -> tuple:
-    # the arithmetic for operands, exact or else at bits, then their endpoints
-    if any(x._source is not None for x in operands):
-        ar = _dyadic(bits)
-        return (ar, *map(ar.endpoints, operands))
-    return (_RATIONAL, *((x._lo, x._hi) for x in operands))
+# The distance to the nearest integer shifts by an integer k near the lower
+# end, which leaves the lower end at least -1/2; an interval whose upper end
+# then passes 1/2 holds a half-integer, and its image is [0, 1/2].
+def _exact_dist(a):
+    k = math.floor(a[0] + Fraction(1, 2))
+    lo, hi = a[0] - k, a[1] - k
+    return (0, Fraction(1, 2)) if hi > Fraction(1, 2) else _exact_abs((lo, hi))
+
+
+def _dyadic_dist(a, bits: int):
+    k = mpf_floor(mpf_add(a[0], fhalf, bits, "f"))
+    shifted = mpi_sub(a, (k, k), bits)
+    return (fzero, fhalf) if mpf_lt(fhalf, shifted[1]) else mpi_abs(shifted, bits)
+
+
+# each operation as its exact formula on rationals and as an mpmath interval
+# function on mpf tuples, which takes the precision last
+_ADD = (lambda a, b: (a[0] + b[0], a[1] + b[1]), mpi_add)
+_SUB = (lambda a, b: (a[0] - b[1], a[1] - b[0]), mpi_sub)
+_MUL = (_corners(lambda x, y: x * y), mpi_mul)
+_DIV = (_corners(lambda x, y: x / y), mpi_div)
+_NEG = (lambda a: (-a[1], -a[0]), mpi_neg)
+_ABS = (_exact_abs, mpi_abs)
+_DIST = (_exact_dist, _dyadic_dist)
+
+
+def _apply(op, operands: tuple["PreciseReal", ...], bits: int) -> tuple:
+    # op's exact formula if every operand is exact, else its mpmath function
+    exact, pairs = _endpoints(operands, bits)
+    return op[0](*pairs) if exact else op[1](*pairs, bits)
 
 
 def _compose(op, *operands: "PreciseReal") -> "PreciseReal":
@@ -171,10 +116,10 @@ def _compose(op, *operands: "PreciseReal") -> "PreciseReal":
     bits = min(x.bits for x in operands)
 
     def endpoints(b: int) -> tuple:
-        return op(*_view(tuple(x.refined(b) for x in operands), b))
+        return _apply(op, tuple(x.refined(b) for x in operands), b)
 
     source = endpoints if any(x.refinable for x in operands) else None
-    return PreciseReal(*op(*_view(operands, bits)), bits, source)
+    return PreciseReal(*_apply(op, operands, bits), bits, source)
 
 
 def _escalate(operands: tuple["PreciseReal", ...], decide, error: type[Exception], what: str):
@@ -206,8 +151,10 @@ class PreciseReal:
     __slots__ = ("_lo", "_hi", "bits", "_source")
 
     def __init__(self, lower, upper, bits: int, source: Callable[[int], tuple] | None = None):
-        if source is None and lower > upper:  # computed endpoints come ordered
-            raise ValueError(f"empty interval [{lower}, {upper}]")
+        if source is None:  # fixed endpoints are rationals; computed ones come ordered
+            lower, upper = Fraction(lower), Fraction(upper)
+            if lower > upper:
+                raise ValueError(f"empty interval [{lower}, {upper}]")
         object.__setattr__(self, "_lo", lower)
         object.__setattr__(self, "_hi", upper)
         object.__setattr__(self, "bits", bits)
@@ -221,7 +168,6 @@ class PreciseReal:
     @classmethod
     def exact(cls, q) -> "PreciseReal":
         """A rational value, enclosed with radius zero."""
-        q = Fraction(q)
         return cls(q, q, MAX_PRECISION)
 
     @classmethod
@@ -231,7 +177,7 @@ class PreciseReal:
         y = Fraction(y)
         if x <= 0 or y <= 0 or y == 1:
             raise ValueError(f"log({x})/log({y}) needs positive x and y, and y != 1")
-        return _enclosure(lambda ctx: ctx.log(_interval(ctx, x)) / ctx.log(_interval(ctx, y)), bits)
+        return hp_log(x, bits) / hp_log(y, bits)
 
     # geometry ----------------------------------------------------------
 
@@ -249,8 +195,16 @@ class PreciseReal:
             return self
         return PreciseReal(*self._source(bits), bits, self._source)
 
+    def _dyadic(self, bits: int) -> tuple:
+        # mpf endpoints at bits: an exact value's are rounded outward
+        if self._source is not None:
+            return self._lo, self._hi
+        lo, hi = self._lo, self._hi
+        down = from_rational(lo.numerator, lo.denominator, bits, "f")
+        return down, from_rational(hi.numerator, hi.denominator, bits, "c")
+
     def _signs(self) -> tuple[int, int]:
-        sign = _RATIONAL.sign if self._source is None else mpf_sign
+        sign = mpf_sign if self._source else (lambda q: (q > 0) - (q < 0))
         return sign(self._lo), sign(self._hi)
 
     def __repr__(self):
@@ -265,18 +219,18 @@ class PreciseReal:
         return PreciseReal.exact(x)
 
     def __add__(self, other):
-        return _compose(_Rational.add_, self, self._coerce(other))
+        return _compose(_ADD, self, self._coerce(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return _compose(_Rational.sub_, self, self._coerce(other))
+        return _compose(_SUB, self, self._coerce(other))
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
 
     def __mul__(self, other):
-        return _compose(_Rational.mul_, self, self._coerce(other))
+        return _compose(_MUL, self, self._coerce(other))
 
     __rmul__ = __mul__
 
@@ -287,16 +241,16 @@ class PreciseReal:
             ZeroDivisionError,
             "divisor interval contains zero",
         )
-        return _compose(_Rational.div_, self, other)
+        return _compose(_DIV, self, other)
 
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)
 
     def __neg__(self):
-        return _compose(_Rational.neg_, self)
+        return _compose(_NEG, self)
 
     def __abs__(self):
-        return _compose(_Rational.abs_, self)
+        return _compose(_ABS, self)
 
     def log(self) -> "PreciseReal":
         """Enclosure of the natural logarithm (self must be certainly positive)."""
@@ -306,17 +260,11 @@ class PreciseReal:
             ValueError,
             "logarithm of an interval not certainly positive",
         )
-
-        # log is increasing, so one log of the hull [lower, upper], an exact
-        # value rounded outward, has the endpoints hp_log gives each end
-        def hull_log(ctx: MPIntervalContext):
-            return ctx.log(ctx.make_mpf(_dyadic(ctx.prec).endpoints(me.refined(ctx.prec))))
-
-        return _enclosure(hull_log, me.bits if me.refinable else DEFAULT_PRECISION)
+        return _enclosure(mpi_log, me, me.bits if me.refinable else DEFAULT_PRECISION)
 
     def dist_to_nearest_int(self) -> "PreciseReal":
         """Enclosure of the distance from the value to the nearest integer."""
-        return _compose(_Rational.dist_, self)
+        return _compose(_DIST, self)
 
     # certified decisions -------------------------------------------------
 
@@ -324,12 +272,10 @@ class PreciseReal:
         """Certified strict comparison self > other (ties count as False)."""
 
         def decided(a, b):
-            ar, (alo, ahi), (blo, bhi) = _view((a, b), min(a.bits, b.bits))
-            if ar.sign(ar.sub(alo, bhi, "f")) > 0:
-                return True
-            if ar.sign(ar.sub(ahi, blo, "f")) <= 0:
-                return False
-            return None
+            exact, (x, y) = _endpoints((a, b), min(a.bits, b.bits))
+            if not exact:
+                return mpi_gt(x, y)
+            return True if x[0] > y[1] else False if x[1] <= y[0] else None
 
         return _escalate((self, self._coerce(other)), decided, UndecidedComparisonError, "comparison undecided")
 
@@ -340,9 +286,9 @@ class PreciseReal:
         """Certified floor of the value."""
 
         def decided(a):
-            ar, (lo, hi) = _view((a,), a.bits)
-            flo = ar.floor(lo)
-            return flo if flo == ar.floor(hi) else None
+            exact, ((lo, hi),) = _endpoints((a,), a.bits)
+            floor = math.floor if exact else (lambda q: int(to_int(q, "f")))  # int(): gmpy's mpz
+            return floor(lo) if floor(lo) == floor(hi) else None
 
         return _escalate((self,), decided, UndecidedComparisonError, "floor undecided")
 
@@ -352,18 +298,18 @@ def hp_log(x, bits: int = DEFAULT_PRECISION) -> PreciseReal:
 
     ``hp_log(1)`` is exactly zero with radius zero.
     """
-    q = Fraction(x)
-    if q <= 0:
-        raise ValueError(f"logarithm of non-positive value {q}")
-    return _enclosure(lambda ctx: ctx.log(_interval(ctx, q)), bits)
+    q = PreciseReal.exact(x)
+    if q._lo <= 0:
+        raise ValueError(f"logarithm of non-positive value {q._lo}")
+    return _enclosure(mpi_log, q, bits)
 
 
 def hp_exp(x, bits: int = DEFAULT_PRECISION) -> PreciseReal:
-    """Certified enclosure of the exponential of a rational.
+    """Certified enclosure of the exponential of a rational: mpmath's
+    ``mpi_exp`` of the rational rounded outward.
 
     A large |x| costs no more than a small one, but reading ``lower`` or
     ``upper`` builds a rational of about 1.44·|x| bits, and so does the
     ``value`` of :func:`simulpal.bounds.laurent_lower_bound`.
     """
-    q = Fraction(x)
-    return _enclosure(lambda ctx: ctx.exp(_interval(ctx, q)), bits)
+    return _enclosure(mpi_exp, PreciseReal.exact(x), bits)

@@ -333,8 +333,8 @@ def search(
         raise DomainError(f"search bound must be an integer, got {bound!r}")
     if bound < 1:
         raise DomainError("search bound must be >= 1")
-    if threads < 1:
-        raise DomainError(f"need at least one worker, got threads={threads}")
+    if type(threads) is not int or threads < 1:
+        raise DomainError(f"need an integer count of at least one worker, got threads={threads!r}")
     if enumeration_base is not None and enumeration_base not in (g, h):
         raise DomainError(f"enumeration base must be {g} or {h}")
     _warn_if_power_related(g, h)

@@ -48,6 +48,26 @@ def test_log_ratio_rejects_a_logarithm_it_cannot_enclose(x, y):
         PreciseReal.log_ratio(x, y, 64)
 
 
+@pytest.mark.parametrize(
+    "y, floor", [(Fraction(1001, 1000), 693), (Fraction(257, 256), 177), (Fraction(999, 1000), -693)]
+)
+def test_log_ratio_with_a_divisor_log_near_zero_escalates_the_divisor(y, floor):
+    # at 8 bits log y touches 0; dividing by that enclosure gave an infinite
+    # upper end, which to_rational reads as 0, and floor() a bare ValueError
+    x = PreciseReal.log_ratio(2, y, 8)
+    with mpmath.workdps(60):
+        reference = Fraction(mpmath.nstr(mpmath.log(2) / mpmath.log(mpmath.mpf(y.numerator) / y.denominator), 50))
+    assert all(map(math.isfinite, (float(x.lower), float(x.upper))))
+    assert x.lower <= reference <= x.upper
+    assert x.floor() == floor
+
+
+def test_fixed_int_endpoints_divide_exactly():
+    # int endpoints once divided as floats, and 1/(3/4) rounded below 2/3
+    q = PreciseReal(1, 2, 64) / PreciseReal(3, 4, 64)
+    assert (q.lower, q.upper) == (Fraction(1, 4), Fraction(2, 3))
+
+
 @pytest.mark.parametrize("bits", [16, 64, 192])
 def test_log_endpoints_are_the_logs_of_the_endpoints(bits):
     # the hull [lower, upper] keeps both endpoints of hp_log; an exact 1/3
@@ -256,9 +276,12 @@ _rational = st.one_of(
     st.builds(lambda n, e: Fraction(n, 2**e), st.integers(-(10**6), 10**6), st.integers(0, 20)),
 )
 _bits = st.integers(8, 256)
+# y = 1 ± 1/n at a low precision: log y is near 0 and its enclosure touches it
+_near_one = st.builds(lambda n, sign: 1 + Fraction(sign, n), st.integers(2, 10**4), st.sampled_from((-1, 1)))
 _computed = st.one_of(
     st.builds(hp_log, _positive, _bits),
     st.builds(PreciseReal.log_ratio, _positive, _positive.filter(lambda q: q != 1), _bits),
+    st.builds(PreciseReal.log_ratio, _positive, _near_one, st.integers(8, 16)),
 )
 
 

@@ -354,6 +354,14 @@ def test_search_rejects_a_bound_that_is_not_an_integer(tmp_path, bound):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("threads", [2.5, "2", True])
+def test_search_rejects_a_thread_count_that_is_not_an_integer(threads):
+    # a float reached the process pool and a string the comparison with 1,
+    # each as a bare TypeError
+    with pytest.raises(DomainError, match="integer count of at least one worker"):
+        search(10, 2, 10**4, threads=threads)
+
+
 def test_checkpoint_save_syncs_before_rename(tmp_path, monkeypatch):
     calls = []
 
