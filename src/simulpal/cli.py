@@ -3,8 +3,8 @@ bound evaluation and continued fractions, with structured reports.
 
 Reports go to stdout as a single JSON document (or CSV of the results
 only); progress and diagnostics go to stderr.  Exit codes: 0 success,
-1 negative predicate, 2 usage or validation error, 3 checkpoint mismatch,
-4 certification left undecided.
+1 negative predicate, 2 usage or validation error, 3 mismatched, damaged
+or unwritable checkpoint, 4 certification left undecided.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import asdict
@@ -54,14 +53,6 @@ def parse_base_list(text: str) -> list[int]:
     if not out:
         raise DomainError("need at least one base")
     return out
-
-
-def _default_threads() -> int:
-    """CPUs this process may run on: its affinity set where the platform
-    has one, else the machine's CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) or 1
-    return os.cpu_count() or 1
 
 
 def _report(command: str, parameters: dict, results, started: float, checkpoint_path=None) -> dict:
@@ -283,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            default=_default_threads(),
+            default=simulcheck.usable_cpus(),
             help="worker processes, at least 1 (default: the CPUs this process may use; "
             "1 gives a sequential reference run)",
         )

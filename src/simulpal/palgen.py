@@ -65,17 +65,12 @@ def _half_range(g: int, d: int) -> tuple[int, int, int, bool]:
 
 
 def _least_half_reaching(g: int, d: int, target: int) -> int:
-    # smallest half whose mirrored palindrome is >= target (monotone bisection)
+    # smallest half whose mirrored palindrome is >= target, hi if none: a
+    # half's palindrome starts with the half's t digits, so it is the top t
+    # digits of target (clamped to the length's halves) or the next half
     lo, hi, t, odd = _half_range(g, d)
-    if mirror_half(hi - 1, g, t, odd) < target:
-        return hi
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mirror_half(mid, g, t, odd) < target:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    x = min(max(target // g ** (d - t), lo), hi - 1)
+    return x if mirror_half(x, g, t, odd) >= target else x + 1
 
 
 def half_ranges(g: int, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
@@ -88,7 +83,7 @@ def half_ranges(g: int, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
         first = mirror_half(h0, g, t, odd)
         if first > hi:
             return
-        start = h0 if first >= lo else _least_half_reaching(g, d, lo)
+        start = _least_half_reaching(g, d, lo)
         stop = _least_half_reaching(g, d, hi + 1)
         if start < stop:
             yield d, start, stop

@@ -22,9 +22,9 @@ from typing import Callable
 
 from .lindep import multiplicatively_independent
 from .palgen import _half_range, count_palindromes_upto, half_ranges, mirror_half
-from .radix import DomainError, _mirror_test, check_base, digit_count, is_palindrome_early_exit
+from .radix import DomainError, _mirror_test, check_base, is_palindrome_early_exit
 
-CHECKPOINT_VERSION = "simulpal-checkpoint-v1"
+CHECKPOINT_VERSION = "simulpal-checkpoint-v2"
 
 # halves per work unit; one unit is the parallelism and mid-block checkpoint grain
 CHUNK_HALVES = 400_000
@@ -153,22 +153,27 @@ def _int(x) -> int:
     return x
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
+
+
 @dataclass
 class SearchCheckpoint:
     """Resumable state of a two-base palindrome search.
 
-    ``cursor`` is the (digit_length, parity, half_value) of the last fully
-    processed palindrome; ``found`` lists every simultaneous palindrome
-    discovered so far, ascending.
+    ``found`` lists every simultaneous palindrome in [1, ``cursor``],
+    ascending.  That does not depend on the base that drove the
+    enumeration, and the search is complete when ``cursor == bound``.
     """
 
     g: int
     h: int
     bound: int
-    enumeration_base: int
-    cursor: tuple[int, str, int] | None = None
+    cursor: int = 0
     found: list[int] = field(default_factory=list)
-    complete: bool = False
 
     def to_json(self) -> str:
         doc = {
@@ -176,15 +181,8 @@ class SearchCheckpoint:
             "g": self.g,
             "h": self.h,
             "bound": self.bound,
-            "enumeration_base": self.enumeration_base,
-            "cursor": None
-            if self.cursor is None
-            else {
-                "digit_length": self.cursor[0],
-                "parity": self.cursor[1],
-                "half_value": self.cursor[2],
-            },
-            "complete": self.complete,
+            "cursor": self.cursor,
+            "hits": len(self.found),
             "found": self.found,
         }
         return json.dumps(doc, indent=1)
@@ -196,85 +194,58 @@ class SearchCheckpoint:
         Every fault raises :class:`CheckpointMismatchError`: text that is
         not a JSON object, a version other than ``CHECKPOINT_VERSION``
         (checked before any other key), a missing key or a value of the
-        wrong type, a cursor that names no palindrome within the bound, a
-        ``complete`` flag whose cursor is not the last palindrome in range,
-        and a ``found`` entry that is not a palindrome in both bases, not
-        ascending, or beyond the cursor.
+        wrong type, a cursor outside [0, bound], a ``found`` entry that is
+        not a palindrome in both bases, not ascending, or beyond the
+        cursor, and a ``hits`` count other than the number of entries.
         """
         try:
             doc = json.loads(text)
             if doc["version"] != CHECKPOINT_VERSION:
                 raise CheckpointMismatchError(f"unsupported checkpoint version {doc['version']!r}")
-            cur = doc["cursor"]
-            if cur is not None:
-                cur = (_int(cur["digit_length"]), cur["parity"], _int(cur["half_value"]))
             state = cls(
                 g=_int(doc["g"]),
                 h=_int(doc["h"]),
                 bound=_int(doc["bound"]),
-                enumeration_base=_int(doc["enumeration_base"]),
-                cursor=cur,
+                cursor=_int(doc["cursor"]),
                 found=[_int(x) for x in doc["found"]],
-                complete=doc["complete"],
             )
-            if type(state.complete) is not bool:
-                raise TypeError(f"'complete' must be true or false, got {state.complete!r}")
-            state._validate()
+            state._validate(_int(doc["hits"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointMismatchError(f"damaged checkpoint: {exc!r}") from exc
         return state
 
-    def _processed(self) -> int:
-        # the last palindrome the cursor says was processed, 0 before any
-        if self.cursor is None:
-            return 0
-        length, _, half = self.cursor
-        _, _, t, odd = _half_range(self.enumeration_base, length)
-        return mirror_half(half, self.enumeration_base, t, odd)
-
-    def _validate(self) -> None:
-        # the cursor must name a palindrome within the bound, the last one if
-        # the search is complete; found must hold simultaneous palindromes,
-        # ascending, none beyond the cursor
-        g = self.enumeration_base
-        if g not in (self.g, self.h):
-            raise ValueError(f"enumeration base {g} is neither base")
-        if self.cursor is not None:
-            length, parity, half = self.cursor
-            if not 1 <= length <= digit_count(self.bound, g):
-                raise ValueError(f"cursor length {length} does not fit the bound")
-            h0, h1, _, odd = _half_range(g, length)
-            if parity != ("odd" if odd else "even") or not h0 <= half < h1:
-                raise ValueError(f"cursor {self.cursor} names no palindrome")
-        if self.complete:
-            *_, (d, _, stop) = half_ranges(g, 1, self.bound)
-            if self.cursor != (d, "odd" if d % 2 else "even", stop - 1):
-                raise ValueError(f"complete, but cursor {self.cursor} is not at the last palindrome")
-        limit = self._processed()
-        if limit > self.bound:
-            raise ValueError(f"cursor {self.cursor} lies beyond the bound {self.bound}")
+    def _validate(self, hits: int) -> None:
+        # found: ascending simultaneous palindromes up to the cursor, ``hits`` of them
+        if not 0 <= self.cursor <= self.bound:
+            raise ValueError(f"cursor {self.cursor} does not fit the bound {self.bound}")
         previous = 0
         for n in self.found:
-            if not previous < n <= limit:
-                raise ValueError(f"entry {n} is out of order or beyond the cursor's {limit}")
+            if not previous < n <= self.cursor:
+                raise ValueError(f"entry {n} is out of order or beyond the cursor {self.cursor}")
             if not (is_palindrome_early_exit(n, self.g) and is_palindrome_early_exit(n, self.h)):
                 raise ValueError(f"entry {n} is not a palindrome in both bases")
             previous = n
+        if hits != len(self.found):
+            raise ValueError(f"{hits} hits recorded, but found lists {len(self.found)}")
 
     def save(self, path: str) -> None:
-        """Atomic write: temp file in the same directory, synced, then renamed."""
+        """Atomic write: temp file in the same directory, synced, then renamed.
+        A path that cannot be written raises :class:`CheckpointMismatchError`."""
         directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(prefix=".simulpal-cp-", dir=directory)
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(self.to_json())
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+            fd, tmp = tempfile.mkstemp(prefix=".simulpal-cp-", dir=directory)
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    fh.write(self.to_json())
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                os.replace(tmp, path)
+            except BaseException:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+                raise
+        except OSError as exc:
+            raise CheckpointMismatchError(f"cannot write checkpoint {path}: {exc}") from exc
 
     @classmethod
     def load(cls, path: str) -> "SearchCheckpoint":
@@ -287,15 +258,11 @@ class SearchCheckpoint:
             raise CheckpointMismatchError(f"cannot read checkpoint {path}: {exc}") from exc
         return cls.from_json(text)
 
-    def require_match(self, g: int, h: int, bound: int, enumeration_base: int | None) -> None:
+    def require_match(self, g: int, h: int, bound: int) -> None:
         if (self.g, self.h, self.bound) != (g, h, bound):
             raise CheckpointMismatchError(
                 f"checkpoint is for ({self.g}, {self.h}, bound {self.bound}), "
                 f"requested ({g}, {h}, bound {bound})"
-            )
-        if enumeration_base is not None and enumeration_base != self.enumeration_base:
-            raise CheckpointMismatchError(
-                f"checkpoint enumerates base {self.enumeration_base}, requested {enumeration_base}"
             )
 
 
@@ -318,12 +285,12 @@ def search(
     With ``checkpoint_path`` set, progress is persisted atomically after
     every completed digit-length block and every ``checkpoint_interval``
     seconds at chunk granularity; ``resume=True`` continues from such a
-    file and refuses to resume a checkpoint for different parameters.
-    ``threads`` > 1 fans chunks out to worker processes; results are
-    merged in chunk order, so output does not depend on the worker count.
-    ``progress`` is called after each chunk with a status dict; an
-    exception raised from it aborts the run after a final checkpoint
-    write.
+    file, whichever base drives, and refuses one for other parameters.
+    ``threads`` > 1 fans chunks out to worker processes, capped with a
+    warning at :func:`usable_cpus`; results are merged in chunk order, so
+    output does not depend on the worker count.  ``progress`` is called
+    after each chunk with a status dict; an exception raised from it
+    aborts the run after a final checkpoint write.
     """
     check_base(g)
     check_base(h)
@@ -343,50 +310,48 @@ def search(
         if checkpoint_path is None:
             raise CheckpointMismatchError("resume requested without a checkpoint path")
         state = SearchCheckpoint.load(checkpoint_path)
-        state.require_match(g, h, bound, enumeration_base)
+        state.require_match(g, h, bound)
     else:
-        driver = enumeration_base or plan_enumeration_base(g, h, bound)
-        state = SearchCheckpoint(g=g, h=h, bound=bound, enumeration_base=driver)
-    if state.complete:
+        state = SearchCheckpoint(g=g, h=h, bound=bound)
+    if state.cursor == bound:
         return list(state.found)
 
-    driver = state.enumeration_base
+    driver = enumeration_base or plan_enumeration_base(g, h, bound)
     tested = h if driver == g else g
+    workers = min(threads, usable_cpus())
+    if workers < threads:
+        warnings.warn(f"threads={threads} capped at {workers}, the CPUs this process may use", stacklevel=2)
     last_save = time.monotonic()
 
     def persist(force: bool) -> None:
         nonlocal last_save
-        if checkpoint_path is None:
-            return
-        if force or time.monotonic() - last_save >= checkpoint_interval:
+        if checkpoint_path is not None and (force or time.monotonic() - last_save >= checkpoint_interval):
             state.save(checkpoint_path)
             last_save = time.monotonic()
 
-    # resume just past the last palindrome the cursor says was processed
-    first = state._processed() + 1
-    pool = ProcessPoolExecutor(max_workers=threads) if threads > 1 else None
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        for d, start, h1e in half_ranges(driver, first, bound):
-            parity = "odd" if d % 2 else "even"
+        for d, start, h1e in half_ranges(driver, state.cursor + 1, bound):
+            _, _, t, odd = _half_range(driver, d)
             edges = list(range(start, h1e, CHUNK_HALVES)) + [h1e]
             run = pool.map if pool is not None and len(edges) > 2 else map
             hits_by_chunk = run(partial(_scan_chunk, driver, tested, d), edges[:-1], edges[1:])
             for c1, hits in zip(edges[1:], hits_by_chunk):
                 state.found.extend(hits)
-                state.cursor = (d, parity, c1 - 1)
+                state.cursor = mirror_half(c1 - 1, driver, t, odd)
                 persist(force=False)
                 if progress is not None:
                     progress(
                         {
                             "digit_length": d,
-                            "parity": parity,
+                            "parity": "odd" if odd else "even",
                             "half_value": c1 - 1,
                             "half_end": h1e,
                             "found": len(state.found),
                         }
                     )
             persist(force=True)
-        state.complete = True
+        state.cursor = bound
         persist(force=True)
         return list(state.found)
     except BaseException:

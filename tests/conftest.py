@@ -42,6 +42,19 @@ def oracle_simultaneous(bound: int, g: int, h: int) -> list[int]:
     return [n for n in range(1, bound + 1) if oracle_is_palindrome(n, g) and oracle_is_palindrome(n, h)]
 
 
+# (10, 2, 10**5) as the v1 format wrote it when the run was done
+V1_CHECKPOINT = {
+    "version": "simulpal-checkpoint-v1",
+    "g": 10,
+    "h": 2,
+    "bound": 10**5,
+    "enumeration_base": 10,
+    "cursor": {"digit_length": 5, "parity": "odd", "half_value": 999},
+    "complete": True,
+    "found": [1, 3, 5, 7, 9, 33, 99, 313, 585, 717, 7447, 9009, 15351, 32223, 39993, 53235, 53835, 73737],
+}
+
+
 @pytest.fixture(scope="session")
 def known_list_10_2() -> list[int]:
     """The 62 simultaneous palindromes below 1e18 for bases 10 and 2."""

@@ -9,6 +9,8 @@ import pytest
 from simulpal import cli
 from simulpal.radix import DomainError
 
+from conftest import V1_CHECKPOINT
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -213,11 +215,16 @@ def test_threads_default_follows_cpu_affinity(monkeypatch):
     [
         lambda text: text[: len(text) // 2],  # truncated
         lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "cursor"}),
-        lambda text: json.dumps({**json.loads(text), "found": [4], "complete": False}),
+        lambda text: json.dumps({**json.loads(text), "found": [4]}),
         lambda text: "[]",
         lambda text: "null",
+        lambda text: json.dumps({**json.loads(text), "cursor": {"digit_length": 5, "half_value": 999}}),
+        # 585 deleted from the hits up to 999, the count left at 10
+        lambda text: json.dumps(
+            {**json.loads(text), "cursor": 999, "hits": 10, "found": [1, 3, 5, 7, 9, 33, 99, 313, 717]}
+        ),
     ],
-    ids=["truncated", "missing-key", "tampered-found", "list", "null"],
+    ids=["truncated", "missing-key", "tampered-found", "list", "null", "dict-cursor", "missing-hit"],
 )
 def test_damaged_checkpoint_exit_code(capsys, tmp_path, damage):
     path = tmp_path / "cp.json"
@@ -228,30 +235,47 @@ def test_damaged_checkpoint_exit_code(capsys, tmp_path, damage):
 
 
 @pytest.mark.parametrize(
-    "edits",
+    "doc",
     [
-        {"version": "simulpal-checkpoint-v0"},
-        {"version": "simulpal-checkpoint-v2", "cursor": {"digit_length": 5, "prefix": 12}},
+        V1_CHECKPOINT,
+        {"version": "simulpal-checkpoint-v0", "g": 10, "h": 2, "bound": 10**5, "cursor": 0, "hits": 0, "found": []},
     ],
     ids=["v1-shaped", "v2-shaped"],
 )
-def test_checkpoint_of_another_version_exit_code(capsys, tmp_path, edits):
+def test_checkpoint_of_another_version_exit_code(capsys, tmp_path, doc):
     path = tmp_path / "cp.json"
-    run(capsys, "count", "10", "2", "1e5", "--checkpoint", str(path))
-    path.write_text(json.dumps({**json.loads(path.read_text()), **edits, "complete": False}))
-    code, out, err = run(capsys, "count", "10", "2", "1e5", "--resume", str(path))
-    assert code == 3 and edits["version"] in err and "Traceback" not in err and out == ""
-
-
-def test_complete_checkpoint_with_an_early_cursor_exit_code(capsys, tmp_path):
-    path = tmp_path / "cp.json"
-    run(capsys, "count", "10", "2", "1e6", "--checkpoint", str(path))
-    doc = json.loads(path.read_text())
-    doc["cursor"] = {"digit_length": 3, "parity": "odd", "half_value": 31}
-    doc["found"] = [n for n in doc["found"] if n <= 313]
     path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "count", "10", "2", "1e6", "--resume", str(path))
-    assert code == 3 and "last palindrome" in err and out == ""
+    code, out, err = run(capsys, "count", "10", "2", "1e5", "--resume", str(path))
+    assert code == 3 and f"unsupported checkpoint version '{doc['version']}'" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_checkpoint_with_an_early_cursor_resumes(capsys, tmp_path):
+    path = tmp_path / "cp.json"
+    _, full, _ = run_json(capsys, "search", "10", "2", "1e6", "--checkpoint", str(path))
+    doc = json.loads(path.read_text())
+    doc["found"] = [n for n in doc["found"] if n <= 313]
+    doc.update(cursor=313, hits=len(doc["found"]))
+    path.write_text(json.dumps(doc))
+    # the first run was driven by base 10; base 2 drives the resume
+    code, resumed, _ = run_json(
+        capsys, "search", "10", "2", "1e6", "--resume", str(path), "--enumeration-base", "2"
+    )
+    assert code == 0 and resumed["results"] == full["results"]
+
+
+@pytest.mark.parametrize("is_dir", [False, True], ids=["missing-directory", "directory"])
+def test_unwritable_checkpoint_exit_code(capsys, tmp_path, is_dir):
+    # a path inside a directory that does not exist, or a directory itself
+    path = tmp_path / "cp"
+    if is_dir:
+        path.mkdir()
+    else:
+        path = path / "cp.json"
+    code, out, err = run(capsys, "search", "10", "2", "1e5", "--checkpoint", str(path))
+    assert code == 3 and err.startswith("checkpoint error: cannot write checkpoint")
+    assert "Traceback" not in err and out == ""
+    assert os.listdir(tmp_path) == (["cp"] if is_dir else [])  # no temp file left behind
 
 
 @pytest.mark.parametrize(

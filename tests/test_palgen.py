@@ -5,11 +5,14 @@ import pytest
 
 from simulpal.palgen import (
     FamilyError,
+    _half_range,
+    _least_half_reaching,
     count_palindromes_upto,
     family_instance,
     iter_palindromes,
     make_even_palindrome,
     make_odd_palindrome,
+    mirror_half,
     zero_padded_palindrome,
 )
 from simulpal.radix import DomainError, digit_count, is_palindrome, reverse_in_base
@@ -81,6 +84,22 @@ def test_length_counts_against_brute_force(g):
         expected = (g - 1) * g ** ((d + 1) // 2 - 1) if d > 1 else g - 1
         counted = count_palindromes_upto(g, g**d - 1) - count_palindromes_upto(g, g ** (d - 1) - 1)
         assert counted == brute == expected
+
+
+@pytest.mark.parametrize("g", [2, 3, 5, 7, 10, 16, 23, 36])
+def test_least_half_reaching_is_the_brute_force_minimum(g):
+    # targets below, inside and above each length's palindromes
+    rng = random.Random(g)
+    d = 1
+    while (g ** ((d + 1) // 2)) <= 3000:
+        lo, hi, t, odd = _half_range(g, d)
+        values = [mirror_half(half, g, t, odd) for half in range(lo, hi)]
+        targets = {0, 1, values[0], values[-1], values[-1] + 1, g**d, *(v + 1 for v in values[:3])}
+        targets |= {rng.randrange(g ** (d + 1)) for _ in range(300)}
+        for target in targets:
+            least = next((half for half, v in zip(range(lo, hi), values) if v >= target), hi)
+            assert _least_half_reaching(g, d, target) == least, (g, d, target)
+        d += 1
 
 
 @pytest.mark.parametrize("g", [2, 3, 10, 16])

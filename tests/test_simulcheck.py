@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from simulpal import simulcheck
 from simulpal.palgen import _half_range, mirror_half
 from simulpal.radix import DomainError, is_palindrome
 from simulpal.simulcheck import (
@@ -20,7 +21,7 @@ from simulpal.simulcheck import (
     search,
 )
 
-from conftest import oracle_is_palindrome, oracle_simultaneous
+from conftest import V1_CHECKPOINT, oracle_is_palindrome, oracle_simultaneous
 
 
 def test_early_exit_examples():
@@ -101,13 +102,15 @@ def test_validation_errors():
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    cp = SearchCheckpoint(g=10, h=2, bound=10**6, enumeration_base=10, cursor=(5, "odd", 999), found=[1, 3])
+    cp = SearchCheckpoint(g=10, h=2, bound=10**6, cursor=99999, found=[1, 3])
     path = tmp_path / "cp.json"
     cp.save(str(path))
     loaded = SearchCheckpoint.load(str(path))
     assert loaded == cp
     doc = json.loads(path.read_text())
-    assert doc["cursor"] == {"digit_length": 5, "parity": "odd", "half_value": 999}
+    assert list(doc) == ["version", "g", "h", "bound", "cursor", "hits", "found"]
+    assert doc["version"] == "simulpal-checkpoint-v2"
+    assert type(doc["cursor"]) is int and doc["cursor"] == 99999 and doc["hits"] == 2
 
 
 def test_checkpoint_mismatch(tmp_path):
@@ -118,9 +121,10 @@ def test_checkpoint_mismatch(tmp_path):
     with pytest.raises(CheckpointMismatchError):
         search(10, 3, 10**4, checkpoint_path=str(path), resume=True)
     with pytest.raises(CheckpointMismatchError):
-        search(10, 2, 10**4, checkpoint_path=str(path), resume=True, enumeration_base=2)
-    with pytest.raises(CheckpointMismatchError):
         search(10, 2, 10**4, checkpoint_path=str(tmp_path / "absent.json"), resume=True)
+    # the cursor does not depend on the driving base, so another one may resume
+    expected = search(10, 2, 10**4)
+    assert search(10, 2, 10**4, checkpoint_path=str(path), resume=True, enumeration_base=2) == expected
 
 
 def test_resume_of_finished_run_is_stable(tmp_path):
@@ -159,6 +163,36 @@ def interrupted_then_resumed(g, h, bound, kill_after, tmp_path):
 def test_kill_and_resume_determinism(kill_after, tmp_path):
     reference = search(10, 2, 10**7)
     assert interrupted_then_resumed(10, 2, 10**7, kill_after, tmp_path) == reference
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pair=st.sampled_from([(10, 2), (2, 10), (12, 8), (6, 4), (9, 6), (3, 2), (5, 7), (10, 3)]),
+    bound=st.integers(1, 2 * 10**4),
+    kill_after=st.integers(1, 6),
+    first=st.booleans(),
+    second=st.booleans(),
+)
+def test_kill_and_resume_across_enumeration_bases_matches_oracle(tmp_path_factory, pair, bound, kill_after, first, second):
+    # pairs sharing a prime, then coprime ones; each run picks its driving base
+    g, h = pair
+    path = tmp_path_factory.mktemp("cp") / "cp.json"
+    seen = 0
+
+    def bomb(info):
+        nonlocal seen
+        seen += 1
+        if seen == kill_after:
+            raise _AbortAfter
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            search(g, h, bound, enumeration_base=pair[first], checkpoint_path=str(path), progress=bomb)
+        except _AbortAfter:
+            pass
+        resumed = search(g, h, bound, enumeration_base=pair[second], checkpoint_path=str(path), resume=True)
+    assert resumed == oracle_simultaneous(bound, g, h)
 
 
 def test_dependent_bases_warning():
@@ -223,8 +257,9 @@ def test_kill_and_resume_inside_a_digit_length(tmp_path, known_list_10_2):
 
     with pytest.raises(_AbortAfter):
         search(10, 2, bound, checkpoint_path=str(path), progress=bomb, checkpoint_interval=0.0)
-    cursor = json.loads(path.read_text())["cursor"]
-    assert cursor == {"digit_length": 11, "parity": "odd", "half_value": 2 * CHUNK_HALVES + 99_999}
+    # the palindrome of the second chunk's last half
+    cursor = mirror_half(2 * CHUNK_HALVES + 99_999, 10, 6, True)
+    assert json.loads(path.read_text())["cursor"] == cursor == 89_999_999_998
     resumed = search(10, 2, bound, checkpoint_path=str(path), resume=True)
     assert resumed == [n for n in known_list_10_2 if n <= bound]
 
@@ -272,76 +307,79 @@ def test_checkpoint_non_json_is_refused(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "edits",
+    "doc",
     [
-        {"version": "simulpal-checkpoint-v0"},
-        # a v2 cursor has no parity: read before the version, it would be
-        # reported as a missing key
-        {"version": "simulpal-checkpoint-v2", "cursor": {"digit_length": 5, "prefix": 12}},
+        V1_CHECKPOINT,
+        # a v2-shaped document under another version is refused by its version
+        {"version": "simulpal-checkpoint-v0", "g": 10, "h": 2, "bound": 10**5, "cursor": 0, "hits": 0, "found": []},
     ],
     ids=["v1-shaped", "v2-shaped"],
 )
-def test_checkpoint_of_another_version_is_refused(tmp_path, edits):
-    path, _ = _saved_checkpoint(tmp_path, **edits, complete=False)
-    with pytest.raises(CheckpointMismatchError, match=f"unsupported checkpoint version '{edits['version']}'"):
+def test_checkpoint_of_another_version_is_refused(tmp_path, doc):
+    path = tmp_path / "cp.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointMismatchError, match=f"unsupported checkpoint version '{doc['version']}'"):
         search(10, 2, 10**5, checkpoint_path=str(path), resume=True)
 
 
 def test_checkpoint_tampered_found_is_refused(tmp_path):
-    # 4 is no palindrome in base 2 (100)
-    path, _ = _saved_checkpoint(tmp_path, found=[4], complete=False)
+    # 4 is no palindrome in base 2 (100); entries are checked before the count
+    path, _ = _saved_checkpoint(tmp_path, found=[4])
     with pytest.raises(CheckpointMismatchError, match="not a palindrome"):
+        search(10, 2, 10**5, checkpoint_path=str(path), resume=True)
+
+
+def test_checkpoint_with_a_deleted_hit_is_refused(tmp_path):
+    # 585 dropped from the hits up to 999; every entry left is sound
+    found = [1, 3, 5, 7, 9, 33, 99, 313, 717]
+    path, _ = _saved_checkpoint(tmp_path, cursor=999, hits=10, found=found)
+    with pytest.raises(CheckpointMismatchError, match="10 hits recorded, but found lists 9"):
         search(10, 2, 10**5, checkpoint_path=str(path), resume=True)
 
 
 def test_checkpoint_entry_beyond_cursor_is_refused(tmp_path):
     # 585 is a simultaneous palindrome, but the cursor says only length 1 was scanned
-    cursor = {"digit_length": 1, "parity": "odd", "half_value": 9}
-    path, _ = _saved_checkpoint(tmp_path, found=[1, 585], complete=False, cursor=cursor)
+    path, _ = _saved_checkpoint(tmp_path, found=[1, 585], hits=2, cursor=9)
     with pytest.raises(CheckpointMismatchError, match="beyond the cursor"):
         search(10, 2, 10**5, checkpoint_path=str(path), resume=True)
 
 
 def test_checkpoint_cursor_outside_the_bound_is_refused(tmp_path):
-    # refused before any power of the base is built for the absurd length
-    cursor = {"digit_length": 10**9, "parity": "even", "half_value": 10}
-    path, _ = _saved_checkpoint(tmp_path, cursor=cursor, complete=False)
-    with pytest.raises(CheckpointMismatchError, match="does not fit the bound"):
+    path, _ = _saved_checkpoint(tmp_path, cursor=-1, hits=0, found=[])
+    with pytest.raises(CheckpointMismatchError, match="cursor -1 does not fit the bound"):
         search(10, 2, 10**5, checkpoint_path=str(path), resume=True)
 
 
 def test_checkpoint_cursor_beyond_the_bound_is_refused(tmp_path):
-    # 999999 has as many digits as the bound 10**5 + 1 but exceeds it; resuming
-    # would return the simultaneous palindrome 585585 above the bound
+    # resuming at 999999 > 10**5 + 1 would return the simultaneous palindrome
+    # 585585 above the bound
     path = tmp_path / "cp.json"
-    cp = SearchCheckpoint(g=10, h=2, bound=10**5 + 1, enumeration_base=10, cursor=(6, "even", 999))
-    cp.found = search(10, 2, 10**6)
-    cp.save(str(path))
-    with pytest.raises(CheckpointMismatchError, match="beyond the bound"):
+    found = search(10, 2, 10**6)
+    SearchCheckpoint(g=10, h=2, bound=10**5 + 1, cursor=999999, found=found).save(str(path))
+    with pytest.raises(CheckpointMismatchError, match="cursor 999999 does not fit the bound 100001"):
         search(10, 2, 10**5 + 1, checkpoint_path=str(path), resume=True)
 
 
-@pytest.mark.parametrize("cursor", [None, (3, "odd", 31), (6, "even", 998)])
-def test_checkpoint_complete_before_the_last_palindrome_is_refused(tmp_path, cursor):
-    # found agrees with the cursor, so only the complete flag is wrong; resuming
-    # such a file would return only the hits up to the cursor (8 of 19 for 313)
+@pytest.mark.parametrize("cursor", [0, 313, 998899])
+@pytest.mark.parametrize("base", [10, 2])
+def test_checkpoint_with_an_early_cursor_resumes_to_the_full_list(tmp_path, cursor, base):
+    # found and hits agree with the cursor; the run goes on past it in either base
     path = tmp_path / "cp.json"
-    reached = SearchCheckpoint(g=10, h=2, bound=10**6, enumeration_base=10, cursor=cursor)._processed()
-    found = [n for n in search(10, 2, 10**6) if n <= reached]
-    SearchCheckpoint(
-        g=10, h=2, bound=10**6, enumeration_base=10, cursor=cursor, found=found, complete=True
-    ).save(str(path))
-    with pytest.raises(CheckpointMismatchError, match="not at the last palindrome"):
-        search(10, 2, 10**6, checkpoint_path=str(path), resume=True)
+    full = search(10, 2, 10**6)
+    early = SearchCheckpoint(g=10, h=2, bound=10**6, cursor=cursor, found=[n for n in full if n <= cursor])
+    early.save(str(path))
+    assert search(10, 2, 10**6, checkpoint_path=str(path), resume=True, enumeration_base=base) == full
+    assert json.loads(path.read_text())["cursor"] == 10**6
 
 
 @pytest.mark.parametrize("bound", [1, 9, 10, 11, 100, 12345, 10**6])
 @pytest.mark.parametrize("driver", [10, 2])
 def test_checkpoint_of_a_finished_run_is_accepted(tmp_path, bound, driver):
-    # the cursor a finished run leaves is the one a complete file must carry
+    # a finished run leaves the cursor at the bound, whichever base drove it
     path = tmp_path / "cp.json"
     first = search(10, 2, bound, checkpoint_path=str(path), enumeration_base=driver)
-    assert json.loads(path.read_text())["complete"] is True
+    doc = json.loads(path.read_text())
+    assert doc["cursor"] == bound and doc["hits"] == len(first)
     assert search(10, 2, bound, checkpoint_path=str(path), resume=True) == first
 
 
@@ -352,6 +390,36 @@ def test_search_rejects_a_bound_that_is_not_an_integer(tmp_path, bound):
     with pytest.raises(DomainError, match="integer"):
         search(10, 2, bound, checkpoint_path=str(path))
     assert not path.exists()
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records its size, starts no process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+@pytest.mark.parametrize("threads,cpus,workers", [(100_000, 2, 2), (3, 4, 3), (2, 1, None)])
+def test_threads_capped_at_the_usable_cpus(monkeypatch, threads, cpus, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(simulcheck, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    # 1e11 gives the 11-digit block three chunks, so the pool's map runs
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        found = search(10, 2, 10**11, threads=threads)
+    assert found == search(10, 2, 10**11)
+    assert _InProcessPool.sizes == ([] if workers is None else [workers])
+    expected = [f"threads={threads} capped at {cpus}, the CPUs this process may use"] if threads > cpus else []
+    assert [str(w.message) for w in caught] == expected
 
 
 @pytest.mark.parametrize("threads", [2.5, "2", True])
@@ -376,5 +444,5 @@ def test_checkpoint_save_syncs_before_rename(tmp_path, monkeypatch):
 
     spy("fsync")
     spy("replace")
-    SearchCheckpoint(g=10, h=2, bound=100, enumeration_base=10).save(str(tmp_path / "cp.json"))
+    SearchCheckpoint(g=10, h=2, bound=100).save(str(tmp_path / "cp.json"))
     assert calls == ["fsync", "replace"]
