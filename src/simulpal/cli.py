@@ -126,7 +126,7 @@ def _run_search(args, counting: bool) -> int:
         "h": args.h,
         "bound": bound,
         "enumeration_base": args.enumeration_base,
-        "threads": args.threads,
+        "threads": min(args.threads, simulcheck.usable_cpus()),
     }
     if counting:
         results = {"count": len(found)}

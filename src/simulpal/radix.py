@@ -117,6 +117,14 @@ def reverse_in_base(a: int, g: int) -> int:
     check_base(g)
     if a < 1:
         raise DomainError("digit reversal is defined for positive integers only")
+    return _reverse(a, g)
+
+
+def _reverse(a: int, g: int) -> int:
+    # reverse_in_base without the argument checks, for a >= 0.  Base 2
+    # reverses the binary string, as _mirror_test does.
+    if g == 2:
+        return int(bin(a)[:1:-1], 2)
     r = 0
     while a:
         a, d = divmod(a, g)

@@ -1,10 +1,11 @@
 """Search engine for integers that are palindromes in two bases at once.
 
-The engine walks the digits of palindromes in one base, pruning digit
-prefixes that cannot also give a palindrome in the other base, and tests
-each surviving candidate in the other base with an early-exit digit
-comparison.  Long runs persist a resumable checkpoint; resuming yields
-output identical to an uninterrupted run.
+The engine walks the top digits of palindromes in one base.  Those digits
+fix the number's residue modulo a power of each base; a prefix whose two
+residues disagree is dropped, and once a prefix leaves only a few numbers
+of its residue, those are listed and tested in both bases with an
+early-exit digit comparison.  Long runs persist a resumable checkpoint;
+resuming yields output identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -14,15 +15,16 @@ import os
 import tempfile
 import time
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from math import gcd
 from typing import Callable
 
 from .lindep import multiplicatively_independent
 from .palgen import _half_range, count_palindromes_upto, half_ranges, mirror_half
-from .radix import DomainError, _mirror_test, check_base, is_palindrome_early_exit
+from .radix import DomainError, _mirror_test, _reverse, check_base, is_palindrome_early_exit
 
 CHECKPOINT_VERSION = "simulpal-checkpoint-v2"
 
@@ -75,15 +77,16 @@ def _scan_chunk(driver: int, tested: int, d: int, half_lo: int, half_hi: int) ->
     built from half-values in [half_lo, half_hi), ascending.
 
     Depth-first walk over the half-value's digits, most significant first,
-    in ascending digit order.  A node with k digits fixed knows the top k
-    and the low k base-``driver`` digits of N.  The low part ``low = N mod
-    g**k`` fixes N mod h**j for every h**j dividing g**k, so a base-h
-    palindrome's top j digits are the low j, mirrored: a number ``top``
-    with N in [top*h**(L-j), (top+1)*h**(L-j)) when N has L base-h digits.
-    A child is pruned when N mod h is 0, or when its base-g interval misses
-    that interval for every length L it can have.  The test is only
-    necessary, so every leaf still gets the full base-h test.  Coprime
-    bases give j = 0 at every depth and the walk prunes nothing.
+    in ascending digit order.  A node with k digits fixed confines N to an
+    interval of width g**(d-k) and knows ``low = N mod g**k``, the top k
+    digits mirrored.  In each base-h length L the interval meets, the
+    numbers share their top j base-h digits; mirrored, those give N mod
+    h**j.  The two residues join by CRT into one residue R modulo
+    M = lcm(g**k, h**j), and a node whose residues disagree modulo
+    gcd(g**k, h**j) holds no base-h palindrome and is dropped.  Once the
+    interval holds at most g numbers congruent to R, no more than its
+    children would be, the walk lists them and tests each in both bases.
+    For coprime bases that happens near k = d/3, for (10, 2) near d/2.7.
     """
     g, h = driver, tested
     t = (d + 1) // 2
@@ -92,58 +95,62 @@ def _scan_chunk(driver: int, tested: int, d: int, half_lo: int, half_hi: int) ->
     hp = [1]
     while hp[-1] <= gp[d]:
         hp.append(hp[-1] * h)
-    # js[k] = largest j with h**j | g**k
-    js = [0] * (t + 1)
-    for k in range(1, t + 1):
-        j = js[k - 1]
-        while gp[k] % hp[j + 1] == 0:
-            j += 1
-        js[k] = j
-    # a leaf is N = half * shift + low, where low is the parent's N mod
-    # g**(t-1) plus, for even d, the last half digit mirrored
-    shift = gp[t - 1] if odd else gp[t]
-    step = gp[t - 1] if odd else gp[t] + gp[t - 1]
+    # the chunk's palindromes are the d-digit ones in [n_lo, n_hi)
+    n_lo = mirror_half(half_lo, g, t, odd)
+    n_hi = mirror_half(half_hi - 1, g, t, odd) + 1
+    # crt[k][j] = (gcd, h**j // gcd, inverse of g**k // gcd modulo that, lcm)
+    crt: list[dict[int, tuple[int, int, int, int]]] = [{} for _ in range(t + 1)]
     hits: list[int] = []
 
-    def walk(k: int, prefix: int, low: int, top: int) -> None:
-        width = gp[t - k - 1]
+    def walk(k: int, prefix: int, low: int) -> None:
+        # visit the nodes with k digits fixed below the node (prefix, low)
+        span = gp[d - k]
+        crt_k = crt[k]
         base = prefix * g
-        c0 = max(0, half_lo // width - base)
-        c1 = min(g, (half_hi - 1) // width - base + 1)
-        if k + 1 == t:
-            n = base * shift + low + c0 * step
-            for _ in range(c0, c1):
-                L = bisect_right(hp, n)
-                if _mirror_test(n, h, L - 1, hp[L - 1]):
-                    hits.append(n)
-                n += step
-            return
-        j0, j1 = js[k], js[k + 1]
-        gk = gp[k]
-        span = gp[d - k - 1]
-        for c in range(c0, c1):
-            low1 = low + c * gk
-            top1 = top
-            if j1:
-                if low1 % h == 0:
+        for c in range(max(n_lo // span - base, 0), min((n_hi - 1) // span - base + 1, g)):
+            low1 = low + c * gp[k - 1]  # N mod g**k
+            lo = (base + c) * span
+            hi = lo + span
+            if lo < n_lo:
+                lo = n_lo
+            if hi > n_hi:
+                hi = n_hi
+            pieces = []
+            b = lo
+            while b < hi:
+                # [a, b): the child's numbers with L base-h digits; they share
+                # their top j = L - e base-h digits
+                a = b
+                L = bisect_right(hp, a)
+                b = hi if hi < hp[L] else hp[L]
+                e = bisect_left(hp, b - a)
+                while a // hp[e] != (b - 1) // hp[e]:
+                    e += 1
+                j = L - e
+                if j not in crt_k:
+                    m1, m2 = gp[k], hp[j]
+                    q = gcd(m1, m2)
+                    crt_k[j] = (q, m2 // q, pow(m1 // q, -1, m2 // q), m1 * (m2 // q))
+                q, m, inv, M = crt_k[j]
+                # the top digits, mirrored, are N mod h**j
+                r = _reverse(a // hp[e], h)
+                if (r - low1) % q:
                     continue
-                x = low1 // hp[j0]
-                for _ in range(j1 - j0):
-                    x, r = divmod(x, h)
-                    top1 = top1 * h + r
-                # the child's N lie in [lo, hi); lo >= g**(d-1) >= h**j1, so
-                # each base-h length L they can have exceeds j1
-                lo = (base + c) * span
-                hi = lo + span
-                for L in range(bisect_right(hp, lo), bisect_right(hp, hi - 1) + 1):
-                    w = hp[L - j1]
-                    if top1 * w < hi and lo < (top1 + 1) * w:
-                        break
-                else:
-                    continue
-            walk(k + 1, base + c, low1, top1)
+                if b - a > g * M:
+                    walk(k + 1, base + c, low1)
+                    break
+                pieces.append((a, b, L, low1 + gp[k] * ((r - low1) // q * inv % m), M))
+            else:
+                for a, b, L, R, M in pieces:
+                    tests = [(h, L - 1, hp[L - 1]), (g, d - 1, gp[d - 1])]
+                    if g == 2:  # base 2's test is one string comparison: run it first
+                        tests.reverse()
+                    (x, kx, px), (y, ky, py) = tests
+                    for n in range(a + (R - a) % M, b, M):
+                        if _mirror_test(n, x, kx, px) and _mirror_test(n, y, ky, py):
+                            hits.append(n)
 
-    walk(0, 0, 0, 0)
+    walk(1, 0, 0)
     return hits
 
 
@@ -354,6 +361,9 @@ def search(
         state.cursor = bound
         persist(force=True)
         return list(state.found)
+    except CheckpointMismatchError:
+        # the checkpoint could not be written; a final write would fail again
+        raise
     except BaseException:
         persist(force=True)
         raise

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines.  Criteria 2, 3, 6, 8, 10, 12 and 13 do real work (full scans, ten
-thousand reductions, exhaustive property sweeps, the search to 1e18, ten
-thousand certified families); the whole module finishes in a few minutes.
+lines.  Criteria 2, 3, 6, 8, 10, 12, 13 and 14 do real work (full scans,
+ten thousand reductions, exhaustive property sweeps, the searches to 1e18
+and, for bases 2 and 3, to 1e14, ten thousand certified families); the
+whole module finishes in a few minutes.
 """
 
 import random
@@ -317,3 +318,13 @@ def test_criterion_13_family_sweep_1e18(known_list_10_2):
         f"verify_family certifies every a < 1e4; its {len(certified)} shifts below 1e18 are "
         f"exactly the family-shaped list entries, in {elapsed:.1f}s",
     )
+
+
+def test_criterion_14_bases_2_3_to_1e14():
+    # OEIS A060792, numbers that are palindromic in bases 2 and 3:
+    # https://oeis.org/A060792.  The next term, 381920985378904469, lies above 1e17.
+    started = time.perf_counter()
+    found = search(2, 3, 10**14)
+    elapsed = time.perf_counter() - started
+    assert found == [1, 6643, 1422773, 5415589, 90396755477]
+    _pass(14, f"search(2,3,1e14) = the five A060792 terms below 1e14, in {elapsed:.1f}s")

@@ -210,6 +210,15 @@ def test_threads_default_follows_cpu_affinity(monkeypatch):
     assert cli.build_parser().parse_args(["count", "10", "2", "100"]).threads == 5
 
 
+def test_search_reports_the_threads_it_ran_with(capsys, monkeypatch):
+    # 1e5 gives every digit-length block one chunk, so no worker process starts
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.warns(UserWarning, match="threads=100000 capped at 2"):
+        code, doc, _ = run_json(capsys, "search", "10", "2", "1e5", "--threads", "100000")
+    assert code == 0 and doc["parameters"]["threads"] == 2
+    assert doc["results"]["count"] == 18
+
+
 @pytest.mark.parametrize(
     "damage",
     [

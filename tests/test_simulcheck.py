@@ -1,7 +1,9 @@
 import json
 import os
 import random
+import tempfile
 import warnings
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -230,7 +232,9 @@ def test_digit_walk_matches_oracle_on_bases_sharing_a_prime(p, a, b, bound):
             assert search(g, h, bound, enumeration_base=base) == expected
 
 
-@pytest.mark.parametrize("driver,tested,d", [(10, 2, 9), (12, 8, 6), (2, 3, 17)])
+@pytest.mark.parametrize(
+    "driver,tested,d", [(10, 2, 9), (12, 8, 6), (2, 3, 17), (11, 13, 7), (3, 2, 15), (16, 2, 9)]
+)
 def test_scan_chunk_equals_linear_scan_over_any_split(driver, tested, d):
     h0, h1, t, odd = _half_range(driver, d)
     linear = [
@@ -446,3 +450,58 @@ def test_checkpoint_save_syncs_before_rename(tmp_path, monkeypatch):
     spy("replace")
     SearchCheckpoint(g=10, h=2, bound=100).save(str(tmp_path / "cp.json"))
     assert calls == ["fsync", "replace"]
+
+
+def test_unwritable_checkpoint_is_tried_once(monkeypatch):
+    calls = []
+    real = tempfile.mkstemp
+
+    def counting_mkstemp(*args, **kwargs):
+        calls.append(kwargs.get("dir"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "mkstemp", counting_mkstemp)
+    with pytest.raises(CheckpointMismatchError, match="cannot write checkpoint"):
+        search(10, 2, 10**5, checkpoint_path="/nonexistent/dir/cp.json")
+    assert calls == ["/nonexistent/dir"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    g=st.integers(2, 40),
+    h=st.integers(2, 40),
+    shared=st.sampled_from([1, 2, 3, 5]),
+    bound=st.integers(1, 3 * 10**4),
+    drive_g=st.booleans(),
+)
+def test_search_matches_oracle_on_coprime_and_prime_sharing_pairs(g, h, shared, bound, drive_g):
+    # shared == 1 draws coprime pairs; otherwise both bases carry that prime
+    if shared == 1:
+        assume(gcd(g, h) == 1)
+    else:
+        g, h = g * shared, h * shared
+    assume(g != h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        found = search(g, h, bound, enumeration_base=g if drive_g else h)
+    assert found == oracle_simultaneous(bound, g, h)
+
+
+@pytest.mark.parametrize("driver,d", [(10, 11), (12, 9), (6, 13), (3, 21)])
+def test_walk_tests_only_odd_numbers_of_its_chunk(monkeypatch, driver, d):
+    # the walk lifts each node's residue into the node's interval, so it tests
+    # only numbers of its chunk; against base 2 the residue fixes the last
+    # bit to the top one, and a node whose residues disagree lists nothing
+    seen = []
+    real = simulcheck._mirror_test
+
+    def recording(n, h, k, p):
+        seen.append(n)
+        return real(n, h, k, p)
+
+    monkeypatch.setattr(simulcheck, "_mirror_test", recording)
+    h0, h1, t, odd = _half_range(driver, d)
+    lo, hi = h0 + (h1 - h0) // 3, h1 - (h1 - h0) // 3
+    _scan_chunk(driver, 2, d, lo, hi)
+    first, last = mirror_half(lo, driver, t, odd), mirror_half(hi - 1, driver, t, odd)
+    assert seen and all(first <= n <= last and n % 2 for n in seen)
