@@ -1,25 +1,20 @@
 """simulpal: integers that are palindromes in two bases simultaneously.
 
-Library surface: exact radix manipulation (:mod:`simulpal.radix`),
-palindrome construction and enumeration (:mod:`simulpal.palgen`), the
-two-base search engine with checkpointing (:mod:`simulpal.simulcheck`),
+Library surface: exact digit reversal, digit counts and the palindrome
+test (:mod:`simulpal.radix`), palindrome enumeration and the family
+record N = a*g**n + rev(a) (:mod:`simulpal.palgen`), the two-base
+search engine with checkpointing (:mod:`simulpal.simulcheck`),
 multiplicative-dependence witnesses (:mod:`simulpal.lindep`), explicit
-transcendence-bound evaluators (:mod:`simulpal.bounds`) and the certified
-reduction pipeline (:mod:`simulpal.reduction`).  ``python -m simulpal.cli``
+transcendence-bound evaluators (:mod:`simulpal.bounds`), certified
+enclosures (:mod:`simulpal.precise`) and the certified reduction
+pipeline (:mod:`simulpal.reduction`).  ``python -m simulpal.cli``
 or the ``simulpal`` script expose the same machinery on the command line.
 """
 
 from .lindep import DependenceWitness, dependence_witness, multiplicatively_independent
-from .palgen import (
-    FamilyInstance,
-    family_instance,
-    iter_palindromes,
-    make_even_palindrome,
-    make_odd_palindrome,
-    zero_padded_palindrome,
-)
+from .palgen import FamilyInstance, family_instance, iter_palindromes
 from .precise import PreciseReal, hp_log
-from .radix import DigitString, digit_count, digits, is_palindrome, reverse_in_base, value
+from .radix import digit_count, is_palindrome, reverse_in_base
 from .reduction import (
     FamilyReport,
     baker_davenport_reduce,
@@ -34,7 +29,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DependenceWitness",
-    "DigitString",
     "FamilyInstance",
     "FamilyReport",
     "PreciseReal",
@@ -45,19 +39,14 @@ __all__ = [
     "dependence_witness",
     "dependent_case_check",
     "digit_count",
-    "digits",
     "family_instance",
     "hp_log",
     "is_palindrome",
     "is_palindrome_early_exit",
     "iter_palindromes",
-    "make_even_palindrome",
-    "make_odd_palindrome",
     "multiplicatively_independent",
     "precompute_reduction_pairs",
     "reverse_in_base",
     "search",
-    "value",
     "verify_family",
-    "zero_padded_palindrome",
 ]

@@ -233,16 +233,22 @@ class LaurentInstance:
 
 @dataclass(frozen=True)
 class LaurentEvaluation:
-    """``value`` is kept as an exact positive rational: the bound routinely
-    falls below float range (exp of -10000 and smaller); ``log_value`` is
-    its natural logarithm as a float, rounded downward."""
+    """``bound`` is the certified enclosure of the lower bound, which
+    routinely falls below float range (exp of -10000 and smaller);
+    ``log_value`` is its natural logarithm as a float, rounded downward."""
 
     logA1: float
     logA2: float
     b_prime: float
     log_b: float
-    value: Fraction
+    bound: PreciseReal
     log_value: float
+
+    @property
+    def value(self) -> Fraction:
+        """The bound's lower end as an exact positive rational, built only
+        when read: it has about 1.44·|log_value| bits."""
+        return self.bound.lower
 
 
 def _laurent_logA(x: Fraction, D: int, given: float | None) -> Fraction:
@@ -265,13 +271,12 @@ def laurent_lower_bound(inst: LaurentInstance) -> LaurentEvaluation:
         Fraction(1, 2),
     )
     exponent = Fraction(2434, 100) * D**4 * log_b**2 * logA1 * logA2
-    bound = hp_exp(-exponent, _EVAL_BITS)
     return LaurentEvaluation(
         logA1=_float_up(logA1),
         logA2=_float_up(logA2),
         b_prime=_float_up(b_prime),
         log_b=_float_up(log_b),
-        value=bound.lower,
+        bound=hp_exp(-exponent, _EVAL_BITS),
         log_value=_float_down(-exponent),
     )
 

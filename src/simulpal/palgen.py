@@ -1,4 +1,4 @@
-"""Construction and enumeration of palindromes in a given base.
+"""Enumeration and exact counts of palindromes in a given base.
 
 Palindromes are generated from their half-values by mirroring, never by
 scanning all integers, so enumeration over a range costs time proportional
@@ -25,37 +25,15 @@ def mirror_half(half: int, g: int, half_len: int, odd: bool) -> int:
 
     For odd total length the last digit of ``half`` is the shared middle
     digit; for even total length the full half is mirrored.  Requires
-    ``half >= 1``.
+    ``half >= 1``; trailing zeros of ``half`` are fine, since its leading
+    digit becomes both ends.
+
+    >>> mirror_half(12, 10, 2, odd=False), mirror_half(12, 10, 2, odd=True)
+    (1221, 121)
+    >>> mirror_half(585, 10, 3, odd=False), mirror_half(123, 10, 3, odd=True)
+    (585585, 12321)
     """
     return (half // g if odd else half) * g**half_len + reverse_in_base(half, g)
-
-
-def make_even_palindrome(a: int, g: int) -> int:
-    """The palindrome with an even digit count whose first half is ``a``.
-
-    >>> make_even_palindrome(12, 10)
-    1221
-    >>> make_even_palindrome(585, 10)
-    585585
-    """
-    check_base(g)
-    if a < 1:
-        raise DomainError("palindrome construction requires a positive half-value")
-    return mirror_half(a, g, digit_count(a, g), odd=False)
-
-
-def make_odd_palindrome(a: int, g: int) -> int:
-    """The palindrome with an odd digit count sharing its middle digit with ``a``.
-
-    >>> make_odd_palindrome(12, 10)
-    121
-    >>> make_odd_palindrome(123, 10)
-    12321
-    """
-    check_base(g)
-    if a < 1:
-        raise DomainError("palindrome construction requires a positive half-value")
-    return mirror_half(a, g, digit_count(a, g), odd=True)
 
 
 def _half_range(g: int, d: int) -> tuple[int, int, int, bool]:
@@ -165,28 +143,3 @@ def family_instance(a: int, g: int, h: int, n: int) -> FamilyInstance:
     m_tilde = m + n_a - digit_count(rr, h)
     return FamilyInstance(a=a, g=g, h=h, n=n, N=N, n_a=n_a, m=m, alpha=alpha, k=k, m_tilde=m_tilde)
 
-
-def zero_padded_palindrome(a: int, g: int, m: int, parity: str) -> int:
-    """Palindrome whose base-g digits are digits(a), m zeros, then the mirror.
-
-    For ``parity='even'`` the mirror is the full reversal of digits(a)
-    followed by the zero run (so the middle run has 2*m zeros); for
-    ``parity='odd'`` the zero run itself is the shared middle block.
-
-    >>> zero_padded_palindrome(12, 10, 3, "even")
-    1200000021
-    >>> zero_padded_palindrome(1, 2, 2, "even")
-    33
-    """
-    check_base(g)
-    if a < 1:
-        raise DomainError("prefix must be a positive integer")
-    if m < 0:
-        raise DomainError("zero-run length must be non-negative")
-    if a % g == 0:
-        raise FamilyError(f"{g} divides {a}: a trailing zero would break palindromicity")
-    if parity not in ("even", "odd"):
-        raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
-    n_a = digit_count(a, g)
-    shift = n_a + (2 * m if parity == "even" else m)
-    return a * g**shift + reverse_in_base(a, g)

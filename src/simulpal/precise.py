@@ -54,9 +54,10 @@ def _show(x) -> str:
     if not isinstance(x, tuple):
         x = from_rational(x.numerator, x.denominator, 53, "n")
     try:
-        return repr(to_float(x, strict=True))
+        f = to_float(x, strict=True)
     except OverflowError:
         return to_str(x, 15)
+    return repr(f) if f or x == fzero else to_str(x, 15)  # no underflow to 0.0
 
 
 def _endpoints(operands: tuple["PreciseReal", ...], bits: int) -> tuple[bool, list]:
@@ -309,7 +310,6 @@ def hp_exp(x, bits: int = DEFAULT_PRECISION) -> PreciseReal:
     ``mpi_exp`` of the rational rounded outward.
 
     A large |x| costs no more than a small one, but reading ``lower`` or
-    ``upper`` builds a rational of about 1.44·|x| bits, and so does the
-    ``value`` of :func:`simulpal.bounds.laurent_lower_bound`.
+    ``upper`` builds a rational of about 1.44·|x| bits.
     """
     return _enclosure(mpi_exp, PreciseReal.exact(x), bits)

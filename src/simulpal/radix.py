@@ -1,4 +1,4 @@
-"""Arbitrary-precision digit expansion, digit reversal and palindrome tests.
+"""Exact digit reversal, digit counts and the early-exit palindrome test.
 
 All digit work is done in exact integer arithmetic (repeated division and
 comparison against powers of the base); floating logarithms are never used,
@@ -6,8 +6,6 @@ so there are no boundary errors at exact powers of the base.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 MIN_BASE = 2
 MAX_BASE = 2**32 - 1
@@ -17,10 +15,6 @@ class InvalidBaseError(ValueError):
     """Base outside the supported range [2, 2**32 - 1]."""
 
 
-class InvalidDigitError(ValueError):
-    """A digit is negative or not less than the base."""
-
-
 class DomainError(ValueError):
     """Argument outside the mathematical domain of the operation."""
 
@@ -28,75 +22,6 @@ class DomainError(ValueError):
 def check_base(g: int) -> None:
     if not isinstance(g, int) or g < MIN_BASE or g > MAX_BASE:
         raise InvalidBaseError(f"base must be an integer in [{MIN_BASE}, {MAX_BASE}], got {g!r}")
-
-
-@dataclass(frozen=True)
-class DigitString:
-    """Positional expansion of a non-negative integer.
-
-    ``digits`` is least-significant first; the most-significant digit (the
-    last element) is nonzero except for the value 0, which is ``(0,)``.
-    External renderings (see :meth:`render`) are most-significant first.
-    """
-
-    base: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        check_base(self.base)
-        if not self.digits:
-            raise InvalidDigitError("digit string must be nonempty")
-        for d in self.digits:
-            if not 0 <= d < self.base:
-                raise InvalidDigitError(f"digit {d} out of range for base {self.base}")
-        if len(self.digits) > 1 and self.digits[-1] == 0:
-            raise InvalidDigitError("most-significant digit must be nonzero")
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def render(self, sep: str = ".") -> str:
-        """Most-significant-first rendering; digits joined by ``sep`` for bases > 10."""
-        msf = self.digits[::-1]
-        if self.base <= 10:
-            return "".join(str(d) for d in msf)
-        return sep.join(str(d) for d in msf)
-
-
-def digits(n: int, g: int) -> DigitString:
-    """Expand ``n >= 0`` in base ``g``, least-significant digit first.
-
-    >>> digits(585, 2).digits
-    (1, 0, 0, 1, 0, 0, 1, 0, 0, 1)
-    >>> digits(0, 2).digits
-    (0,)
-    >>> digits(10, 10).digits
-    (0, 1)
-    """
-    check_base(g)
-    if n < 0:
-        raise DomainError(f"cannot expand negative integer {n}")
-    if n == 0:
-        return DigitString(g, (0,))
-    ds = []
-    while n:
-        n, d = divmod(n, g)
-        ds.append(d)
-    return DigitString(g, tuple(ds))
-
-
-def value(d: DigitString) -> int:
-    """Evaluate a digit string back to the integer it represents.
-
-    >>> value(DigitString(10, (0, 1)))
-    10
-    >>> value(DigitString(2, (1, 0, 0, 1, 0, 0, 1, 0, 0, 1)))
-    585
-    """
-    n = 0
-    for dig in reversed(d.digits):
-        n = n * d.base + dig
-    return n
 
 
 def reverse_in_base(a: int, g: int) -> int:

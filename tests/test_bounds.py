@@ -1,10 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import simulpal
 from simulpal.bounds import (
     LaurentInstance,
     MatveevInstance,
@@ -117,6 +122,23 @@ def test_laurent_random_instances_stay_below_truth():
             assert ev.value < Fraction(mpmath.nstr(true_gap, 50)) or true_gap == 0
         assert ev.value > 0
         tested += 1
+
+
+def test_laurent_large_degree_stays_small():
+    # D = 1000 puts the exponent near 4.6e12: the evaluation must not build
+    # the rational of about 6.7e12 bits that reading ``value`` would
+    code = (
+        "import math, resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1500 * 2**20, 1500 * 2**20))\n"
+        "from fractions import Fraction\n"
+        "from simulpal.bounds import LaurentInstance, laurent_lower_bound\n"
+        "ev = laurent_lower_bound(LaurentInstance(Fraction(3), Fraction(2), b1=3, b2=7, D=1000))\n"
+        "assert math.isfinite(ev.log_value) and ev.log_value < -4e12, ev.log_value\n"
+        "assert ev.bound.bits == 128\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(simulpal.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_laurent_two_log_coefficient_fits():

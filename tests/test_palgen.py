@@ -10,49 +10,43 @@ from simulpal.palgen import (
     count_palindromes_upto,
     family_instance,
     iter_palindromes,
-    make_even_palindrome,
-    make_odd_palindrome,
     mirror_half,
-    zero_padded_palindrome,
 )
 from simulpal.radix import DomainError, digit_count, is_palindrome, reverse_in_base
 
 from conftest import oracle_is_palindrome
 
 
+def _mirror(a: int, odd: bool) -> int:
+    return mirror_half(a, 10, digit_count(a, 10), odd)
+
+
 def test_mirror_constructions():
-    assert make_even_palindrome(12, 10) == 1221
-    assert make_even_palindrome(1, 10) == 11
-    assert make_even_palindrome(585, 10) == 585585
-    assert make_odd_palindrome(12, 10) == 121
-    assert make_odd_palindrome(123, 10) == 12321
-    assert make_odd_palindrome(31, 10) == 313
+    assert _mirror(12, odd=False) == 1221
+    assert _mirror(1, odd=False) == 11
+    assert _mirror(585, odd=False) == 585585
+    assert _mirror(12, odd=True) == 121
+    assert _mirror(123, odd=True) == 12321
+    assert _mirror(31, odd=True) == 313
     with pytest.raises(DomainError):
-        make_even_palindrome(0, 10)
+        _mirror(0, odd=False)
 
 
 def test_even_mirror_accepts_trailing_zeros():
     # the leading digit of a becomes both ends, so divisibility by g is fine
-    assert make_even_palindrome(120, 10) == 120021
+    assert _mirror(120, odd=False) == 120021
     assert is_palindrome(120021, 10)
-    assert make_odd_palindrome(120, 10) == 12021
-
-
-def test_zero_padded_palindrome():
-    assert zero_padded_palindrome(12, 10, 3, "even") == 1200000021
-    assert zero_padded_palindrome(1, 10, 0, "even") == 11
-    assert zero_padded_palindrome(1, 2, 2, "even") == 33
-    assert zero_padded_palindrome(12, 10, 3, "odd") == 1200021
-    with pytest.raises(FamilyError):
-        zero_padded_palindrome(120, 10, 2, "even")
-    with pytest.raises(DomainError):
-        zero_padded_palindrome(12, 10, 2, "both")
+    assert _mirror(120, odd=True) == 12021
+    assert is_palindrome(12021, 10)
 
 
 def test_zero_padded_matches_even_mirror():
+    # with no zero run, a*g**n_a + rev(a) is the even mirror of a
     for a in (1, 7, 12, 585, 9999):
-        assert zero_padded_palindrome(a, 10, 0, "even") == make_even_palindrome(a, 10)
-        assert digit_count(make_even_palindrome(a, 10), 10) == 2 * digit_count(a, 10)
+        n_a = digit_count(a, 10)
+        N = a * 10**n_a + reverse_in_base(a, 10)
+        assert N == family_instance(a, 10, 2, n_a).N == _mirror(a, odd=False)
+        assert digit_count(N, 10) == 2 * n_a
 
 
 @pytest.mark.parametrize("g", [2, 3, 10])

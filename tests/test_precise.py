@@ -217,6 +217,9 @@ def test_undecided_error_prints_enclosures_beyond_float_range():
         huge.is_greater(Fraction(10**400))
     assert repr(PreciseReal.exact(Fraction(-(10**5000)))) == "PreciseReal([-1.0e+5000, -1.0e+5000], bits=65536)"
     assert repr(PreciseReal.exact(Fraction(1, 4))) == "PreciseReal([0.25, 0.25], bits=65536)"
+    # nor does a positive value below float range print as 0.0
+    assert repr(PreciseReal.exact(Fraction(1, 10**5000))) == "PreciseReal([1.0e-5000, 1.0e-5000], bits=65536)"
+    assert repr(PreciseReal.exact(0)) == "PreciseReal([0.0, 0.0], bits=65536)"
 
 
 _endpoint = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
