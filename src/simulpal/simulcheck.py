@@ -87,6 +87,12 @@ def _scan_chunk(driver: int, tested: int, d: int, half_lo: int, half_hi: int) ->
     interval holds at most g numbers congruent to R, no more than its
     children would be, the walk lists them and tests each in both bases.
     For coprime bases that happens near k = d/3, for (10, 2) near d/2.7.
+
+    A node in one base-h length hands r = N mod h**j down: its children's
+    N mod g**(k+1) = low + c*g**k must meet r modulo gcd(g**(k+1), h**j),
+    which holds for c ≡ c0 (mod s), s = gcd(g**(k+1), h**j) / gcd(g**k, h**j).
+    The walk steps over the other digits; s reaches 2 for (10, 2), 3 for
+    (12, 18) and 5 for (20, 50), and stays 1 for coprime bases.
     """
     g, h = driver, tested
     t = (d + 1) // 2
@@ -98,16 +104,23 @@ def _scan_chunk(driver: int, tested: int, d: int, half_lo: int, half_hi: int) ->
     # the chunk's palindromes are the d-digit ones in [n_lo, n_hi)
     n_lo = mirror_half(half_lo, g, t, odd)
     n_hi = mirror_half(half_hi - 1, g, t, odd) + 1
-    # crt[k][j] = (gcd, h**j // gcd, inverse of g**k // gcd modulo that, lcm)
-    crt: list[dict[int, tuple[int, int, int, int]]] = [{} for _ in range(t + 1)]
+    # crt[k][j] = (gcd, h**j // gcd, inverse of g**k // gcd modulo that, lcm,
+    #              the children's step, inverse of g**k // gcd modulo the step)
+    crt: list[dict[int, tuple[int, int, int, int, int, int]]] = [{} for _ in range(t + 1)]
+    # per base-h length L, the two _mirror_test argument triples; base 2's
+    # test is one string comparison: run it first
+    tests = {L: ((h, L - 1, hp[L - 1]), (g, d - 1, gp[d - 1]))[:: -1 if g == 2 else 1] for L in range(1, len(hp))}
     hits: list[int] = []
 
-    def walk(k: int, prefix: int, low: int) -> None:
-        # visit the nodes with k digits fixed below the node (prefix, low)
+    def walk(k: int, prefix: int, low: int, step: int, c0: int) -> None:
+        # visit the nodes with k digits fixed below the node (prefix, low),
+        # only the digits c ≡ c0 (mod step)
         span = gp[d - k]
         crt_k = crt[k]
         base = prefix * g
-        for c in range(max(n_lo // span - base, 0), min((n_hi - 1) // span - base + 1, g)):
+        c_first = max(n_lo // span - base, 0)
+        c_first += (c0 - c_first) % step
+        for c in range(c_first, min((n_hi - 1) // span - base + 1, g), step):
             low1 = low + c * gp[k - 1]  # N mod g**k
             lo = (base + c) * span
             hi = lo + span
@@ -130,27 +143,30 @@ def _scan_chunk(driver: int, tested: int, d: int, half_lo: int, half_hi: int) ->
                 if j not in crt_k:
                     m1, m2 = gp[k], hp[j]
                     q = gcd(m1, m2)
-                    crt_k[j] = (q, m2 // q, pow(m1 // q, -1, m2 // q), m1 * (m2 // q))
-                q, m, inv, M = crt_k[j]
+                    s = gcd(m1 * g, m2) // q
+                    crt_k[j] = (q, m2 // q, pow(m1 // q, -1, m2 // q), m1 * (m2 // q), s, pow(m1 // q, -1, s))
+                q, m, inv, M, s, inv_s = crt_k[j]
                 # the top digits, mirrored, are N mod h**j
                 r = _reverse(a // hp[e], h)
                 if (r - low1) % q:
                     continue
+                u = (r - low1) // q
                 if b - a > g * M:
-                    walk(k + 1, base + c, low1)
+                    if a != lo or b != hi:  # more than one piece: no one r to hand down
+                        s = 1
+                    walk(k + 1, base + c, low1, s, u * inv_s % s)
                     break
-                pieces.append((a, b, L, low1 + gp[k] * ((r - low1) // q * inv % m), M))
+                first = a + (low1 + gp[k] * (u * inv % m) - a) % M  # lifted into [a, b)
+                if first < b:
+                    pieces.append((first, b, L, M))
             else:
-                for a, b, L, R, M in pieces:
-                    tests = [(h, L - 1, hp[L - 1]), (g, d - 1, gp[d - 1])]
-                    if g == 2:  # base 2's test is one string comparison: run it first
-                        tests.reverse()
-                    (x, kx, px), (y, ky, py) = tests
-                    for n in range(a + (R - a) % M, b, M):
+                for first, b, L, M in pieces:
+                    (x, kx, px), (y, ky, py) = tests[L]
+                    for n in range(first, b, M):
                         if _mirror_test(n, x, kx, px) and _mirror_test(n, y, ky, py):
                             hits.append(n)
 
-    walk(1, 0, 0)
+    walk(1, 0, 0, 1, 0)
     return hits
 
 
@@ -341,7 +357,10 @@ def search(
         for d, start, h1e in half_ranges(driver, state.cursor + 1, bound):
             _, _, t, odd = _half_range(driver, d)
             edges = list(range(start, h1e, CHUNK_HALVES)) + [h1e]
-            run = pool.map if pool is not None and len(edges) > 2 else map
+            run = map
+            if pool is not None and len(edges) > 2:
+                # about four batches per worker: one round trip each, and still balanced
+                run = partial(pool.map, chunksize=max(1, (len(edges) - 1) // (4 * workers)))
             hits_by_chunk = run(partial(_scan_chunk, driver, tested, d), edges[:-1], edges[1:])
             for c1, hits in zip(edges[1:], hits_by_chunk):
                 state.found.extend(hits)

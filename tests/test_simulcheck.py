@@ -3,6 +3,7 @@ import os
 import random
 import tempfile
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from math import gcd
 
 import pytest
@@ -76,10 +77,29 @@ def test_search_independent_of_enumeration_base():
         assert via_g == via_h
 
 
-def test_search_parallel_matches_sequential():
-    seq = search(10, 2, 10**7, threads=1)
-    par = search(10, 2, 10**7, threads=2)
-    assert seq == par
+class _BatchRecordingPool(ProcessPoolExecutor):
+    """A real process pool that records the batch size of each map."""
+
+    batches: list[int] = []
+
+    def map(self, fn, *iterables, chunksize=1):
+        self.batches.append(chunksize)
+        return super().map(fn, *iterables, chunksize=chunksize)
+
+
+def test_search_parallel_matches_sequential(monkeypatch, known_list_10_2):
+    # 50 halves a chunk cut the 9-digit (10, 2) length into 1 800 chunks, so
+    # the pool runs and sends them in batches of more than one
+    monkeypatch.setattr(simulcheck, "CHUNK_HALVES", 50)
+    monkeypatch.setattr(simulcheck, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulcheck, "ProcessPoolExecutor", _BatchRecordingPool)
+    monkeypatch.setattr(_BatchRecordingPool, "batches", [])
+    expected = {(10, 2): [n for n in known_list_10_2 if n <= 10**9], (2, 3): [1, 6643, 1422773, 5415589]}
+    for (g, h), listed in expected.items():
+        seq = search(g, h, 10**9, threads=1)
+        par = search(g, h, 10**9, threads=2)
+        assert seq == par == listed
+    assert max(_BatchRecordingPool.batches) > 1
 
 
 def test_count_matches_search():
@@ -233,7 +253,13 @@ def test_digit_walk_matches_oracle_on_bases_sharing_a_prime(p, a, b, bound):
 
 
 @pytest.mark.parametrize(
-    "driver,tested,d", [(10, 2, 9), (12, 8, 6), (2, 3, 17), (11, 13, 7), (3, 2, 15), (16, 2, 9)]
+    "driver,tested,d",
+    [
+        (10, 2, 9), (12, 8, 6), (2, 3, 17), (11, 13, 7), (3, 2, 15), (16, 2, 9),
+        # bases sharing primes with other multiplicities; the walk steps by 3
+        # in (12, 18, 5) and by 5 in (35, 25, 5)
+        (12, 18, 7), (18, 12, 7), (20, 50, 6), (6, 4, 9), (12, 18, 5), (35, 25, 5),
+    ],
 )
 def test_scan_chunk_equals_linear_scan_over_any_split(driver, tested, d):
     h0, h1, t, odd = _half_range(driver, d)
@@ -404,7 +430,7 @@ class _InProcessPool:
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
 
-    def map(self, fn, *iterables):
+    def map(self, fn, *iterables, chunksize=1):
         return map(fn, *iterables)
 
     def shutdown(self, cancel_futures=False):
@@ -485,6 +511,22 @@ def test_search_matches_oracle_on_coprime_and_prime_sharing_pairs(g, h, shared, 
         warnings.simplefilter("ignore")
         found = search(g, h, bound, enumeration_base=g if drive_g else h)
     assert found == oracle_simultaneous(bound, g, h)
+
+
+def test_walk_skips_the_digits_its_residue_rules_out(monkeypatch):
+    # a node in one base-2 length fixes its children's last bit, so the walk
+    # steps over half of them; visiting every child took 17 291 reversals
+    calls = 0
+    real = simulcheck._reverse
+
+    def counting(a, g):
+        nonlocal calls
+        calls += 1
+        return real(a, g)
+
+    monkeypatch.setattr(simulcheck, "_reverse", counting)
+    assert len(search(10, 2, 10**12, threads=1)) == 38
+    assert calls <= 10_000
 
 
 @pytest.mark.parametrize("driver,d", [(10, 11), (12, 9), (6, 13), (3, 21)])
