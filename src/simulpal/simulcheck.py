@@ -1,9 +1,10 @@
 """Search engine for integers that are palindromes in two bases at once.
 
 The engine walks the top digits of palindromes in one base.  Those digits
-fix the number's residue modulo a power of each base; a prefix whose two
-residues disagree is dropped, and once a prefix leaves only a few numbers
-of its residue, those are listed and tested in both bases with an
+fix the number's residue modulo a power of each base, and a palindrome of
+even length in base b is a multiple of b + 1; a prefix whose residues
+disagree is dropped, and once a prefix leaves only a few numbers of its
+residue, those are listed and tested in both bases with an
 early-exit digit comparison.  Long runs persist a resumable checkpoint;
 resuming yields output identical to an uninterrupted run.
 """
@@ -19,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from math import gcd
+from math import gcd, lcm
 from typing import Callable
 
 from .lindep import multiplicatively_independent
@@ -41,10 +42,11 @@ def plan_enumeration_base(g: int, h: int, bound: int) -> int:
 
     When every prime of one base divides the other but not conversely,
     the base with the extra primes drives: its outer digits fix the low
-    digits in the other base, on which the digit walk prunes.  Otherwise
-    the base with fewer palindromes in [1, bound] drives; counts are exact
-    (per-digit-length counts plus a bisected partial top length) and ties
-    go to the larger base.
+    digits in the other base, on which the digit walk prunes.  An odd base
+    paired with 2 drives, so that base 2 is the tested base, whose test is
+    one string comparison.  Otherwise the base with fewer palindromes in
+    [1, bound] drives; counts are exact (per-digit-length counts plus a
+    bisected partial top length) and ties go to the larger base.
     """
     check_base(g)
     check_base(h)
@@ -55,6 +57,8 @@ def plan_enumeration_base(g: int, h: int, bound: int) -> int:
     g_in_h = pow(h, g.bit_length(), g) == 0
     if h_in_g != g_in_h:
         return g if h_in_g else h
+    if min(g, h) == 2 and gcd(g, h) == 1:
+        return max(g, h)
     cg = count_palindromes_upto(g, bound)
     ch = count_palindromes_upto(h, bound)
     if cg != ch:
@@ -70,6 +74,19 @@ def _warn_if_power_related(g: int, h: int) -> None:
             "power of both), so a finite search is only a sample",
             stacklevel=3,
         )
+
+
+def _crt_entry(m1: int, m2: int, g: int, f: int) -> tuple[int, ...]:
+    # joining N ≡ low (mod m1 = g**k), N ≡ r (mod m2 = h**j) and N ≡ 0 (mod f):
+    # (q = gcd(m1, m2), m2 // q, inverse of m1 // q modulo that, M = lcm(m1, m2),
+    #  the children's step s, inverse of m1 // q modulo s,
+    #  qf = gcd(M, f), f // qf, inverse of M // qf modulo that, lcm(M, f))
+    q = gcd(m1, m2)
+    M = m1 * (m2 // q)
+    s = gcd(m1 * g, m2) // q
+    qf = gcd(M, f)
+    return (q, m2 // q, pow(m1 // q, -1, m2 // q), M, s, pow(m1 // q, -1, s),
+            qf, f // qf, pow(M // qf, -1, f // qf), M * (f // qf))
 
 
 def _scan_chunk(driver: int, tested: int, d: int, half_lo: int, half_hi: int) -> list[int]:
@@ -93,6 +110,14 @@ def _scan_chunk(driver: int, tested: int, d: int, half_lo: int, half_hi: int) ->
     which holds for c ≡ c0 (mod s), s = gcd(g**(k+1), h**j) / gcd(g**k, h**j).
     The walk steps over the other digits; s reaches 2 for (10, 2), 3 for
     (12, 18) and 5 for (20, 50), and stays 1 for coprime bases.
+
+    A base-b palindrome of even length is a multiple of b + 1: its digit
+    pairs contribute a*b**i*(1 + b**odd).  So N ≡ 0 modulo f, the lcm of
+    g + 1 when d is even and h + 1 when L is even.  R joins that too: a
+    piece with R ≢ 0 modulo gcd(M, f) is dropped, and the listing starts
+    and steps by lcm(M, f).  A palindrome ends in its nonzero top digit, so
+    for bases 2 and 3 every piece of even length in either base is dropped
+    once its top digit in both bases is fixed.
     """
     g, h = driver, tested
     t = (d + 1) // 2
@@ -104,18 +129,22 @@ def _scan_chunk(driver: int, tested: int, d: int, half_lo: int, half_hi: int) ->
     # the chunk's palindromes are the d-digit ones in [n_lo, n_hi)
     n_lo = mirror_half(half_lo, g, t, odd)
     n_hi = mirror_half(half_hi - 1, g, t, odd) + 1
-    # crt[k][j] = (gcd, h**j // gcd, inverse of g**k // gcd modulo that, lcm,
-    #              the children's step, inverse of g**k // gcd modulo the step)
-    crt: list[dict[int, tuple[int, int, int, int, int, int]]] = [{} for _ in range(t + 1)]
-    # per base-h length L, the two _mirror_test argument triples; base 2's
-    # test is one string comparison: run it first
-    tests = {L: ((h, L - 1, hp[L - 1]), (g, d - 1, gp[d - 1]))[:: -1 if g == 2 else 1] for L in range(1, len(hp))}
+    # f[L % 2]: a simultaneous palindrome with L base-h digits is a multiple of f
+    fg = 1 if odd else g + 1
+    f = (lcm(fg, h + 1), fg)
+    # crt[k][2*j + L % 2] = _crt_entry(g**k, h**j, g, f[L % 2])
+    crt = [[None] * (2 * len(hp)) for _ in range(t + 1)]
+    # per base-h length L, the two _mirror_test argument triples, built when
+    # first met; base 2's test is one string comparison: run it first
+    tests: list = [None] * len(hp)
     hits: list[int] = []
 
     def walk(k: int, prefix: int, low: int, step: int, c0: int) -> None:
         # visit the nodes with k digits fixed below the node (prefix, low),
         # only the digits c ≡ c0 (mod step)
         span = gp[d - k]
+        # a piece cut narrower by a base-h length's edge may share more top digits than it uses
+        e0 = bisect_left(hp, span)
         crt_k = crt[k]
         base = prefix * g
         c_first = max(n_lo // span - base, 0)
@@ -136,33 +165,37 @@ def _scan_chunk(driver: int, tested: int, d: int, half_lo: int, half_hi: int) ->
                 a = b
                 L = bisect_right(hp, a)
                 b = hi if hi < hp[L] else hp[L]
-                e = bisect_left(hp, b - a)
+                e = e0
                 while a // hp[e] != (b - 1) // hp[e]:
                     e += 1
                 j = L - e
-                if j not in crt_k:
-                    m1, m2 = gp[k], hp[j]
-                    q = gcd(m1, m2)
-                    s = gcd(m1 * g, m2) // q
-                    crt_k[j] = (q, m2 // q, pow(m1 // q, -1, m2 // q), m1 * (m2 // q), s, pow(m1 // q, -1, s))
-                q, m, inv, M, s, inv_s = crt_k[j]
+                entry = crt_k[2 * j + L % 2]
+                if entry is None:
+                    entry = crt_k[2 * j + L % 2] = _crt_entry(gp[k], hp[j], g, f[L % 2])
+                q, m, inv, M, s, inv_s, qf, fm, inv_f, MF = entry
                 # the top digits, mirrored, are N mod h**j
                 r = _reverse(a // hp[e], h)
                 if (r - low1) % q:
                     continue
                 u = (r - low1) // q
-                if b - a > g * M:
+                R = low1 + gp[k] * (u * inv % m)  # N mod M
+                if R % qf:
+                    continue
+                if b - a > g * MF:
                     if a != lo or b != hi:  # more than one piece: no one r to hand down
                         s = 1
                     walk(k + 1, base + c, low1, s, u * inv_s % s)
                     break
-                first = a + (low1 + gp[k] * (u * inv % m) - a) % M  # lifted into [a, b)
+                R += M * (-R // qf * inv_f % fm)  # N mod MF
+                first = a + (R - a) % MF  # lifted into [a, b)
                 if first < b:
-                    pieces.append((first, b, L, M))
+                    pieces.append((first, b, L, MF))
             else:
-                for first, b, L, M in pieces:
+                for first, b, L, MF in pieces:
+                    if tests[L] is None:
+                        tests[L] = ((h, L - 1, hp[L - 1]), (g, d - 1, gp[d - 1]))[:: -1 if g == 2 else 1]
                     (x, kx, px), (y, ky, py) = tests[L]
-                    for n in range(first, b, M):
+                    for n in range(first, b, MF):
                         if _mirror_test(n, x, kx, px) and _mirror_test(n, y, ky, py):
                             hits.append(n)
 

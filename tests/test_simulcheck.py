@@ -24,7 +24,7 @@ from simulpal.simulcheck import (
     search,
 )
 
-from conftest import V1_CHECKPOINT, oracle_is_palindrome, oracle_simultaneous
+from conftest import V1_CHECKPOINT, oracle_is_palindrome, oracle_reverse, oracle_simultaneous
 
 
 def test_early_exit_examples():
@@ -53,10 +53,15 @@ def test_plan_enumeration_base():
     # 1998 decimal palindromes <= 1e6 against 1999 binary ones
     assert plan_enumeration_base(10, 2, 10**6) == 10
     counts = {
-        g: sum(1 for n in range(1, 10**5 + 1) if oracle_is_palindrome(n, g)) for g in (2, 3)
+        g: sum(1 for n in range(1, 10**5 + 1) if oracle_is_palindrome(n, g)) for g in (3, 4)
     }
-    expected = 3 if counts[3] < counts[2] else 2
-    assert plan_enumeration_base(3, 2, 10**5) == expected
+    expected = 3 if counts[3] < counts[4] else 4
+    assert plan_enumeration_base(3, 4, 10**5) == expected
+    # an odd base paired with 2 drives, whatever the counts: base 2 has 644
+    # palindromes <= 1e5 and base 3 has 652
+    for bound in (10**5, 10**14):
+        assert plan_enumeration_base(3, 2, bound) == plan_enumeration_base(2, 3, bound) == 3
+        assert plan_enumeration_base(2, 7, bound) == 7
     # below both bases every integer in range is a palindrome: tie, larger base
     assert plan_enumeration_base(7, 5, 4) == 7
 
@@ -259,6 +264,9 @@ def test_digit_walk_matches_oracle_on_bases_sharing_a_prime(p, a, b, bound):
         # bases sharing primes with other multiplicities; the walk steps by 3
         # in (12, 18, 5) and by 5 in (35, 25, 5)
         (12, 18, 7), (18, 12, 7), (20, 50, 6), (6, 4, 9), (12, 18, 5), (35, 25, 5),
+        # h + 1 shares a prime with g in the first three; the last two drop every
+        # piece, since an even-length palindrome in one base would end in 0 in the other
+        (12, 2, 8), (6, 2, 10), (4, 3, 10), (2, 3, 16), (3, 2, 14),
     ],
 )
 def test_scan_chunk_equals_linear_scan_over_any_split(driver, tested, d):
@@ -514,8 +522,6 @@ def test_search_matches_oracle_on_coprime_and_prime_sharing_pairs(g, h, shared, 
 
 
 def test_walk_skips_the_digits_its_residue_rules_out(monkeypatch):
-    # a node in one base-2 length fixes its children's last bit, so the walk
-    # steps over half of them; visiting every child took 17 291 reversals
     calls = 0
     real = simulcheck._reverse
 
@@ -525,11 +531,34 @@ def test_walk_skips_the_digits_its_residue_rules_out(monkeypatch):
         return real(a, g)
 
     monkeypatch.setattr(simulcheck, "_reverse", counting)
-    assert len(search(10, 2, 10**12, threads=1)) == 38
-    assert calls <= 10_000
+    for g, h, hits, most in [
+        # a node in one base-2 length fixes its children's last bit, so the walk
+        # steps over half of them; visiting every child took 17 291 reversals,
+        # and listing without the multiples of 11 and 33 took 9 326
+        (10, 2, 38, 6_500),
+        # every piece of even length in base 2 or 3 is dropped; without that the
+        # walk took 89 973 reversals driven by 2 and 73 899 driven by 3
+        (2, 3, 5, 35_000),
+    ]:
+        calls = 0
+        assert len(search(g, h, 10**12, threads=1)) == hits
+        assert calls <= most
 
 
-@pytest.mark.parametrize("driver,d", [(10, 11), (12, 9), (6, 13), (3, 21)])
+def test_even_length_palindromes_are_multiples_of_base_plus_one():
+    # the walk's residue f: a digit pair a*(b**i + b**(n-1-i)) of an n-digit
+    # palindrome is a*b**i*(1 + b**(n-1-2i)), and b + 1 divides 1 + b**odd;
+    # for an odd length n some palindrome is no such multiple
+    for b in range(2, 17):
+        for n in range(1, 9):
+            t = (n + 1) // 2
+            pals = [x * b ** (n - t) + oracle_reverse(x // b if n % 2 else x, b) for x in range(b ** (t - 1), b**t)]
+            assert all(b ** (n - 1) <= p < b**n and oracle_is_palindrome(p, b) for p in pals)
+            multiples = [p % (b + 1) == 0 for p in pals]
+            assert all(multiples) if n % 2 == 0 else not all(multiples)
+
+
+@pytest.mark.parametrize("driver,d", [(10, 11), (12, 7), (6, 13), (3, 21)])
 def test_walk_tests_only_odd_numbers_of_its_chunk(monkeypatch, driver, d):
     # the walk lifts each node's residue into the node's interval, so it tests
     # only numbers of its chunk; against base 2 the residue fixes the last
