@@ -2,12 +2,13 @@
 
 Everything here evaluates closed-form expressions: Matveev's lower bound
 for linear forms in n logarithms, the two-logarithm lower bound of
-Laurent, Mignotte and Nesterenko, the threshold on the middle zero run of
-a structured palindrome beyond which it cannot be a palindrome in the
-second base, the resulting unconditional bound on the shift exponent, and
-majorants for the implicit equations n = A*(log n)**p + B those bounds
-produce.  Evaluation uses interval arithmetic with outward rounding, so a
-reported threshold is always an upper bound of the exact expression.
+Laurent, Mignotte and Nesterenko, the competing terms of the threshold on
+the middle zero run of a structured palindrome beyond which it cannot be a
+palindrome in the second base and of the resulting unconditional bound on
+the shift exponent, and majorants for the implicit equations
+n = A*(log n)**p + B those bounds produce.  Evaluation uses interval
+arithmetic with outward rounding, so a reported threshold is always an
+upper bound of the exact expression.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import lindep
-from .lindep import PreconditionError
 from .precise import PreciseReal, hp_exp, hp_log
 from .radix import DomainError, check_base, digit_count
 
@@ -46,21 +46,6 @@ def _float_down(q: Fraction) -> float:
     return f
 
 
-def weil_height(x) -> float:
-    """Absolute logarithmic Weil height of a positive rational: log max(|p|, q).
-
-    >>> import math
-    >>> math.isclose(weil_height(5), math.log(5))
-    True
-    >>> weil_height(1)
-    0.0
-    """
-    q = Fraction(x)
-    if q <= 0:
-        raise DomainError(f"height computed for positive rationals only, got {x!r}")
-    return _float_up(_height_and_abs_log(q)[0])
-
-
 def _height_and_abs_log(q: Fraction) -> tuple[Fraction, Fraction]:
     # upper ends of the enclosures of log max(|p|, q) and of |log q|
     height = hp_log(max(abs(q.numerator), q.denominator), _EVAL_BITS)
@@ -75,11 +60,11 @@ def require_family_bases(a: int, g: int, h: int) -> None:
     if a < 1:
         raise DomainError("prefix a must be a positive integer")
     if not 2 <= h < g:
-        raise PreconditionError(f"need 2 <= h < g, got h={h}, g={g}")
+        raise DomainError(f"need 2 <= h < g, got h={h}, g={g}")
     if g % h != 0:
-        raise PreconditionError(f"need h | g, got h={h}, g={g}")
+        raise DomainError(f"need h | g, got h={h}, g={g}")
     if not lindep.multiplicatively_independent(g, h):
-        raise PreconditionError(f"bases {g} and {h} are multiplicatively dependent")
+        raise DomainError(f"bases {g} and {h} are multiplicatively dependent")
 
 
 # --------------------------------------------------------------------------
@@ -104,17 +89,17 @@ class MatveevInstance:
 
     def __post_init__(self):
         if len(self.alphas) != len(self.b_coeffs):
-            raise PreconditionError("need one integer coefficient per logarithm")
+            raise DomainError("need one integer coefficient per logarithm")
         if len(self.alphas) < 2:
-            raise PreconditionError("a linear form needs at least two logarithms")
+            raise DomainError("a linear form needs at least two logarithms")
         if self.b_coeffs[-1] == 0:
-            raise PreconditionError("the last coefficient must be nonzero")
+            raise DomainError("the last coefficient must be nonzero")
         for x in self.alphas:
             q = Fraction(x)
             if q <= 0 or q == 1:
-                raise PreconditionError(f"logarithm arguments must be positive and != 1, got {x}")
+                raise DomainError(f"logarithm arguments must be positive and != 1, got {x}")
         if self.A is not None and len(self.A) != len(self.alphas):
-            raise PreconditionError("need one height bound per logarithm")
+            raise DomainError("need one height bound per logarithm")
 
 
 @dataclass(frozen=True)
@@ -158,11 +143,6 @@ def _matveev_cn(n: int, kappa: int) -> PreciseReal:
         * Fraction((4 * (n + 1)) ** (n + 1))
         * _pow(e * Fraction(n, 2), kappa)
     )
-
-
-def matveev_constant(n: int, kappa: int = 1) -> float:
-    """The combinatorial constant C(n, kappa) of Matveev's theorem."""
-    return _float_up(_matveev_cn(n, kappa).upper)
 
 
 def matveev_lower_bound(inst: MatveevInstance) -> MatveevEvaluation:
@@ -221,14 +201,14 @@ class LaurentInstance:
     def __post_init__(self):
         a1, a2 = Fraction(self.alpha1), Fraction(self.alpha2)
         if a1 <= 0 or a2 <= 0:
-            raise PreconditionError("logarithm arguments must be positive")
+            raise DomainError("logarithm arguments must be positive")
         if self.b1 <= 0 or self.b2 <= 0:
-            raise PreconditionError("the two coefficients must be positive integers")
+            raise DomainError("the two coefficients must be positive integers")
         if (
             a1.denominator == a2.denominator == 1
             and not lindep.multiplicatively_independent(a1.numerator, a2.numerator)
         ):
-            raise PreconditionError(f"{a1} and {a2} are multiplicatively dependent")
+            raise DomainError(f"{a1} and {a2} are multiplicatively dependent")
 
 
 @dataclass(frozen=True)
@@ -317,7 +297,10 @@ def _shared_terms(a: int, g: int, h: int) -> tuple[PreciseReal, PreciseReal, dic
 
 
 def zero_run_threshold_terms(a: int, g: int, h: int, n: int) -> dict[str, float]:
-    """The four competing expressions whose maximum is the zero-run threshold."""
+    """The four competing expressions whose maximum is the threshold on the
+    middle zero run of a base-g palindrome built from prefix ``a`` and shift
+    ``n``: a run strictly longer than this cannot occur in a base-h
+    palindrome.  Each is rounded outward (upward)."""
     require_family_bases(a, g, h)
     if n < 1:
         raise DomainError("shift exponent must be positive")
@@ -326,13 +309,6 @@ def zero_run_threshold_terms(a: int, g: int, h: int, n: int) -> dict[str, float]
     terms["two_log"] = TWO_LOG_COEFF * _pow(log_n, 2) * log_g
     terms["three_log"] = THREE_LOG_COEFF * log_g * log_agh * log_n
     return {"tail_fit": tail_fit_threshold(a, g, h)} | {k: _float_up(v.upper) for k, v in terms.items()}
-
-
-def zero_run_threshold(a: int, g: int, h: int, n: int) -> float:
-    """Threshold on the middle zero run of a base-g palindrome built from
-    prefix ``a`` and shift ``n``: a run strictly longer than this cannot
-    occur in a base-h palindrome.  Rounded outward (upward)."""
-    return max(zero_run_threshold_terms(a, g, h, n).values())
 
 
 def shift_exponent_bound_terms(a: int, g: int, h: int) -> dict[str, float]:

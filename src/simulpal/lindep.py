@@ -17,10 +17,6 @@ from sympy import factorint
 from .radix import DomainError
 
 
-class PreconditionError(ValueError):
-    """Caller violated a documented precondition."""
-
-
 def _as_fraction(x) -> Fraction:
     q = Fraction(x)
     if q <= 0:
@@ -113,7 +109,7 @@ def dependence_witness(alpha, g: int, h: int) -> DependenceWitness | None:
     """
     a = _as_fraction(alpha)
     if not multiplicatively_independent(g, h):
-        raise PreconditionError(f"bases {g} and {h} are multiplicatively dependent")
+        raise DomainError(f"bases {g} and {h} are multiplicatively dependent")
     if a == 1:
         return DependenceWitness(1, 0, 0, degenerate=True)
 

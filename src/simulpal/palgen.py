@@ -16,10 +16,6 @@ from typing import Iterator
 from .radix import DomainError, check_base, digit_count, reverse_in_base
 
 
-class FamilyError(DomainError):
-    """The requested family instance is not a well-formed palindrome."""
-
-
 def mirror_half(half: int, g: int, half_len: int, odd: bool) -> int:
     """Palindrome obtained by mirroring ``half`` (its ``half_len`` digits).
 
@@ -125,10 +121,10 @@ def family_instance(a: int, g: int, h: int, n: int) -> FamilyInstance:
     if n < 1:
         raise DomainError("shift exponent must be a positive integer")
     if a % g == 0:
-        raise FamilyError(f"{g} divides {a}: the family value would not be a base-{g} palindrome")
+        raise DomainError(f"{g} divides {a}: the family value would not be a base-{g} palindrome")
     n_a = digit_count(a, g)
     if n < n_a:
-        raise FamilyError(f"shift {n} overlaps the {n_a} digits of the prefix")
+        raise DomainError(f"shift {n} overlaps the {n_a} digits of the prefix")
     rev_a = reverse_in_base(a, g)
     N = a * g**n + rev_a
     rr = reverse_in_base(rev_a, h)

@@ -20,6 +20,8 @@ from mpmath.libmp import fhalf, from_rational, fzero, mpf_add, mpf_floor, mpf_lt
 from mpmath.libmp import mpi_abs, mpi_add, mpi_div, mpi_exp, mpi_gt, mpi_log, mpi_mul, mpi_neg
 from mpmath.libmp import mpi_sub, to_float, to_int, to_rational, to_str
 
+from .radix import DomainError
+
 DEFAULT_PRECISION = 192
 MAX_PRECISION = 1 << 16
 
@@ -31,7 +33,7 @@ class UndecidedComparisonError(ArithmeticError):
 def check_precision(bits: int) -> None:
     """Reject a working precision outside [1, MAX_PRECISION] bits."""
     if not 1 <= bits <= MAX_PRECISION:
-        raise ValueError(f"precision must be in [1, {MAX_PRECISION}] bits, got {bits}")
+        raise DomainError(f"precision must be in [1, {MAX_PRECISION}] bits, got {bits}")
 
 
 def _enclosure(f: Callable[[tuple, int], tuple], x: "PreciseReal", bits: int) -> "PreciseReal":
@@ -155,7 +157,7 @@ class PreciseReal:
         if source is None:  # fixed endpoints are rationals; computed ones come ordered
             lower, upper = Fraction(lower), Fraction(upper)
             if lower > upper:
-                raise ValueError(f"empty interval [{lower}, {upper}]")
+                raise DomainError(f"empty interval [{lower}, {upper}]")
         object.__setattr__(self, "_lo", lower)
         object.__setattr__(self, "_hi", upper)
         object.__setattr__(self, "bits", bits)
@@ -177,7 +179,7 @@ class PreciseReal:
         x = Fraction(x)
         y = Fraction(y)
         if x <= 0 or y <= 0 or y == 1:
-            raise ValueError(f"log({x})/log({y}) needs positive x and y, and y != 1")
+            raise DomainError(f"log({x})/log({y}) needs positive x and y, and y != 1")
         return hp_log(x, bits) / hp_log(y, bits)
 
     # geometry ----------------------------------------------------------
@@ -258,7 +260,7 @@ class PreciseReal:
         me = _escalate(
             (self,),
             lambda a: a if a._signs()[0] > 0 else None,
-            ValueError,
+            DomainError,
             "logarithm of an interval not certainly positive",
         )
         return _enclosure(mpi_log, me, me.bits if me.refinable else DEFAULT_PRECISION)
@@ -301,7 +303,7 @@ def hp_log(x, bits: int = DEFAULT_PRECISION) -> PreciseReal:
     """
     q = PreciseReal.exact(x)
     if q._lo <= 0:
-        raise ValueError(f"logarithm of non-positive value {q._lo}")
+        raise DomainError(f"logarithm of non-positive value {q._lo}")
     return _enclosure(mpi_log, q, bits)
 
 

@@ -11,17 +11,13 @@ MIN_BASE = 2
 MAX_BASE = 2**32 - 1
 
 
-class InvalidBaseError(ValueError):
-    """Base outside the supported range [2, 2**32 - 1]."""
-
-
 class DomainError(ValueError):
-    """Argument outside the mathematical domain of the operation."""
+    """Bad input: an argument outside an operation's domain or preconditions."""
 
 
 def check_base(g: int) -> None:
     if not isinstance(g, int) or g < MIN_BASE or g > MAX_BASE:
-        raise InvalidBaseError(f"base must be an integer in [{MIN_BASE}, {MAX_BASE}], got {g!r}")
+        raise DomainError(f"base must be an integer in [{MIN_BASE}, {MAX_BASE}], got {g!r}")
 
 
 def reverse_in_base(a: int, g: int) -> int:
@@ -40,7 +36,7 @@ def reverse_in_base(a: int, g: int) -> int:
     21
     """
     check_base(g)
-    if a < 1:
+    if type(a) is not int or a < 1:
         raise DomainError("digit reversal is defined for positive integers only")
     return _reverse(a, g)
 
@@ -93,7 +89,7 @@ def is_palindrome(n: int, g: int) -> bool:
     >>> is_palindrome(10, 10)
     False
     """
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise DomainError("palindrome test is defined for positive integers only")
     k = digit_count(n, g) - 1
     return _mirror_test(n, g, k, g**k)
@@ -112,7 +108,7 @@ def digit_count(n: int, g: int) -> int:
     6
     """
     check_base(g)
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise DomainError("digit count is defined for positive integers only")
     if g == 2:
         return n.bit_length()

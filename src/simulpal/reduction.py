@@ -19,7 +19,6 @@ from math import ceil
 
 from .bounds import min_zero_run_for_tail_fit, require_family_bases, shift_exponent_bound
 from .lindep import DependenceWitness, dependence_witness
-from .palgen import FamilyError
 from .precise import (
     DEFAULT_PRECISION,
     PreciseReal,
@@ -366,7 +365,7 @@ def verify_family(
     check_precision(bits)
     require_family_bases(a, g, h)
     if a % g == 0:
-        raise FamilyError(f"{g} divides {a}: family values are not base-{g} palindromes")
+        raise DomainError(f"{g} divides {a}: family values are not base-{g} palindromes")
     rev_a = reverse_in_base(a, g)
     n_a = digit_count(a, g)
     alpha = witness = reduced_bound = pair_used = dependent_result = None

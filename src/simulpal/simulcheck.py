@@ -42,11 +42,12 @@ def plan_enumeration_base(g: int, h: int, bound: int) -> int:
 
     When every prime of one base divides the other but not conversely,
     the base with the extra primes drives: its outer digits fix the low
-    digits in the other base, on which the digit walk prunes.  An odd base
-    paired with 2 drives, so that base 2 is the tested base, whose test is
-    one string comparison.  Otherwise the base with fewer palindromes in
-    [1, bound] drives; counts are exact (per-digit-length counts plus a
-    bisected partial top length) and ties go to the larger base.
+    digits in the other base, on which the digit walk prunes.  Of two
+    coprime bases the smaller drives, unless it is 2: then the other
+    drives, so that base 2 is the tested base, whose test is one string
+    comparison.  Otherwise the base with fewer palindromes in [1, bound]
+    drives; counts are exact (per-digit-length counts plus a bisected
+    partial top length) and ties go to the larger base.
     """
     check_base(g)
     check_base(h)
@@ -57,8 +58,8 @@ def plan_enumeration_base(g: int, h: int, bound: int) -> int:
     g_in_h = pow(h, g.bit_length(), g) == 0
     if h_in_g != g_in_h:
         return g if h_in_g else h
-    if min(g, h) == 2 and gcd(g, h) == 1:
-        return max(g, h)
+    if gcd(g, h) == 1:
+        return max(g, h) if min(g, h) == 2 else min(g, h)
     cg = count_palindromes_upto(g, bound)
     ch = count_palindromes_upto(h, bound)
     if cg != ch:
@@ -360,6 +361,8 @@ def search(
         raise DomainError(f"need an integer count of at least one worker, got threads={threads!r}")
     if enumeration_base is not None and enumeration_base not in (g, h):
         raise DomainError(f"enumeration base must be {g} or {h}")
+    if not checkpoint_interval >= 0:  # also false for NaN
+        raise DomainError(f"checkpoint interval must be a number >= 0, got {checkpoint_interval!r}")
     _warn_if_power_related(g, h)
 
     if resume:

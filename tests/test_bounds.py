@@ -13,38 +13,45 @@ import simulpal
 from simulpal.bounds import (
     LaurentInstance,
     MatveevInstance,
-    PreconditionError,
     THREE_LOG_COEFF,
     laurent_lower_bound,
-    matveev_constant,
     matveev_lower_bound,
     min_zero_run_for_tail_fit,
     shift_exponent_bound,
     shift_exponent_bound_terms,
     solve_log_majorant,
     tail_fit_threshold,
-    weil_height,
-    zero_run_threshold,
     zero_run_threshold_terms,
 )
-from simulpal.lindep import PreconditionError as LindepPreconditionError
 from simulpal.radix import DomainError
 
 
+def _zero_run_threshold(a, g, h, n):
+    return max(zero_run_threshold_terms(a, g, h, n).values())
+
+
+def _matveev_constant_3():
+    # C(3, 1), which matveev_lower_bound reports for any three-log form
+    return matveev_lower_bound(MatveevInstance(alphas=(2, 3, 5), b_coeffs=(1, 1, 1))).C_n
+
+
 def test_weil_height():
-    assert math.isclose(weil_height(5), math.log(5), rel_tol=1e-12)
-    assert math.isclose(weil_height(Fraction(4, 7)), math.log(7), rel_tol=1e-12)
-    assert weil_height(1) == 0.0
-    with pytest.raises(DomainError):
-        weil_height(-2)
+    # with D = 1 the computed height bound of a rational above 1 is its
+    # Weil height log max(|p|, q), which dominates |log alpha|
+    A = matveev_lower_bound(MatveevInstance(alphas=(5, Fraction(4, 7)), b_coeffs=(1, 1))).A
+    assert math.isclose(A[0], math.log(5), rel_tol=1e-12)
+    assert math.isclose(A[1], math.log(7), rel_tol=1e-12)
+    for alpha in (-2, 1):
+        with pytest.raises(DomainError, match="positive and != 1"):
+            MatveevInstance(alphas=(alpha, 3), b_coeffs=(1, 1))
 
 
 def test_matveev_constant_against_oracle():
     with mpmath.workdps(50):
         e = mpmath.e
         oracle = mpmath.mpf(16) / 6 * e**3 * 9 * 5 * (4 * 4) ** 4 * (e * 3 / 2)
-        assert abs(matveev_constant(3) / float(oracle) - 1) < 1e-12
-    assert 6.4e8 < matveev_constant(3) < 6.5e8
+        assert abs(_matveev_constant_3() / float(oracle) - 1) < 1e-12
+    assert 6.4e8 < _matveev_constant_3() < 6.5e8
 
 
 def test_matveev_full_evaluation_against_oracle():
@@ -71,20 +78,16 @@ def test_matveev_full_evaluation_against_oracle():
 def test_matveev_assembled_coefficient_consistency():
     # C(3) * C0(3, D=1) * 1.152 should sit just below the assembled
     # three-log coefficient 2.022e10 used in the zero-run threshold
-    c3 = matveev_constant(3)
+    c3 = _matveev_constant_3()
     c0 = 20.2 + 5.5 * math.log(3)
     assembled = c3 * c0 * 1.152
     assert 0.9 * float(THREE_LOG_COEFF) <= assembled <= float(THREE_LOG_COEFF)
 
 
-def test_precondition_error_is_shared():
-    assert PreconditionError is LindepPreconditionError
-
-
 def test_matveev_validation():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(DomainError, match="the last coefficient must be nonzero"):
         MatveevInstance(alphas=(Fraction(2), Fraction(3)), b_coeffs=(1, 0))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(DomainError, match="logarithm arguments must be positive and != 1"):
         MatveevInstance(alphas=(Fraction(1), Fraction(3)), b_coeffs=(1, 1))
 
 
@@ -114,7 +117,9 @@ def test_laurent_random_instances_stay_below_truth():
             continue
         try:
             inst = LaurentInstance(a1, a2, b1=rng.randrange(1, 100), b2=rng.randrange(1, 100))
-        except PreconditionError:
+        except DomainError as exc:
+            if "dependent" not in str(exc):
+                raise
             continue
         ev = laurent_lower_bound(inst)
         with mpmath.workdps(60):
@@ -148,9 +153,9 @@ def test_laurent_two_log_coefficient_fits():
 
 
 def test_laurent_validation():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(DomainError, match="8 and 2 are multiplicatively dependent"):
         LaurentInstance(Fraction(8), Fraction(2), b1=1, b2=1)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(DomainError, match="the two coefficients must be positive integers"):
         LaurentInstance(Fraction(3), Fraction(2), b1=0, b2=1)
 
 
@@ -171,7 +176,7 @@ def test_min_zero_run_is_the_least_fitting_power(g, h):
 
 
 def test_zero_run_threshold_values():
-    val = zero_run_threshold(1, 10, 2, 10**6)
+    val = _zero_run_threshold(1, 10, 2, 10**6)
     oracle = float(THREE_LOG_COEFF) * math.log(10) * math.log(20) * math.log(10**6)
     assert abs(val / oracle - 1) < 1e-9
     assert 1.92e12 < val < 1.94e12
@@ -186,16 +191,16 @@ def test_zero_run_threshold_values():
 
 def test_zero_run_threshold_never_rejects_true_palindrome():
     # 585585 = family(a=585, n=3) has zero run m = 0, far below the threshold
-    assert 0 < zero_run_threshold(585, 10, 2, 3)
+    assert 0 < _zero_run_threshold(585, 10, 2, 3)
 
 
 def test_zero_run_threshold_validation():
-    with pytest.raises(PreconditionError):
-        zero_run_threshold(1, 2, 10, 5)  # h > g
-    with pytest.raises(PreconditionError):
-        zero_run_threshold(1, 10, 3, 5)  # h does not divide g
-    with pytest.raises(PreconditionError):
-        zero_run_threshold(1, 8, 2, 5)  # multiplicatively dependent
+    with pytest.raises(DomainError, match=r"need 2 <= h < g, got h=10, g=2"):
+        _zero_run_threshold(1, 2, 10, 5)
+    with pytest.raises(DomainError, match=r"need h \| g, got h=3, g=10"):
+        _zero_run_threshold(1, 10, 3, 5)
+    with pytest.raises(DomainError, match="bases 8 and 2 are multiplicatively dependent"):
+        _zero_run_threshold(1, 8, 2, 5)
 
 
 def test_shift_exponent_bound_model_instance(  ):

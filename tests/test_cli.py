@@ -1,12 +1,15 @@
+import importlib
 import json
 import os
+import pkgutil
 import signal
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from simulpal import cli
+import simulpal
+from simulpal import cli, precise, simulcheck
 from simulpal.radix import DomainError
 
 from conftest import V1_CHECKPOINT
@@ -322,6 +325,9 @@ def test_reports_match_goldens(capsys, golden, argv):
         # fewer than one worker used to run one silently
         pytest.param(["search", "10", "2", "1e3", "--threads", "0"], 2, id="search-threads-0"),
         pytest.param(["count", "10", "2", "1e3", "--threads", "-3"], 2, id="count-threads-negative"),
+        # NaN compares false with every elapsed time, so it would turn the interval writes off
+        pytest.param(["search", "10", "2", "1e3", "--checkpoint-interval", "nan"], 2, id="search-interval-nan"),
+        pytest.param(["count", "10", "2", "1e3", "--checkpoint-interval", "-1"], 2, id="count-interval-negative"),
     ],
 )
 def test_bad_input_exits_with_documented_code(capsys, argv, code):
@@ -329,6 +335,21 @@ def test_bad_input_exits_with_documented_code(capsys, argv, code):
         got, out, err = run(capsys, *argv)
     assert got == code
     assert out == "" and "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_one_error_class_per_exit_code():
+    # exits 2, 3 and 4; the CLI tells bad input apart by ValueError, the
+    # base of DomainError
+    defined = set()
+    for info in pkgutil.iter_modules(simulpal.__path__):
+        module = importlib.import_module(f"simulpal.{info.name}")
+        defined |= {
+            obj
+            for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__
+        }
+    assert defined == {DomainError, simulcheck.CheckpointMismatchError, precise.UndecidedComparisonError}
+    assert issubclass(DomainError, ValueError)
 
 
 @pytest.mark.parametrize(

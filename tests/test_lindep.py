@@ -5,7 +5,6 @@ import pytest
 from sympy import factorint
 
 from simulpal.lindep import (
-    PreconditionError,
     dependence_witness,
     multiplicatively_independent,
     prime_exponent_vector,
@@ -80,7 +79,7 @@ def test_dependence_witness_examples():
 
 
 def test_dependence_witness_precondition():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(DomainError, match="bases 8 and 2 are multiplicatively dependent"):
         dependence_witness(Fraction(3, 2), 8, 2)
 
 

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from simulpal.palgen import (
-    FamilyError,
     _half_range,
     _least_half_reaching,
     count_palindromes_upto,
@@ -114,10 +113,10 @@ def test_family_instance_examples():
 
 
 def test_family_instance_errors():
-    with pytest.raises(FamilyError):
-        family_instance(585, 10, 2, 2)  # digits would overlap
-    with pytest.raises(FamilyError):
-        family_instance(20, 10, 2, 3)  # 10 | 20
+    with pytest.raises(DomainError, match="shift 2 overlaps the 3 digits of the prefix"):
+        family_instance(585, 10, 2, 2)
+    with pytest.raises(DomainError, match="10 divides 20: the family value would not be a base-10 palindrome"):
+        family_instance(20, 10, 2, 3)
 
 
 def test_family_instance_derived_quantities():

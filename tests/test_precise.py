@@ -14,6 +14,7 @@ from simulpal.precise import (
     hp_exp,
     hp_log,
 )
+from simulpal.radix import DomainError
 
 
 def enclosure_of(x: PreciseReal, reference: str) -> bool:
@@ -36,7 +37,7 @@ def test_hp_log_exact_one():
 )
 @pytest.mark.parametrize("bits", [0, -1, (1 << 16) + 1])
 def test_enclosures_reject_a_precision_out_of_range(make, bits):
-    with pytest.raises(ValueError, match="precision must be in"):
+    with pytest.raises(DomainError, match="precision must be in"):
         make(bits)
 
 
@@ -44,7 +45,7 @@ def test_enclosures_reject_a_precision_out_of_range(make, bits):
 def test_log_ratio_rejects_a_logarithm_it_cannot_enclose(x, y):
     # log(1) = 0 as a divisor and log(0) = -inf give infinite endpoints, which
     # to_rational reads as 0: without the check they pass as a certified [0, 0]
-    with pytest.raises(ValueError, match="needs positive x and y"):
+    with pytest.raises(DomainError, match="needs positive x and y"):
         PreciseReal.log_ratio(x, y, 64)
 
 
@@ -135,10 +136,12 @@ def test_division_and_log_escalate():
 
 
 def test_log_positive_requirement():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="logarithm of an interval not certainly positive"):
         PreciseReal.exact(-1).log()
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="logarithm of non-positive value 0"):
         hp_log(0)
+    with pytest.raises(DomainError, match="empty interval"):
+        PreciseReal(2, 1, 64)
 
 
 def test_exp_log_consistency():

@@ -1,16 +1,16 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from simulpal.radix import DomainError, InvalidBaseError, digit_count, is_palindrome, reverse_in_base
+from simulpal.radix import DomainError, digit_count, is_palindrome, reverse_in_base
 
 from conftest import oracle_digits, oracle_reverse
 
 
 def test_base_range_is_checked():
     for f in (reverse_in_base, digit_count, is_palindrome):
-        with pytest.raises(InvalidBaseError):
+        with pytest.raises(DomainError, match=r"base must be an integer in \[2, 4294967295\], got 1"):
             f(5, 1)
-        with pytest.raises(InvalidBaseError):
+        with pytest.raises(DomainError, match=r"base must be an integer in \[2, 4294967295\], got 4294967296"):
             f(5, 2**32)
     # the largest base is accepted: 5 is a one-digit palindrome there
     assert reverse_in_base(5, 2**32 - 1) == 5
@@ -18,6 +18,19 @@ def test_base_range_is_checked():
     assert is_palindrome(5, 2**32 - 1)
     with pytest.raises(DomainError):
         digit_count(0, 10)
+
+
+@pytest.mark.parametrize("n", [12.5, 99.5, 5.0, True, "5"])
+def test_non_integer_input_is_rejected(n):
+    # digit arithmetic on a float returns a float (12.5 would reverse to 26.0
+    # in base 10), and base 2's string test cannot read one at all
+    for base in (2, 10):
+        with pytest.raises(DomainError, match="digit reversal is defined for positive integers only"):
+            reverse_in_base(n, base)
+        with pytest.raises(DomainError, match="digit count is defined for positive integers only"):
+            digit_count(n, base)
+        with pytest.raises(DomainError, match="palindrome test is defined for positive integers only"):
+            is_palindrome(n, base)
 
 
 def test_reverse_examples():

@@ -6,9 +6,9 @@ import pytest
 
 from simulpal.bounds import shift_exponent_bound
 from simulpal.lindep import DependenceWitness, dependence_witness
-from simulpal.palgen import FamilyError, family_instance
+from simulpal.palgen import family_instance
 from simulpal.precise import PreciseReal, hp_log
-from simulpal.radix import is_palindrome, reverse_in_base
+from simulpal.radix import DomainError, is_palindrome, reverse_in_base
 from simulpal.reduction import (
     _base_pair,
     _pairs,
@@ -230,7 +230,7 @@ def test_verify_family_parity_exclusion():
 
 
 def test_verify_family_rejects_divisible_prefix():
-    with pytest.raises(FamilyError):
+    with pytest.raises(DomainError, match="10 divides 20: family values are not base-10 palindromes"):
         verify_family(20, 10, 2)
 
 
@@ -269,9 +269,9 @@ def test_verify_family_undecided_reports_honestly():
 
 def test_verify_family_rejects_bad_precision_without_logarithms():
     # (2, 10, 2) takes the excluded-parity branch, which computes no logarithm
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="precision must be in"):
         verify_family(2, 10, 2, bits=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="precision must be in"):
         verify_family(2, 10, 2, bits=(1 << 16) + 1)
 
 

@@ -4,7 +4,7 @@ import random
 import tempfile
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from math import gcd
+from math import gcd, inf
 
 import pytest
 from hypothesis import assume, given, settings
@@ -52,18 +52,22 @@ def test_early_exit_equals_naive_check():
 def test_plan_enumeration_base():
     # 1998 decimal palindromes <= 1e6 against 1999 binary ones
     assert plan_enumeration_base(10, 2, 10**6) == 10
+    # bases that share a prime, neither holding all of the other's: fewer
+    # palindromes drive, and below both bases every integer in range is a
+    # palindrome, a tie that goes to the larger base
     counts = {
-        g: sum(1 for n in range(1, 10**5 + 1) if oracle_is_palindrome(n, g)) for g in (3, 4)
+        g: sum(1 for n in range(1, 10**5 + 1) if oracle_is_palindrome(n, g)) for g in (6, 10)
     }
-    expected = 3 if counts[3] < counts[4] else 4
-    assert plan_enumeration_base(3, 4, 10**5) == expected
-    # an odd base paired with 2 drives, whatever the counts: base 2 has 644
-    # palindromes <= 1e5 and base 3 has 652
-    for bound in (10**5, 10**14):
+    expected = 6 if counts[6] < counts[10] else 10
+    assert plan_enumeration_base(6, 10, 10**5) == plan_enumeration_base(10, 6, 10**5) == expected
+    assert plan_enumeration_base(6, 10, 5) == 10
+    # of coprime bases the smaller drives, whatever the counts, unless it is
+    # 2: base 2 has 644 palindromes <= 1e5 and base 3 has 652
+    for bound in (4, 10**5, 10**14):
         assert plan_enumeration_base(3, 2, bound) == plan_enumeration_base(2, 3, bound) == 3
         assert plan_enumeration_base(2, 7, bound) == 7
-    # below both bases every integer in range is a palindrome: tie, larger base
-    assert plan_enumeration_base(7, 5, 4) == 7
+        assert plan_enumeration_base(4, 3, bound) == plan_enumeration_base(3, 4, bound) == 3
+        assert plan_enumeration_base(7, 5, bound) == 5
 
 
 @pytest.mark.parametrize("g,h", [(10, 2), (3, 2), (5, 7)])
@@ -428,6 +432,19 @@ def test_search_rejects_a_bound_that_is_not_an_integer(tmp_path, bound):
     with pytest.raises(DomainError, match="integer"):
         search(10, 2, bound, checkpoint_path=str(path))
     assert not path.exists()
+
+
+@pytest.mark.parametrize("interval", [float("nan"), -1.0, -inf])
+def test_search_rejects_a_checkpoint_interval_that_is_nan_or_negative(tmp_path, interval):
+    # NaN compares false with every elapsed time and would turn the interval
+    # writes off; a negative interval would write after every chunk
+    path = tmp_path / "cp.json"
+    with pytest.raises(DomainError, match="checkpoint interval must be a number >= 0"):
+        search(10, 2, 10**4, checkpoint_path=str(path), checkpoint_interval=interval)
+    assert not path.exists()
+    # zero writes after every chunk, infinity only after each digit length
+    for accepted in (0, inf):
+        assert search(10, 2, 10**4, checkpoint_path=str(path), checkpoint_interval=accepted) == search(10, 2, 10**4)
 
 
 class _InProcessPool:
