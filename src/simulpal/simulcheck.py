@@ -20,11 +20,11 @@ from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from math import gcd, lcm
+from math import gcd, lcm, log
 from typing import Callable
 
 from .lindep import multiplicatively_independent
-from .palgen import _half_range, count_palindromes_upto, half_ranges, mirror_half
+from .palgen import _half_range, half_ranges, mirror_half
 from .radix import DomainError, _mirror_test, _reverse, check_base, is_palindrome_early_exit
 
 CHECKPOINT_VERSION = "simulpal-checkpoint-v2"
@@ -38,33 +38,29 @@ class CheckpointMismatchError(RuntimeError):
 
 
 def plan_enumeration_base(g: int, h: int, bound: int) -> int:
-    """The base of ``g, h`` that drives the enumeration up to ``bound``.
+    """The base of ``g, h`` that drives the enumeration.
 
-    When every prime of one base divides the other but not conversely,
-    the base with the extra primes drives: its outer digits fix the low
-    digits in the other base, on which the digit walk prunes.  Of two
-    coprime bases the smaller drives, unless it is 2: then the other
-    drives, so that base 2 is the tested base, whose test is one string
-    comparison.  Otherwise the base with fewer palindromes in [1, bound]
-    drives; counts are exact (per-digit-length counts plus a bisected
-    partial top length) and ties go to the larger base.
+    Let c_b be base b with every prime of the other base divided out.  The
+    base with the larger share log(c_b) / log(b) drives; a base whose
+    primes all divide the other has share 0, and coprime bases both have 1.
+    On equal shares the smaller base drives, unless it is 2: then base 2,
+    whose test is one string comparison, is the tested base.  The choice
+    ignores ``bound``; it stays a parameter because perfbench calls the
+    planner with three arguments.
     """
     check_base(g)
     check_base(h)
     if g == h:
         raise DomainError("the two bases must differ")
-    # every prime of h divides g iff h divides g**e for e >= log2(h)
-    h_in_g = pow(g, h.bit_length(), h) == 0
-    g_in_h = pow(h, g.bit_length(), g) == 0
-    if h_in_g != g_in_h:
-        return g if h_in_g else h
-    if gcd(g, h) == 1:
-        return max(g, h) if min(g, h) == 2 else min(g, h)
-    cg = count_palindromes_upto(g, bound)
-    ch = count_palindromes_upto(h, bound)
-    if cg != ch:
-        return g if cg < ch else h
-    return max(g, h)
+    share = {}
+    for b, other in ((g, h), (h, g)):
+        c = b
+        while (q := gcd(c, other)) > 1:
+            c //= q
+        share[b] = log(c) / log(b)
+    if share[g] != share[h]:
+        return max(share, key=share.get)
+    return max(g, h) if min(g, h) == 2 else min(g, h)
 
 
 def _warn_if_power_related(g: int, h: int) -> None:

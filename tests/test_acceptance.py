@@ -1,10 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines.  Criteria 2, 3, 6, 8, 10, 12, 13 and 14 do real work (full scans,
-ten thousand reductions, exhaustive property sweeps, the searches to 1e18
-and, for bases 2 and 3, to 1e14, ten thousand certified families); the
-whole module finishes in a few minutes.
+lines.  Criteria 2, 3, 6, 8, 10, 12, 13, 14 and 15 do real work (full
+scans, ten thousand reductions, exhaustive property sweeps, the searches to
+1e18, to 1e16 with base 2 driving and, for bases 2 and 3, to 1e14, ten
+thousand certified families); the whole module finishes in a few minutes.
 """
 
 import random
@@ -324,3 +324,14 @@ def test_criterion_14_bases_2_3_to_1e14():
     elapsed = time.perf_counter() - started
     assert found == [1, 6643, 1422773, 5415589, 90396755477]
     _pass(14, f"search(2,3,1e14) = the five A060792 terms below 1e14, in {elapsed:.1f}s")
+
+
+def test_criterion_15_driver_against_driver_1e16(known_list_10_2):
+    # the planner lets base 10 drive (10, 2); here base 2 walks and base 10 is tested
+    started = time.perf_counter()
+    found = search(10, 2, 10**16, enumeration_base=2)
+    elapsed = time.perf_counter() - started
+    expected = [n for n in known_list_10_2 if n <= 10**16]
+    assert len(expected) == 53
+    assert found == expected
+    _pass(15, f"base 2 driving (10, 2) reproduces the 53 entries below 1e16 in {elapsed:.1f}s")

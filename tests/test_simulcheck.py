@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from simulpal import simulcheck
+from simulpal import palgen, simulcheck
 from simulpal.palgen import _half_range, mirror_half
 from simulpal.radix import DomainError, is_palindrome
 from simulpal.simulcheck import (
@@ -49,25 +49,37 @@ def test_early_exit_equals_naive_check():
             assert is_palindrome_early_exit(n, h) == oracle_is_palindrome(n, h)
 
 
-def test_plan_enumeration_base():
-    # 1998 decimal palindromes <= 1e6 against 1999 binary ones
-    assert plan_enumeration_base(10, 2, 10**6) == 10
-    # bases that share a prime, neither holding all of the other's: fewer
-    # palindromes drive, and below both bases every integer in range is a
-    # palindrome, a tie that goes to the larger base
-    counts = {
-        g: sum(1 for n in range(1, 10**5 + 1) if oracle_is_palindrome(n, g)) for g in (6, 10)
+def test_plan_enumeration_base(monkeypatch):
+    # one rule from the bases alone: the larger share log(c_b) / log(b) drives,
+    # c_b being b without the other base's primes; equal shares go to the
+    # smaller base unless it is 2
+    def no_counts(*args):
+        raise AssertionError("the planner counts no palindromes")
+
+    monkeypatch.setattr(palgen, "count_palindromes_upto", no_counts)
+    monkeypatch.setattr(simulcheck, "count_palindromes_upto", no_counts, raising=False)
+    examples = {
+        (20, 22): 22,  # 5 of 20 against 11 of 22
+        (6, 20): 6,
+        (10, 28): 10,
+        (6, 10): 10,
+        (12, 18): 12,  # the same primes: both shares 0
+        (2, 4): 4,
+        (10, 2): 10,
+        (12, 8): 12,
+        (2, 3): 3,
+        (3, 4): 3,
     }
-    expected = 6 if counts[6] < counts[10] else 10
-    assert plan_enumeration_base(6, 10, 10**5) == plan_enumeration_base(10, 6, 10**5) == expected
-    assert plan_enumeration_base(6, 10, 5) == 10
-    # of coprime bases the smaller drives, whatever the counts, unless it is
-    # 2: base 2 has 644 palindromes <= 1e5 and base 3 has 652
-    for bound in (4, 10**5, 10**14):
-        assert plan_enumeration_base(3, 2, bound) == plan_enumeration_base(2, 3, bound) == 3
-        assert plan_enumeration_base(2, 7, bound) == 7
-        assert plan_enumeration_base(4, 3, bound) == plan_enumeration_base(3, 4, bound) == 3
-        assert plan_enumeration_base(7, 5, bound) == 5
+    for (g, h), driver in examples.items():
+        for bound in (4, 10**5, 10**14, 10**30):
+            assert plan_enumeration_base(g, h, bound) == plan_enumeration_base(h, g, bound) == driver
+    # symmetric in (g, h), and the same at every bound
+    for g in range(2, 41):
+        for h in range(g + 1, 41):
+            drivers = {
+                plan_enumeration_base(a, b, bound) for a, b in ((g, h), (h, g)) for bound in (4, 10**5, 10**14, 10**30)
+            }
+            assert len(drivers) == 1 and drivers <= {g, h}
 
 
 @pytest.mark.parametrize("g,h", [(10, 2), (3, 2), (5, 7)])
@@ -198,14 +210,15 @@ def test_kill_and_resume_determinism(kill_after, tmp_path):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    pair=st.sampled_from([(10, 2), (2, 10), (12, 8), (6, 4), (9, 6), (3, 2), (5, 7), (10, 3)]),
+    pair=st.sampled_from([(10, 2), (2, 10), (12, 8), (6, 4), (9, 6), (6, 10), (20, 22), (3, 2), (5, 7), (10, 3)]),
     bound=st.integers(1, 2 * 10**4),
     kill_after=st.integers(1, 6),
     first=st.booleans(),
     second=st.booleans(),
 )
 def test_kill_and_resume_across_enumeration_bases_matches_oracle(tmp_path_factory, pair, bound, kill_after, first, second):
-    # pairs sharing a prime, then coprime ones; each run picks its driving base
+    # pairs sharing a prime (in (6, 10) and (20, 22) each base has a prime the
+    # other lacks), then coprime ones; each run picks its driving base
     g, h = pair
     path = tmp_path_factory.mktemp("cp") / "cp.json"
     seen = 0
@@ -237,11 +250,19 @@ def test_dependent_bases_warning():
 
 
 def test_plan_prefers_base_carrying_the_other_primes():
-    # base 10 drives (10, 2) at every bound, so the digit walk's pruning applies
-    for bound in (10**6, 10**13, 10**18):
-        assert plan_enumeration_base(10, 2, bound) == 10
-        assert plan_enumeration_base(2, 10, bound) == 10
-    assert plan_enumeration_base(12, 8, 10**9) == 12
+    # when every prime of one base divides the other but not conversely, the
+    # base with the extra primes drives, so the digit walk's pruning applies;
+    # of two coprime bases the smaller drives, unless it is 2
+    for g in range(2, 61):
+        for h in range(2, 61):
+            # every prime of h divides g iff h divides g**h
+            h_in_g = pow(g, h, h) == 0
+            g_in_h = pow(h, g, g) == 0
+            if h_in_g and not g_in_h:
+                assert plan_enumeration_base(g, h, 10**18) == plan_enumeration_base(h, g, 10**6) == g
+            elif gcd(g, h) == 1:
+                expected = max(g, h) if min(g, h) == 2 else min(g, h)
+                assert plan_enumeration_base(g, h, 10**13) == expected
 
 
 @settings(max_examples=40, deadline=None)
