@@ -87,8 +87,7 @@ def _progress_printer(enabled: bool):
 
     def show(info: dict) -> None:
         print(
-            f"  length {info['digit_length']} ({info['parity']}): "
-            f"half {info['half_value']}/{info['half_end'] - 1}, {info['found']} found",
+            f"  length {info['digit_length']}: {info['cursor']}/{info['length_end']}, {info['found']} found",
             file=sys.stderr,
         )
 

@@ -64,7 +64,7 @@ def multiplicatively_independent(g: int, h: int) -> bool:
     >>> multiplicatively_independent(6, 12)
     True
     """
-    if g < 2 or h < 2:
+    if type(g) is not int or type(h) is not int or g < 2 or h < 2:
         raise DomainError("multiplicative independence is considered for integers >= 2")
     while g != h:
         if g < h:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .radix import DomainError, check_base, digit_count, reverse_in_base
+from .radix import DomainError, check_base, digit_count, length_ranges, reverse_in_base
 
 
 def mirror_half(half: int, g: int, half_len: int, odd: bool) -> int:
@@ -32,42 +32,25 @@ def mirror_half(half: int, g: int, half_len: int, odd: bool) -> int:
     return (half // g if odd else half) * g**half_len + reverse_in_base(half, g)
 
 
-def _half_range(g: int, d: int) -> tuple[int, int, int, bool]:
-    # half-value interval [lo, hi) producing the d-digit palindromes, ascending
-    t = (d + 1) // 2
-    return g ** (t - 1), g**t, t, d % 2 == 1
-
-
-def _least_half_reaching(g: int, d: int, target: int) -> int:
-    # smallest half whose mirrored palindrome is >= target, hi if none: a
-    # half's palindrome starts with the half's t digits, so it is the top t
-    # digits of target (clamped to the length's halves) or the next half
-    lo, hi, t, odd = _half_range(g, d)
-    x = min(max(target // g ** (d - t), lo), hi - 1)
-    return x if mirror_half(x, g, t, odd) >= target else x + 1
-
-
-def half_ranges(g: int, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
-    """Per digit length ``d``, ascending, the half-values ``[start, stop)``
-    whose mirrored ``d``-digit palindromes lie in [lo, hi], as
-    ``(d, start, stop)``; lengths with none in range are skipped."""
-    d = 1
-    while True:
-        h0, _, t, odd = _half_range(g, d)
-        first = mirror_half(h0, g, t, odd)
-        if first > hi:
-            return
-        start = _least_half_reaching(g, d, lo)
-        stop = _least_half_reaching(g, d, hi + 1)
-        if start < stop:
-            yield d, start, stop
-        d += 1
+def _halves(g: int, d: int, first: int, last: int) -> range:
+    # the halves whose palindromes lie in [first, last], both d-digit: a
+    # d-digit palindrome's top (d + 1) // 2 digits are its half, so each end
+    # takes the half of its own top digits, moved one inward when that
+    # half's palindrome falls outside
+    p = g ** (d // 2)
+    t, odd = (d + 1) // 2, d % 2 == 1
+    start, stop = first // p, last // p
+    if mirror_half(start, g, t, odd) < first:
+        start += 1
+    if mirror_half(stop, g, t, odd) > last:
+        stop -= 1
+    return range(start, stop + 1)
 
 
 def count_palindromes_upto(g: int, bound: int) -> int:
     """Exact count of base-``g`` palindromes in [1, bound]."""
     check_base(g)
-    return sum(stop - start for _, start, stop in half_ranges(g, 1, bound))
+    return sum(len(_halves(g, d, first, last)) for d, first, last in length_ranges(g, 1, bound))
 
 
 def iter_palindromes(g: int, lo: int, hi: int) -> Iterator[int]:
@@ -79,10 +62,9 @@ def iter_palindromes(g: int, lo: int, hi: int) -> Iterator[int]:
     check_base(g)
     if not 1 <= lo <= hi:
         raise DomainError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    for d, start, stop in half_ranges(g, lo, hi):
-        _, _, t, odd = _half_range(g, d)
-        for half in range(start, stop):
-            yield mirror_half(half, g, t, odd)
+    for d, first, last in length_ranges(g, lo, hi):
+        for half in _halves(g, d, first, last):
+            yield mirror_half(half, g, (d + 1) // 2, d % 2 == 1)
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,9 @@ class UndecidedComparisonError(ArithmeticError):
 
 
 def check_precision(bits: int) -> None:
-    """Reject a working precision outside [1, MAX_PRECISION] bits."""
-    if not 1 <= bits <= MAX_PRECISION:
-        raise DomainError(f"precision must be in [1, {MAX_PRECISION}] bits, got {bits}")
+    """Reject a working precision that is not an int in [1, MAX_PRECISION] bits."""
+    if type(bits) is not int or not 1 <= bits <= MAX_PRECISION:
+        raise DomainError(f"precision must be in [1, {MAX_PRECISION}] bits and an int, got {bits!r}")
 
 
 def _enclosure(f: Callable[[tuple, int], tuple], x: "PreciseReal", bits: int) -> "PreciseReal":

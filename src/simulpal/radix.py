@@ -1,4 +1,5 @@
-"""Exact digit reversal, digit counts and the early-exit palindrome test.
+"""Exact digit reversal, digit counts, the early-exit palindrome test and
+the split of a range of integers by digit count.
 
 All digit work is done in exact integer arithmetic (repeated division and
 comparison against powers of the base); floating logarithms are never used,
@@ -6,6 +7,8 @@ so there are no boundary errors at exact powers of the base.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 MIN_BASE = 2
 MAX_BASE = 2**32 - 1
@@ -118,3 +121,22 @@ def digit_count(n: int, g: int) -> int:
         p *= g
         k += 1
     return k
+
+
+def length_ranges(g: int, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
+    """The integers of [lo, hi] split by their number of base-``g`` digits.
+
+    Yields ``(d, first, last)`` per digit length ``d``, ascending, where
+    [first, last] are the integers of [lo, hi] with ``d`` digits; nothing
+    when ``lo > hi``.  Requires ``lo >= 1``.
+
+    >>> list(length_ranges(10, 95, 1234))
+    [(2, 95, 99), (3, 100, 999), (4, 1000, 1234)]
+    """
+    d = digit_count(lo, g)
+    end = g**d
+    while lo <= hi:
+        yield d, lo, min(end - 1, hi)
+        lo = end
+        end *= g
+        d += 1

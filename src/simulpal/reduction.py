@@ -68,8 +68,8 @@ def continued_fraction(x: PreciseReal, count: int) -> ContinuedFraction:
     refined, :class:`UndecidedComparisonError` is raised.  Rational inputs
     terminate exactly and may return fewer quotients.
     """
-    if count < 1:
-        raise DomainError("need at least one quotient")
+    if type(count) is not int or count < 1:
+        raise DomainError(f"need an integer count of at least one quotient, got {count!r}")
 
     def expand(cur: PreciseReal) -> tuple[list[int], bool] | None:
         lo, hi = cur.lower, cur.upper
@@ -135,8 +135,8 @@ def precompute_reduction_pairs(epsilon: PreciseReal, X: int, count: int = 50) ->
     Pairs are independent of the shifted term, so one list serves every
     family instance over the same base pair.
     """
-    if X < 1:
-        raise DomainError("the prior bound X must be a positive integer")
+    if type(X) is not int or X < 1:
+        raise DomainError(f"the prior bound X must be a positive integer, got {X!r}")
     return _pairs(_certified(epsilon, continued_fraction(epsilon, count).convergents), X)
 
 
@@ -252,8 +252,8 @@ def dependent_case_check(
     to max(1, r*floor + s), ``slack`` to the digit count of ``a``.
     """
     require_family_bases(a, g, h)
-    if X < n_floor:
-        raise DomainError("the prior bound X must be at least the testing floor")
+    if type(X) is not int or X < n_floor:
+        raise DomainError(f"the prior bound X must be an integer at least the testing floor, got {X!r}")
     r, s = witness.r, witness.s
     if s_bound is None:
         s_bound = abs(s)
@@ -363,6 +363,8 @@ def verify_family(
     above the tested range instead of silently truncating.
     """
     check_precision(bits)
+    if bound is not None and (type(bound) is not int or bound < 1):
+        raise DomainError(f"the prior bound X must be a positive integer, got {bound!r}")
     require_family_bases(a, g, h)
     if a % g == 0:
         raise DomainError(f"{g} divides {a}: family values are not base-{g} palindromes")
@@ -378,8 +380,6 @@ def verify_family(
         branch, X, certified, floor = "excluded-parity", 0, 0, 0
     else:
         X = bound if bound is not None else ceil(shift_exponent_bound(a, g, h))
-        if X < 1:
-            raise DomainError("the prior bound X must be a positive integer")
         alpha = Fraction(a, reverse_in_base(rev_a, h))
         witness = dependence_witness(alpha, g, h)
         # below this shift the digit-containment regime does not apply

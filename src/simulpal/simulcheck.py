@@ -24,12 +24,12 @@ from math import gcd, lcm, log
 from typing import Callable
 
 from .lindep import multiplicatively_independent
-from .palgen import _half_range, half_ranges, mirror_half
-from .radix import DomainError, _mirror_test, _reverse, check_base, is_palindrome_early_exit
+from .radix import DomainError, _mirror_test, _reverse, check_base, is_palindrome_early_exit, length_ranges
 
 CHECKPOINT_VERSION = "simulpal-checkpoint-v2"
 
-# halves per work unit; one unit is the parallelism and mid-block checkpoint grain
+# halves per work unit: a d-digit unit spans CHUNK_HALVES * g**(d // 2) integers;
+# one unit is the parallelism and mid-block checkpoint grain
 CHUNK_HALVES = 400_000
 
 
@@ -86,9 +86,9 @@ def _crt_entry(m1: int, m2: int, g: int, f: int) -> tuple[int, ...]:
             qf, f // qf, pow(M // qf, -1, f // qf), M * (f // qf))
 
 
-def _scan_chunk(driver: int, tested: int, d: int, half_lo: int, half_hi: int) -> list[int]:
-    """Simultaneous palindromes among d-digit base-``driver`` palindromes
-    built from half-values in [half_lo, half_hi), ascending.
+def _scan_chunk(driver: int, tested: int, d: int, n_lo: int, n_hi: int) -> list[int]:
+    """Simultaneous palindromes among the d-digit base-``driver`` palindromes
+    in [n_lo, n_hi), ascending; [n_lo, n_hi) holds only d-digit integers.
 
     Depth-first walk over the half-value's digits, most significant first,
     in ascending digit order.  A node with k digits fixed confines N to an
@@ -123,9 +123,6 @@ def _scan_chunk(driver: int, tested: int, d: int, half_lo: int, half_hi: int) ->
     hp = [1]
     while hp[-1] <= gp[d]:
         hp.append(hp[-1] * h)
-    # the chunk's palindromes are the d-digit ones in [n_lo, n_hi)
-    n_lo = mirror_half(half_lo, g, t, odd)
-    n_hi = mirror_half(half_hi - 1, g, t, odd) + 1
     # f[L % 2]: a simultaneous palindrome with L base-h digits is a multiple of f
     fg = 1 if odd else g + 1
     f = (lcm(fg, h + 1), fg)
@@ -342,8 +339,12 @@ def search(
     ``threads`` > 1 fans chunks out to worker processes, capped with a
     warning at :func:`usable_cpus`; results are merged in chunk order, so
     output does not depend on the worker count.  ``progress`` is called
-    after each chunk with a status dict; an exception raised from it
-    aborts the run after a final checkpoint write.
+    after each chunk with a status dict: ``digit_length`` (the chunk's
+    number of driving-base digits), ``cursor`` (its last integer; every
+    hit up to it is found), ``length_end`` (the last integer of that
+    length below the bound) and ``found`` (the hits so far).  An
+    exception raised from it aborts the run after a final checkpoint
+    write.
     """
     check_base(g)
     check_base(h)
@@ -357,7 +358,7 @@ def search(
         raise DomainError(f"need an integer count of at least one worker, got threads={threads!r}")
     if enumeration_base is not None and enumeration_base not in (g, h):
         raise DomainError(f"enumeration base must be {g} or {h}")
-    if not checkpoint_interval >= 0:  # also false for NaN
+    if type(checkpoint_interval) not in (int, float) or not checkpoint_interval >= 0:  # also false for NaN
         raise DomainError(f"checkpoint interval must be a number >= 0, got {checkpoint_interval!r}")
     _warn_if_power_related(g, h)
 
@@ -386,9 +387,9 @@ def search(
 
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        for d, start, h1e in half_ranges(driver, state.cursor + 1, bound):
-            _, _, t, odd = _half_range(driver, d)
-            edges = list(range(start, h1e, CHUNK_HALVES)) + [h1e]
+        for d, first, last in length_ranges(driver, state.cursor + 1, bound):
+            # cut from g**(d - 1), the unit edges are half edges
+            edges = list(range(first, last + 1, CHUNK_HALVES * driver ** (d // 2))) + [last + 1]
             run = map
             if pool is not None and len(edges) > 2:
                 # about four batches per worker: one round trip each, and still balanced
@@ -396,18 +397,10 @@ def search(
             hits_by_chunk = run(partial(_scan_chunk, driver, tested, d), edges[:-1], edges[1:])
             for c1, hits in zip(edges[1:], hits_by_chunk):
                 state.found.extend(hits)
-                state.cursor = mirror_half(c1 - 1, driver, t, odd)
+                state.cursor = c1 - 1
                 persist(force=False)
                 if progress is not None:
-                    progress(
-                        {
-                            "digit_length": d,
-                            "parity": "odd" if odd else "even",
-                            "half_value": c1 - 1,
-                            "half_end": h1e,
-                            "found": len(state.found),
-                        }
-                    )
+                    progress({"digit_length": d, "cursor": c1 - 1, "length_end": last, "found": len(state.found)})
             persist(force=True)
         state.cursor = bound
         persist(force=True)

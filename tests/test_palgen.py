@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simulpal.palgen import (
-    _half_range,
-    _least_half_reaching,
+    _halves,
     count_palindromes_upto,
     family_instance,
     iter_palindromes,
@@ -60,6 +61,15 @@ def test_iter_palindromes_examples():
     assert list(iter_palindromes(10, 100, 100)) == []
 
 
+@settings(max_examples=200, deadline=None)
+@given(g=st.integers(2, 40), lo=st.integers(1, 3 * 10**4), hi=st.integers(1, 3 * 10**4))
+def test_enumeration_and_count_match_oracle_on_any_window(g, lo, hi):
+    lo, hi = min(lo, hi), max(lo, hi)
+    brute = [n for n in range(lo, hi + 1) if oracle_is_palindrome(n, g)]
+    assert list(iter_palindromes(g, lo, hi)) == brute
+    assert count_palindromes_upto(g, hi) - count_palindromes_upto(g, lo - 1) == len(brute)
+
+
 def test_iter_palindromes_window():
     assert list(iter_palindromes(10, 90, 130)) == [99, 101, 111, 121]
     with pytest.raises(DomainError):
@@ -81,17 +91,22 @@ def test_length_counts_against_brute_force(g):
 
 @pytest.mark.parametrize("g", [2, 3, 5, 7, 10, 16, 23, 36])
 def test_least_half_reaching_is_the_brute_force_minimum(g):
-    # targets below, inside and above each length's palindromes
+    # the halves of [first, last] start at the least half whose palindrome
+    # reaches first and stop at the greatest one not beyond last; ends at,
+    # next to and between each length's palindromes
     rng = random.Random(g)
     d = 1
     while (g ** ((d + 1) // 2)) <= 3000:
-        lo, hi, t, odd = _half_range(g, d)
-        values = [mirror_half(half, g, t, odd) for half in range(lo, hi)]
-        targets = {0, 1, values[0], values[-1], values[-1] + 1, g**d, *(v + 1 for v in values[:3])}
-        targets |= {rng.randrange(g ** (d + 1)) for _ in range(300)}
-        for target in targets:
-            least = next((half for half, v in zip(range(lo, hi), values) if v >= target), hi)
-            assert _least_half_reaching(g, d, target) == least, (g, d, target)
+        t, odd = (d + 1) // 2, d % 2 == 1
+        halves = range(g ** (t - 1), g**t)
+        values = [mirror_half(half, g, t, odd) for half in halves]
+        ends = {values[0], values[-1], *(v + e for v in values[:3] + values[-3:] for e in (-1, 1))}
+        ends |= {rng.randrange(g ** (d - 1), g**d) for _ in range(300)}
+        ends = sorted(e for e in ends if g ** (d - 1) <= e < g**d)
+        for first in ends:
+            last = rng.choice([e for e in ends if e >= first])
+            expected = [half for half, v in zip(halves, values) if first <= v <= last]
+            assert list(_halves(g, d, first, last)) == expected, (g, d, first, last)
         d += 1
 
 

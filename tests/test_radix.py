@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from simulpal.radix import DomainError, digit_count, is_palindrome, reverse_in_base
+from simulpal.radix import DomainError, digit_count, is_palindrome, length_ranges, reverse_in_base
 
 from conftest import oracle_digits, oracle_reverse
 
@@ -88,3 +88,20 @@ def test_palindrome_iff_digitstring_symmetric(n, g):
     ds = oracle_digits(n, g)
     assert is_palindrome(n, g) == (ds == ds[::-1])
     assert digit_count(n, g) == len(ds)
+
+
+@given(g=st.integers(2, 40), lo=st.integers(1, 10**5), width=st.integers(-3, 10**5))
+def test_length_ranges_split_the_window_by_digit_count(g, lo, width):
+    # ascending (d, first, last) covering [lo, hi] exactly, each integer in the
+    # range of its own oracle digit count; nothing for an empty window
+    hi = lo + width
+    ranges = list(length_ranges(g, lo, hi))
+    if hi < lo:
+        assert ranges == []
+        return
+    assert ranges[0][1] == lo and ranges[-1][2] == hi
+    for (d, first, last), following in zip(ranges, ranges[1:] + [None]):
+        assert first <= last
+        assert len(oracle_digits(first, g)) == len(oracle_digits(last, g)) == d
+        if following is not None:
+            assert following[0] == d + 1 and following[1] == last + 1

@@ -5,7 +5,7 @@ import mpmath
 import pytest
 
 from simulpal.bounds import shift_exponent_bound
-from simulpal.lindep import DependenceWitness, dependence_witness
+from simulpal.lindep import DependenceWitness, dependence_witness, multiplicatively_independent
 from simulpal.palgen import family_instance
 from simulpal.precise import PreciseReal, hp_log
 from simulpal.radix import DomainError, is_palindrome, reverse_in_base
@@ -273,6 +273,38 @@ def test_verify_family_rejects_bad_precision_without_logarithms():
         verify_family(2, 10, 2, bits=0)
     with pytest.raises(DomainError, match="precision must be in"):
         verify_family(2, 10, 2, bits=(1 << 16) + 1)
+
+
+_EPSILON = PreciseReal.log_ratio(10, 2)
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        # a float reached mpmath as a bare TypeError, and True ran at 1 bit
+        (lambda: hp_log(2, 1.5), "precision must be in"),
+        (lambda: verify_family(74, 10, 2, bits=192.0), "precision must be in"),
+        (lambda: PreciseReal.log_ratio(10, 2, True), "precision must be in"),
+        # a float bound was a bare TypeError, and True ran with X = 1
+        (lambda: verify_family(74, 10, 2, bound=1e9), "prior bound X must be a positive integer"),
+        (lambda: verify_family(2, 10, 2, bound=1e9), "prior bound X must be a positive integer"),
+        (lambda: verify_family(74, 10, 2, bound=True), "prior bound X must be a positive integer"),
+        (lambda: precompute_reduction_pairs(_EPSILON, 1.5), "prior bound X must be a positive integer"),
+        # 2.5 quotients came back as 3
+        (lambda: continued_fraction(_EPSILON, 2.5), "integer count of at least one quotient"),
+        (lambda: dependent_case_check(DependenceWitness(1, 1, -1), 5, 10, 2, X=100.5), "integer at least the testing floor"),
+        # 2.5 and 3 were independent, and sympy could not factor 2 * 2.5 * 3
+        (lambda: multiplicatively_independent(2.5, 3), "considered for integers"),
+        (lambda: dependence_witness(2, 2.5, 3), "considered for integers"),
+    ],
+    ids=[
+        "hp_log-bits", "verify_family-bits", "log_ratio-bits", "verify_family-bound", "verify_family-parity-bound",
+        "verify_family-bound-bool", "pairs-X", "cf-count", "dependent-X", "independent", "witness",
+    ],
+)
+def test_certification_rejects_arguments_that_are_not_integers(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()
 
 
 def test_verify_family_scans_every_shift_below_the_certificate_floor():

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from simulpal import palgen, simulcheck
-from simulpal.palgen import _half_range, mirror_half
+from simulpal.palgen import iter_palindromes
 from simulpal.radix import DomainError, is_palindrome
 from simulpal.simulcheck import (
     CHUNK_HALVES,
@@ -295,14 +295,11 @@ def test_digit_walk_matches_oracle_on_bases_sharing_a_prime(p, a, b, bound):
     ],
 )
 def test_scan_chunk_equals_linear_scan_over_any_split(driver, tested, d):
-    h0, h1, t, odd = _half_range(driver, d)
-    linear = [
-        n
-        for n in (mirror_half(half, driver, t, odd) for half in range(h0, h1))
-        if oracle_is_palindrome(n, tested)
-    ]
+    # cut the d-digit integers at random points, palindromes or not
+    n0, n1 = driver ** (d - 1), driver**d
+    linear = [n for n in iter_palindromes(driver, n0, n1 - 1) if oracle_is_palindrome(n, tested)]
     rng = random.Random(d)
-    edges = sorted({h0, h1, *(rng.randrange(h0, h1) for _ in range(5))})
+    edges = sorted({n0, n1, *(rng.randrange(n0, n1) for _ in range(5))})
     pieces = [_scan_chunk(driver, tested, d, c0, c1) for c0, c1 in zip(edges[:-1], edges[1:])]
     assert [n for piece in pieces for n in piece] == linear
 
@@ -320,11 +317,22 @@ def test_kill_and_resume_inside_a_digit_length(tmp_path, known_list_10_2):
 
     with pytest.raises(_AbortAfter):
         search(10, 2, bound, checkpoint_path=str(path), progress=bomb, checkpoint_interval=0.0)
-    # the palindrome of the second chunk's last half
-    cursor = mirror_half(2 * CHUNK_HALVES + 99_999, 10, 6, True)
-    assert json.loads(path.read_text())["cursor"] == cursor == 89_999_999_998
+    # the second chunk's last integer: each spans CHUNK_HALVES halves of 10**5 integers
+    cursor = 10**10 + 2 * CHUNK_HALVES * 10**5 - 1
+    assert json.loads(path.read_text())["cursor"] == cursor == 89_999_999_999
     resumed = search(10, 2, bound, checkpoint_path=str(path), resume=True)
     assert resumed == [n for n in known_list_10_2 if n <= bound]
+
+
+def test_checkpoint_with_a_palindrome_cursor_mid_length_resumes(tmp_path, known_list_10_2):
+    # earlier releases left the cursor on the last palindrome of a chunk: here
+    # the one after two 11-digit chunks of 400 000 halves each
+    bound = 10**11
+    path = tmp_path / "cp.json"
+    cursor = 89_999_999_998
+    shipped = [n for n in known_list_10_2 if n <= bound]
+    SearchCheckpoint(g=10, h=2, bound=bound, cursor=cursor, found=[n for n in shipped if n <= cursor]).save(str(path))
+    assert search(10, 2, bound, checkpoint_path=str(path), resume=True) == shipped
 
 
 def _saved_checkpoint(tmp_path, **edits):
@@ -423,10 +431,11 @@ def test_checkpoint_cursor_beyond_the_bound_is_refused(tmp_path):
         search(10, 2, 10**5 + 1, checkpoint_path=str(path), resume=True)
 
 
-@pytest.mark.parametrize("cursor", [0, 313, 998899])
+@pytest.mark.parametrize("cursor", [0, 313, 314, 998899, 998900, 999998])
 @pytest.mark.parametrize("base", [10, 2])
 def test_checkpoint_with_an_early_cursor_resumes_to_the_full_list(tmp_path, cursor, base):
-    # found and hits agree with the cursor; the run goes on past it in either base
+    # found and hits agree with the cursor; the run goes on past it in either
+    # base; a cursor is any integer covered so far, a palindrome or not
     path = tmp_path / "cp.json"
     full = search(10, 2, 10**6)
     early = SearchCheckpoint(g=10, h=2, bound=10**6, cursor=cursor, found=[n for n in full if n <= cursor])
@@ -455,10 +464,11 @@ def test_search_rejects_a_bound_that_is_not_an_integer(tmp_path, bound):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("interval", [float("nan"), -1.0, -inf])
+@pytest.mark.parametrize("interval", [float("nan"), -1.0, -inf, None, "300"])
 def test_search_rejects_a_checkpoint_interval_that_is_nan_or_negative(tmp_path, interval):
     # NaN compares false with every elapsed time and would turn the interval
-    # writes off; a negative interval would write after every chunk
+    # writes off; a negative interval would write after every chunk; None and
+    # a string are no number at all
     path = tmp_path / "cp.json"
     with pytest.raises(DomainError, match="checkpoint interval must be a number >= 0"):
         search(10, 2, 10**4, checkpoint_path=str(path), checkpoint_interval=interval)
@@ -609,8 +619,7 @@ def test_walk_tests_only_odd_numbers_of_its_chunk(monkeypatch, driver, d):
         return real(n, h, k, p)
 
     monkeypatch.setattr(simulcheck, "_mirror_test", recording)
-    h0, h1, t, odd = _half_range(driver, d)
-    lo, hi = h0 + (h1 - h0) // 3, h1 - (h1 - h0) // 3
+    n0, n1 = driver ** (d - 1), driver**d
+    lo, hi = n0 + (n1 - n0) // 3, n1 - (n1 - n0) // 3
     _scan_chunk(driver, 2, d, lo, hi)
-    first, last = mirror_half(lo, driver, t, odd), mirror_half(hi - 1, driver, t, odd)
-    assert seen and all(first <= n <= last and n % 2 for n in seen)
+    assert seen and all(lo <= n < hi and n % 2 for n in seen)
