@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import lindep
 from .precise import PreciseReal, hp_exp, hp_log
-from .radix import DomainError, check_base, digit_count
+from .radix import DomainError, check_base, check_int, digit_count, positive_rational
 
 # evaluation precision for closed-form bound expressions
 _EVAL_BITS = 128
@@ -52,13 +52,16 @@ def _height_and_abs_log(q: Fraction) -> tuple[Fraction, Fraction]:
     return height.upper, abs(hp_log(q, _EVAL_BITS)).upper
 
 
+def _check_prefix(a: int, g: int, h: int) -> None:
+    check_base(g)
+    check_base(h)
+    check_int(a, "prefix a must be a positive integer")
+
+
 def require_family_bases(a: int, g: int, h: int) -> None:
     """Validate the standing hypotheses: 2 <= h < g, h | g, g and h
     multiplicatively independent, and a positive."""
-    check_base(g)
-    check_base(h)
-    if a < 1:
-        raise DomainError("prefix a must be a positive integer")
+    _check_prefix(a, g, h)
     if not 2 <= h < g:
         raise DomainError(f"need 2 <= h < g, got h={h}, g={g}")
     if g % h != 0:
@@ -92,12 +95,16 @@ class MatveevInstance:
             raise DomainError("need one integer coefficient per logarithm")
         if len(self.alphas) < 2:
             raise DomainError("a linear form needs at least two logarithms")
+        for b in self.b_coeffs:
+            check_int(b, "the coefficients must be integers", None)
         if self.b_coeffs[-1] == 0:
             raise DomainError("the last coefficient must be nonzero")
+        check_int(self.D, "the degree D must be a positive integer")
+        check_int(self.kappa, "kappa must be 1 or 2", 1, 2)
         for x in self.alphas:
-            q = Fraction(x)
-            if q <= 0 or q == 1:
-                raise DomainError(f"logarithm arguments must be positive and != 1, got {x}")
+            what = f"logarithm arguments must be positive and != 1, got {x}"
+            if positive_rational(x, what) == 1:
+                raise DomainError(what)
         if self.A is not None and len(self.A) != len(self.alphas):
             raise DomainError("need one height bound per logarithm")
 
@@ -199,11 +206,11 @@ class LaurentInstance:
     logA2: float | None = None
 
     def __post_init__(self):
-        a1, a2 = Fraction(self.alpha1), Fraction(self.alpha2)
-        if a1 <= 0 or a2 <= 0:
-            raise DomainError("logarithm arguments must be positive")
-        if self.b1 <= 0 or self.b2 <= 0:
-            raise DomainError("the two coefficients must be positive integers")
+        a1 = positive_rational(self.alpha1, "logarithm arguments must be positive")
+        a2 = positive_rational(self.alpha2, "logarithm arguments must be positive")
+        check_int(self.b1, "the two coefficients must be positive integers")
+        check_int(self.b2, "the two coefficients must be positive integers")
+        check_int(self.D, "the degree D must be a positive integer")
         if (
             a1.denominator == a2.denominator == 1
             and not lindep.multiplicatively_independent(a1.numerator, a2.numerator)
@@ -269,17 +276,14 @@ def laurent_lower_bound(inst: LaurentInstance) -> LaurentEvaluation:
 def tail_fit_threshold(a: int, g: int, h: int) -> float:
     """log(g*a)/log h: zero runs longer than this guarantee the reversed
     prefix fits inside the base-h digits pinned down by the low block."""
-    check_base(g)
-    check_base(h)
-    if a < 1:
-        raise DomainError("prefix a must be a positive integer")
+    _check_prefix(a, g, h)
     return _float_up(PreciseReal.log_ratio(g * a, h, _EVAL_BITS).upper)
 
 
 def min_zero_run_for_tail_fit(a: int, g: int, h: int) -> int:
     """Smallest integer zero-run length m with h**m > g*a: the base-h digit
     count of g*a."""
-    check_base(g)
+    _check_prefix(a, g, h)
     return digit_count(g * a, h)
 
 
@@ -302,8 +306,7 @@ def zero_run_threshold_terms(a: int, g: int, h: int, n: int) -> dict[str, float]
     ``n``: a run strictly longer than this cannot occur in a base-h
     palindrome.  Each is rounded outward (upward)."""
     require_family_bases(a, g, h)
-    if n < 1:
-        raise DomainError("shift exponent must be positive")
+    check_int(n, "shift exponent must be positive")
     log_g, log_agh, terms = _shared_terms(a, g, h)
     log_n = hp_log(n, _EVAL_BITS)
     terms["two_log"] = TWO_LOG_COEFF * _pow(log_n, 2) * log_g
@@ -343,8 +346,7 @@ def solve_log_majorant(A: float, B: float, power: int) -> float:
     C = A + B/(log A)**2 (valid for C > 62).  Outside the validity range a
     direct numeric search for the largest solution takes over.
     """
-    if power not in (1, 2):
-        raise DomainError("power must be 1 or 2")
+    check_int(power, "power must be 1 or 2", 1, 2)
     if A <= 0 or B < 0:
         raise DomainError("need A > 0 and B >= 0")
     if A > 1:

@@ -14,14 +14,7 @@ from math import gcd
 
 from sympy import factorint
 
-from .radix import DomainError
-
-
-def _as_fraction(x) -> Fraction:
-    q = Fraction(x)
-    if q <= 0:
-        raise DomainError(f"expected a positive rational, got {x!r}")
-    return q
+from .radix import DomainError, check_int, positive_rational
 
 
 def prime_exponent_vector(x, primes: list[int]) -> list[int]:
@@ -35,7 +28,7 @@ def prime_exponent_vector(x, primes: list[int]) -> list[int]:
     >>> prime_exponent_vector(Fraction(4, 7), [2, 7])
     [2, -1]
     """
-    q = _as_fraction(x)
+    q = positive_rational(x, f"expected a positive rational, got {x!r}")
     vec = []
     num, den = q.numerator, q.denominator
     for p in primes:
@@ -64,8 +57,8 @@ def multiplicatively_independent(g: int, h: int) -> bool:
     >>> multiplicatively_independent(6, 12)
     True
     """
-    if type(g) is not int or type(h) is not int or g < 2 or h < 2:
-        raise DomainError("multiplicative independence is considered for integers >= 2")
+    check_int(g, "multiplicative independence is considered for integers >= 2", 2)
+    check_int(h, "multiplicative independence is considered for integers >= 2", 2)
     while g != h:
         if g < h:
             g, h = h, g
@@ -107,7 +100,7 @@ def dependence_witness(alpha, g: int, h: int) -> DependenceWitness | None:
     >>> dependence_witness(Fraction(4, 7), 10, 2) is None
     True
     """
-    a = _as_fraction(alpha)
+    a = positive_rational(alpha, f"expected a positive rational, got {alpha!r}")
     if not multiplicatively_independent(g, h):
         raise DomainError(f"bases {g} and {h} are multiplicatively dependent")
     if a == 1:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .radix import DomainError, check_base, digit_count, length_ranges, reverse_in_base
+from .radix import DomainError, check_base, check_int, digit_count, length_ranges, reverse_in_base
 
 
 def mirror_half(half: int, g: int, half_len: int, odd: bool) -> int:
@@ -49,7 +49,6 @@ def _halves(g: int, d: int, first: int, last: int) -> range:
 
 def count_palindromes_upto(g: int, bound: int) -> int:
     """Exact count of base-``g`` palindromes in [1, bound]."""
-    check_base(g)
     return sum(len(_halves(g, d, first, last)) for d, first, last in length_ranges(g, 1, bound))
 
 
@@ -59,7 +58,6 @@ def iter_palindromes(g: int, lo: int, hi: int) -> Iterator[int]:
     Generated by digit length, then by half-value, so the stream is
     ascending without sorting and each palindrome appears exactly once.
     """
-    check_base(g)
     if not 1 <= lo <= hi:
         raise DomainError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     for d, first, last in length_ranges(g, lo, hi):
@@ -98,10 +96,8 @@ def family_instance(a: int, g: int, h: int, n: int) -> FamilyInstance:
     """
     check_base(g)
     check_base(h)
-    if a < 1:
-        raise DomainError("family prefix must be a positive integer")
-    if n < 1:
-        raise DomainError("shift exponent must be a positive integer")
+    check_int(a, "family prefix must be a positive integer")
+    check_int(n, "shift exponent must be a positive integer")
     if a % g == 0:
         raise DomainError(f"{g} divides {a}: the family value would not be a base-{g} palindrome")
     n_a = digit_count(a, g)

@@ -20,10 +20,11 @@ from mpmath.libmp import fhalf, from_rational, fzero, mpf_add, mpf_floor, mpf_lt
 from mpmath.libmp import mpi_abs, mpi_add, mpi_div, mpi_exp, mpi_gt, mpi_log, mpi_mul, mpi_neg
 from mpmath.libmp import mpi_sub, to_float, to_int, to_rational, to_str
 
-from .radix import DomainError
+from .radix import DomainError, check_int, positive_rational
 
 DEFAULT_PRECISION = 192
 MAX_PRECISION = 1 << 16
+_PRECISION_RULE = f"precision must be in [1, {MAX_PRECISION}] bits and an int"
 
 
 class UndecidedComparisonError(ArithmeticError):
@@ -32,8 +33,7 @@ class UndecidedComparisonError(ArithmeticError):
 
 def check_precision(bits: int) -> None:
     """Reject a working precision that is not an int in [1, MAX_PRECISION] bits."""
-    if type(bits) is not int or not 1 <= bits <= MAX_PRECISION:
-        raise DomainError(f"precision must be in [1, {MAX_PRECISION}] bits and an int, got {bits!r}")
+    check_int(bits, _PRECISION_RULE, 1, MAX_PRECISION)
 
 
 def _enclosure(f: Callable[[tuple, int], tuple], x: "PreciseReal", bits: int) -> "PreciseReal":
@@ -176,11 +176,10 @@ class PreciseReal:
     @classmethod
     def log_ratio(cls, x, y, bits: int = DEFAULT_PRECISION) -> "PreciseReal":
         """Certified enclosure of log(x)/log(y) for positive rationals, y != 1."""
-        x = Fraction(x)
-        y = Fraction(y)
-        if x <= 0 or y <= 0 or y == 1:
-            raise DomainError(f"log({x})/log({y}) needs positive x and y, and y != 1")
-        return hp_log(x, bits) / hp_log(y, bits)
+        what = f"log({x})/log({y}) needs positive x and y, and y != 1"
+        if positive_rational(y, what) == 1:
+            raise DomainError(what)
+        return hp_log(positive_rational(x, what), bits) / hp_log(y, bits)
 
     # geometry ----------------------------------------------------------
 
@@ -301,10 +300,8 @@ def hp_log(x, bits: int = DEFAULT_PRECISION) -> PreciseReal:
 
     ``hp_log(1)`` is exactly zero with radius zero.
     """
-    q = PreciseReal.exact(x)
-    if q._lo <= 0:
-        raise DomainError(f"logarithm of non-positive value {q._lo}")
-    return _enclosure(mpi_log, q, bits)
+    q = positive_rational(x, f"logarithm of non-positive value {x}")
+    return _enclosure(mpi_log, PreciseReal.exact(q), bits)
 
 
 def hp_exp(x, bits: int = DEFAULT_PRECISION) -> PreciseReal:

@@ -8,19 +8,40 @@ so there are no boundary errors at exact powers of the base.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterator
 
 MIN_BASE = 2
 MAX_BASE = 2**32 - 1
+_BASE_RULE = f"base must be an integer in [{MIN_BASE}, {MAX_BASE}]"
 
 
 class DomainError(ValueError):
     """Bad input: an argument outside an operation's domain or preconditions."""
 
 
-def check_base(g: int) -> None:
-    if not isinstance(g, int) or g < MIN_BASE or g > MAX_BASE:
-        raise DomainError(f"base must be an integer in [{MIN_BASE}, {MAX_BASE}], got {g!r}")
+def check_int(x, what: str, least: int | None = 1, most: int | None = None) -> int:
+    """``x`` if it is an ``int`` (not a bool) in [least, most], else a
+    :class:`DomainError` with ``what`` and ``x``; a None limit is no limit."""
+    if type(x) is not int or (least is not None and x < least) or (most is not None and x > most):
+        raise DomainError(f"{what}, got {x!r}")
+    return x
+
+
+def positive_rational(x, what: str) -> Fraction:
+    """``Fraction(x)`` if ``x`` is a positive rational (not NaN, an infinity
+    or a string), else a :class:`DomainError` with the message ``what``."""
+    try:
+        q = Fraction(x)
+        if q > 0:
+            return q
+    except (TypeError, ValueError, ArithmeticError):
+        pass
+    raise DomainError(what)
+
+
+def check_base(g: int) -> int:
+    return check_int(g, _BASE_RULE, MIN_BASE, MAX_BASE)
 
 
 def reverse_in_base(a: int, g: int) -> int:
@@ -39,9 +60,7 @@ def reverse_in_base(a: int, g: int) -> int:
     21
     """
     check_base(g)
-    if type(a) is not int or a < 1:
-        raise DomainError("digit reversal is defined for positive integers only")
-    return _reverse(a, g)
+    return _reverse(check_int(a, "digit reversal is defined for positive integers only"), g)
 
 
 def _reverse(a: int, g: int) -> int:
@@ -92,9 +111,10 @@ def is_palindrome(n: int, g: int) -> bool:
     >>> is_palindrome(10, 10)
     False
     """
-    if type(n) is not int or n < 1:
-        raise DomainError("palindrome test is defined for positive integers only")
-    k = digit_count(n, g) - 1
+    check_int(n, "palindrome test is defined for positive integers only")
+    if check_base(g) == 2:  # base 2's test reads the binary string: no digit count, no power
+        return _mirror_test(n, 2, 0, 1)
+    k = _digit_count(n, g) - 1
     return _mirror_test(n, g, k, g**k)
 
 
@@ -111,8 +131,11 @@ def digit_count(n: int, g: int) -> int:
     6
     """
     check_base(g)
-    if type(n) is not int or n < 1:
-        raise DomainError("digit count is defined for positive integers only")
+    return _digit_count(check_int(n, "digit count is defined for positive integers only"), g)
+
+
+def _digit_count(n: int, g: int) -> int:
+    # digit_count without the argument checks
     if g == 2:
         return n.bit_length()
     k = 1

@@ -27,7 +27,7 @@ from .precise import (
     check_precision,
     hp_log,
 )
-from .radix import DomainError, digit_count, is_palindrome_early_exit, reverse_in_base
+from .radix import DomainError, check_int, digit_count, is_palindrome_early_exit, reverse_in_base
 
 __all__ = [
     "ContinuedFraction",
@@ -68,8 +68,7 @@ def continued_fraction(x: PreciseReal, count: int) -> ContinuedFraction:
     refined, :class:`UndecidedComparisonError` is raised.  Rational inputs
     terminate exactly and may return fewer quotients.
     """
-    if type(count) is not int or count < 1:
-        raise DomainError(f"need an integer count of at least one quotient, got {count!r}")
+    check_int(count, "need an integer count of at least one quotient")
 
     def expand(cur: PreciseReal) -> tuple[list[int], bool] | None:
         lo, hi = cur.lower, cur.upper
@@ -135,8 +134,7 @@ def precompute_reduction_pairs(epsilon: PreciseReal, X: int, count: int = 50) ->
     Pairs are independent of the shifted term, so one list serves every
     family instance over the same base pair.
     """
-    if type(X) is not int or X < 1:
-        raise DomainError(f"the prior bound X must be a positive integer, got {X!r}")
+    check_int(X, "the prior bound X must be a positive integer")
     return _pairs(_certified(epsilon, continued_fraction(epsilon, count).convergents), X)
 
 
@@ -252,13 +250,11 @@ def dependent_case_check(
     to max(1, r*floor + s), ``slack`` to the digit count of ``a``.
     """
     require_family_bases(a, g, h)
-    if type(X) is not int or X < n_floor:
-        raise DomainError(f"the prior bound X must be an integer at least the testing floor, got {X!r}")
+    check_int(n_floor, "the testing floor must be a positive integer")
+    check_int(X, "the prior bound X must be an integer at least the testing floor", n_floor)
     r, s = witness.r, witness.s
-    if s_bound is None:
-        s_bound = abs(s)
-    if slack is None:
-        slack = digit_count(a, g)
+    s_bound = abs(s) if s_bound is None else check_int(s_bound, "s_bound must be a non-negative integer", 0)
+    slack = digit_count(a, g) if slack is None else check_int(slack, "slack must be a non-negative integer", 0)
     c = Fraction(11 * r, 9) * h**slack
     base = _base_pair(g, h, bits)
     log_h, eps = base.log_h, base.epsilon
@@ -278,6 +274,7 @@ def dependent_case_check(
             raise UndecidedComparisonError("convergent-law floor did not stabilise")
     if factor_floor is None:
         factor_floor = max(1, r * floor_n + s)
+    check_int(factor_floor, "factor_floor must be a positive integer")
 
     q_ceiling = r * X + s_bound
     cf = base.cf
@@ -363,8 +360,9 @@ def verify_family(
     above the tested range instead of silently truncating.
     """
     check_precision(bits)
-    if bound is not None and (type(bound) is not int or bound < 1):
-        raise DomainError(f"the prior bound X must be a positive integer, got {bound!r}")
+    if bound is not None:
+        check_int(bound, "the prior bound X must be a positive integer")
+    check_int(exhaustive_limit, "the exhaustive limit must be a non-negative integer", 0)
     require_family_bases(a, g, h)
     if a % g == 0:
         raise DomainError(f"{g} divides {a}: family values are not base-{g} palindromes")

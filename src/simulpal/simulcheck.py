@@ -24,7 +24,7 @@ from math import gcd, lcm, log
 from typing import Callable
 
 from .lindep import multiplicatively_independent
-from .radix import DomainError, _mirror_test, _reverse, check_base, is_palindrome_early_exit, length_ranges
+from .radix import DomainError, _mirror_test, _reverse, check_base, check_int, is_palindrome_early_exit, length_ranges
 
 CHECKPOINT_VERSION = "simulpal-checkpoint-v2"
 
@@ -197,12 +197,6 @@ def _scan_chunk(driver: int, tested: int, d: int, n_lo: int, n_hi: int) -> list[
     return hits
 
 
-def _int(x) -> int:
-    if type(x) is not int:
-        raise TypeError(f"expected an integer, got {x!r}")
-    return x
-
-
 def usable_cpus() -> int:
     """CPUs this process may run on: its affinity set, else the CPU count."""
     if hasattr(os, "sched_getaffinity"):
@@ -252,14 +246,10 @@ class SearchCheckpoint:
             doc = json.loads(text)
             if doc["version"] != CHECKPOINT_VERSION:
                 raise CheckpointMismatchError(f"unsupported checkpoint version {doc['version']!r}")
-            state = cls(
-                g=_int(doc["g"]),
-                h=_int(doc["h"]),
-                bound=_int(doc["bound"]),
-                cursor=_int(doc["cursor"]),
-                found=[_int(x) for x in doc["found"]],
-            )
-            state._validate(_int(doc["hits"]))
+            keys = ("g", "h", "bound", "cursor", "hits")  # only the types here: _validate checks the ranges
+            g, h, bound, cursor, hits = (check_int(doc[k], f"{k} must be an integer", None) for k in keys)
+            state = cls(g, h, bound, cursor, [check_int(x, "found must list integers", None) for x in doc["found"]])
+            state._validate(hits)
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointMismatchError(f"damaged checkpoint: {exc!r}") from exc
         return state
@@ -350,16 +340,14 @@ def search(
     check_base(h)
     if g == h:
         raise DomainError("the two bases must differ")
-    if type(bound) is not int:
-        raise DomainError(f"search bound must be an integer, got {bound!r}")
-    if bound < 1:
-        raise DomainError("search bound must be >= 1")
-    if type(threads) is not int or threads < 1:
-        raise DomainError(f"need an integer count of at least one worker, got threads={threads!r}")
-    if enumeration_base is not None and enumeration_base not in (g, h):
+    check_int(bound, "search bound must be an integer >= 1")
+    check_int(threads, "need an integer count of at least one worker")
+    if enumeration_base is not None and check_base(enumeration_base) not in (g, h):
         raise DomainError(f"enumeration base must be {g} or {h}")
     if type(checkpoint_interval) not in (int, float) or not checkpoint_interval >= 0:  # also false for NaN
         raise DomainError(f"checkpoint interval must be a number >= 0, got {checkpoint_interval!r}")
+    if progress is not None and not callable(progress):
+        raise DomainError(f"progress must be None or callable, got {progress!r}")
     _warn_if_power_related(g, h)
 
     if resume:
@@ -388,6 +376,8 @@ def search(
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for d, first, last in length_ranges(driver, state.cursor + 1, bound):
+            if d > 1 and last == driver ** (d - 1):
+                continue  # the one integer g**(d - 1): below the least d-digit palindrome g**(d - 1) + 1
             # cut from g**(d - 1), the unit edges are half edges
             edges = list(range(first, last + 1, CHUNK_HALVES * driver ** (d // 2))) + [last + 1]
             run = map

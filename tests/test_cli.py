@@ -328,6 +328,8 @@ def test_reports_match_goldens(capsys, golden, argv):
         # NaN compares false with every elapsed time, so it would turn the interval writes off
         pytest.param(["search", "10", "2", "1e3", "--checkpoint-interval", "nan"], 2, id="search-interval-nan"),
         pytest.param(["count", "10", "2", "1e3", "--checkpoint-interval", "-1"], 2, id="count-interval-negative"),
+        # a negative limit was accepted and the run exited 0
+        pytest.param(["family", "74", "10", "2", "--exhaustive-limit", "-1"], 2, id="family-exhaustive-limit-negative"),
     ],
 )
 def test_bad_input_exits_with_documented_code(capsys, argv, code):

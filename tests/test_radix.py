@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from simulpal.bounds import min_zero_run_for_tail_fit, shift_exponent_bound, tail_fit_threshold
+from simulpal.palgen import family_instance
 from simulpal.radix import DomainError, digit_count, is_palindrome, length_ranges, reverse_in_base
 
 from conftest import oracle_digits, oracle_reverse
@@ -31,6 +33,15 @@ def test_non_integer_input_is_rejected(n):
             digit_count(n, base)
         with pytest.raises(DomainError, match="palindrome test is defined for positive integers only"):
             is_palindrome(n, base)
+    # a prefix or a shift of the family a*g**n + rev(a) follows the same rule:
+    # 5.0 and True gave bounds, and family_instance answered with digit_count's message
+    for f in (shift_exponent_bound, tail_fit_threshold, min_zero_run_for_tail_fit):
+        with pytest.raises(DomainError, match=f"prefix a must be a positive integer, got {n!r}"):
+            f(n, 10, 2)
+    with pytest.raises(DomainError, match=f"family prefix must be a positive integer, got {n!r}"):
+        family_instance(n, 10, 2, 3)
+    with pytest.raises(DomainError, match=f"shift exponent must be a positive integer, got {n!r}"):
+        family_instance(74, 10, 2, n)
 
 
 def test_reverse_examples():

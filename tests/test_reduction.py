@@ -4,7 +4,14 @@ from math import ceil
 import mpmath
 import pytest
 
-from simulpal.bounds import shift_exponent_bound
+from simulpal.bounds import (
+    LaurentInstance,
+    MatveevInstance,
+    laurent_lower_bound,
+    matveev_lower_bound,
+    shift_exponent_bound,
+    zero_run_threshold_terms,
+)
 from simulpal.lindep import DependenceWitness, dependence_witness, multiplicatively_independent
 from simulpal.palgen import family_instance
 from simulpal.precise import PreciseReal, hp_log
@@ -296,10 +303,33 @@ _EPSILON = PreciseReal.log_ratio(10, 2)
         # 2.5 and 3 were independent, and sympy could not factor 2 * 2.5 * 3
         (lambda: multiplicatively_independent(2.5, 3), "considered for integers"),
         (lambda: dependence_witness(2, 2.5, 3), "considered for integers"),
+        # these returned a bound, or ran, on a fractional or boolean argument
+        (lambda: shift_exponent_bound(74.5, 10, 2), "prefix a must be a positive integer, got 74.5"),
+        (lambda: shift_exponent_bound(True, 10, 2), "prefix a must be a positive integer, got True"),
+        (lambda: zero_run_threshold_terms(74, 10, 2, 2.5), "shift exponent must be positive, got 2.5"),
+        (lambda: laurent_lower_bound(LaurentInstance(3, 2, b1=2.5, b2=7)), "coefficients must be positive integers"),
+        (lambda: matveev_lower_bound(MatveevInstance((2, 3), (1.5, 2))), "the coefficients must be integers"),
+        (lambda: MatveevInstance((2, 3), (1, 2), D=2.0), "the degree D must be a positive integer"),
+        (lambda: MatveevInstance((2, 3), (1, 2), kappa=3), "kappa must be 1 or 2"),
+        (lambda: verify_family(74, 10, 2, exhaustive_limit=2.5), "exhaustive limit must be a non-negative integer"),
+        (lambda: verify_family(74, 10, 2, exhaustive_limit=-1), "exhaustive limit must be a non-negative integer"),
+        # a bare TypeError, or any value taken
+        (lambda: dependent_case_check(DependenceWitness(1, 1, -1), 5, 10, 2, X=100, n_floor=30.5), "testing floor"),
+        (lambda: dependent_case_check(DependenceWitness(1, 1, -1), 5, 10, 2, X=100, s_bound=1.5), "s_bound must"),
+        (lambda: dependent_case_check(DependenceWitness(1, 1, -1), 5, 10, 2, X=100, factor_floor=2.5), "factor_floor"),
+        (lambda: dependent_case_check(DependenceWitness(1, 1, -1), 5, 10, 2, X=100, slack=0.5), "slack must"),
+        # no positive rational: OverflowError or a plain ValueError from Fraction
+        (lambda: hp_log(float("inf")), "logarithm of non-positive value inf"),
+        (lambda: hp_log(float("nan")), "logarithm of non-positive value nan"),
+        (lambda: PreciseReal.log_ratio(float("inf"), 2), "needs positive x and y"),
+        (lambda: dependence_witness("x", 10, 2), "expected a positive rational, got 'x'"),
     ],
     ids=[
         "hp_log-bits", "verify_family-bits", "log_ratio-bits", "verify_family-bound", "verify_family-parity-bound",
         "verify_family-bound-bool", "pairs-X", "cf-count", "dependent-X", "independent", "witness",
+        "shift-bound-float", "shift-bound-bool", "zero-run-n", "laurent-b1", "matveev-b", "matveev-D", "matveev-kappa",
+        "exhaustive-limit-float", "exhaustive-limit-negative", "dependent-n_floor", "dependent-s_bound",
+        "dependent-factor_floor", "dependent-slack", "hp_log-inf", "hp_log-nan", "log_ratio-inf", "witness-string",
     ],
 )
 def test_certification_rejects_arguments_that_are_not_integers(call, match):

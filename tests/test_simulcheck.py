@@ -135,13 +135,18 @@ def test_perfect_power_warning():
         search(2, 8, 100)
 
 
-def test_validation_errors():
+def test_validation_errors(tmp_path):
     with pytest.raises(DomainError):
         search(10, 10, 100)
     with pytest.raises(DomainError):
         search(10, 2, 0)
     with pytest.raises(DomainError):
         search(10, 2, 100, enumeration_base=3)
+    # 2.0 == 2 passed the membership test, and the run failed only after a checkpoint write
+    path = tmp_path / "cp.json"
+    with pytest.raises(DomainError, match="base must be an integer"):
+        search(10, 2, 100, enumeration_base=2.0, checkpoint_path=str(path))
+    assert not path.exists()
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -476,6 +481,29 @@ def test_search_rejects_a_checkpoint_interval_that_is_nan_or_negative(tmp_path, 
     # zero writes after every chunk, infinity only after each digit length
     for accepted in (0, inf):
         assert search(10, 2, 10**4, checkpoint_path=str(path), checkpoint_interval=accepted) == search(10, 2, 10**4)
+
+
+@pytest.mark.parametrize("progress", [5, "print"])
+def test_search_rejects_a_progress_that_is_not_callable(tmp_path, progress):
+    # it was called only after the first unit, as a bare TypeError
+    path = tmp_path / "cp.json"
+    with pytest.raises(DomainError, match="progress must be None or callable"):
+        search(10, 2, 100, checkpoint_path=str(path), progress=progress)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("bound, top", [(10**12, 12), (10**12 + 1, 13)])
+def test_search_skips_a_top_length_without_palindromes(tmp_path, bound, top):
+    # at a power of the driver the top length holds the one integer 10**12,
+    # below the least 13-digit palindrome 10**12 + 1: no unit runs there, yet
+    # the run still ends at the bound with a final checkpoint write
+    path = tmp_path / "cp.json"
+    events = []
+    found = search(10, 2, bound, checkpoint_path=str(path), progress=events.append)
+    assert events[-1]["digit_length"] == top
+    assert found == search(10, 2, 10**12 - 1)
+    doc = json.loads(path.read_text())
+    assert doc["cursor"] == bound and doc["found"] == found
 
 
 class _InProcessPool:
