@@ -5,6 +5,11 @@ Reports go to stdout as a single JSON document (or CSV of the results
 only); progress and diagnostics go to stderr.  Exit codes: 0 success,
 1 negative predicate, 2 usage or validation error, 3 mismatched, damaged
 or unwritable checkpoint, 4 certification left undecided.
+
+Each ``cmd_*`` returns its exit code, parameters, results and CSV table
+(header, rows); ``search`` and ``count`` add the checkpoint path, None
+without one.  :func:`main` alone times the call, builds the report and
+prints it.
 """
 
 from __future__ import annotations
@@ -55,28 +60,6 @@ def parse_base_list(text: str) -> list[int]:
     return out
 
 
-def _report(command: str, parameters: dict, results, started: float, checkpoint_path=None) -> dict:
-    report = {
-        "command": command,
-        "parameters": parameters,
-        "results": results,
-        "timing_seconds": round(time.perf_counter() - started, 6),
-    }
-    if checkpoint_path is not None:
-        report["checkpoint_path"] = checkpoint_path
-    return report
-
-
-def _emit(report: dict, fmt: str, csv_rows: tuple[list[str], list[list]]) -> None:
-    if fmt == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        header, rows = csv_rows
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(x) for x in row))
-
-
 def _with_log10(value: float) -> dict:
     return {"value": value, "log10": math.log10(value) if value > 0 else None}
 
@@ -94,18 +77,15 @@ def _progress_printer(enabled: bool):
     return show
 
 
-def cmd_check(args) -> int:
-    started = time.perf_counter()
+def cmd_check(args):
     n = parse_exact_int(args.n)
     bases = parse_base_list(args.bases)
     table = {str(b): is_palindrome(n, b) for b in bases}
-    report = _report("check", {"n": n, "bases": bases}, table, started)
-    _emit(report, args.format, (["base", "is_palindrome"], [[b, v] for b, v in table.items()]))
-    return EXIT_OK if all(table.values()) else EXIT_NEGATIVE
+    code = EXIT_OK if all(table.values()) else EXIT_NEGATIVE
+    return code, {"n": n, "bases": bases}, table, (["base", "is_palindrome"], [[b, v] for b, v in table.items()])
 
 
-def _run_search(args, counting: bool) -> int:
-    started = time.perf_counter()
+def cmd_search(args):
     bound = parse_exact_int(args.bound)
     checkpoint_path = args.resume if args.resume else args.checkpoint
     found = simulcheck.search(
@@ -119,7 +99,6 @@ def _run_search(args, counting: bool) -> int:
         checkpoint_interval=args.checkpoint_interval,
         progress=_progress_printer(args.progress),
     )
-    name = "count" if counting else "search"
     params = {
         "g": args.g,
         "h": args.h,
@@ -127,27 +106,13 @@ def _run_search(args, counting: bool) -> int:
         "enumeration_base": args.enumeration_base,
         "threads": min(args.threads, simulcheck.usable_cpus()),
     }
-    if counting:
-        results = {"count": len(found)}
-        csv_rows = (["count"], [[len(found)]])
-    else:
-        results = {"count": len(found), "palindromes": found}
-        csv_rows = (["palindrome"], [[n] for n in found])
-    report = _report(name, params, results, started, checkpoint_path)
-    _emit(report, args.format, csv_rows)
-    return EXIT_OK
+    if args.command == "count":
+        return EXIT_OK, params, {"count": len(found)}, (["count"], [[len(found)]]), checkpoint_path
+    results = {"count": len(found), "palindromes": found}
+    return EXIT_OK, params, results, (["palindrome"], [[n] for n in found]), checkpoint_path
 
 
-def cmd_search(args) -> int:
-    return _run_search(args, counting=False)
-
-
-def cmd_count(args) -> int:
-    return _run_search(args, counting=True)
-
-
-def cmd_family(args) -> int:
-    started = time.perf_counter()
+def cmd_family(args):
     kwargs = {"bits": args.precision, "exhaustive_limit": args.exhaustive_limit}
     if args.bound is not None:
         kwargs["bound"] = parse_exact_int(args.bound)
@@ -178,18 +143,15 @@ def cmd_family(args) -> int:
         "tested_upper": report_obj.tested_upper,
         "undecided_above": report_obj.undecided_above,
     }
-    report = _report(
-        "family",
+    return (
+        EXIT_UNDECIDED if report_obj.status == "undecided" else EXIT_OK,
         {"a": args.a, "g": args.g, "h": args.h, "precision_bits": args.precision},
         results,
-        started,
+        (["n", "value"], list(zip(results["shifts"], results["values"]))),
     )
-    _emit(report, args.format, (["n", "value"], list(zip(results["shifts"], results["values"]))))
-    return EXIT_UNDECIDED if report_obj.status == "undecided" else EXIT_OK
 
 
-def cmd_bound(args) -> int:
-    started = time.perf_counter()
+def cmd_bound(args):
     shift_terms = bounds_mod.shift_exponent_bound_terms(args.a, args.g, args.h)
     results = {
         "shift_exponent_bound": _with_log10(max(shift_terms.values())),
@@ -203,18 +165,10 @@ def cmd_bound(args) -> int:
         results["zero_run_terms"] = {k: _with_log10(v) for k, v in run_terms.items()}
         rows.append(["zero_run_threshold", max(run_terms.values())])
         rows += [[f"zero_run_term_{k}", v] for k, v in run_terms.items()]
-    report = _report(
-        "bound",
-        {"a": args.a, "g": args.g, "h": args.h, "n": args.n},
-        results,
-        started,
-    )
-    _emit(report, args.format, (["quantity", "value"], rows))
-    return EXIT_OK
+    return EXIT_OK, {"a": args.a, "g": args.g, "h": args.h, "n": args.n}, results, (["quantity", "value"], rows)
 
 
-def cmd_cf(args) -> int:
-    started = time.perf_counter()
+def cmd_cf(args):
     check_base(args.g)
     check_base(args.h)
     # equal or power-related bases make log g / log h rational
@@ -227,15 +181,13 @@ def cmd_cf(args) -> int:
         "convergents": [{"p": p, "q": q} for p, q in cf.convergents],
         "exact": cf.exact,
     }
-    report = _report(
-        "cf",
+    rows = [[i, a, p, q] for i, (a, (p, q)) in enumerate(zip(cf.quotients, cf.convergents))]
+    return (
+        EXIT_OK,
         {"g": args.g, "h": args.h, "count": args.count, "precision_bits": args.precision},
         results,
-        started,
+        (["index", "quotient", "p", "q"], rows),
     )
-    rows = [[i, a, p, q] for i, (a, (p, q)) in enumerate(zip(cf.quotients, cf.convergents))]
-    _emit(report, args.format, (["index", "quotient", "p", "q"], rows))
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--enumeration-base", type=int, default=None)
         p.add_argument("--checkpoint-interval", type=float, default=300.0)
         p.add_argument("--progress", action="store_true", help="progress lines on stderr")
-        p.set_defaults(func=cmd_search if name == "search" else cmd_count)
+        p.set_defaults(func=cmd_search)
 
     p = sub.add_parser(
         "family", parents=[fmt, precision], help="certify all n with a*g**n + rev(a) palindromic in base h"
@@ -308,10 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        code, parameters, results, (header, rows), *checkpoint = args.func(args)
     except CheckpointMismatchError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT
@@ -321,6 +273,21 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    report = {
+        "command": args.command,
+        "parameters": parameters,
+        "results": results,
+        "timing_seconds": round(time.perf_counter() - started, 6),
+    }
+    if checkpoint and checkpoint[0] is not None:
+        report["checkpoint_path"] = checkpoint[0]
+    if args.format == "json":
+        print(json.dumps(report, indent=2))
+    else:
+        print(",".join(header))
+        for row in rows:
+            print(",".join(str(x) for x in row))
+    return code
 
 
 if __name__ == "__main__":

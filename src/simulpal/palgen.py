@@ -29,6 +29,7 @@ def mirror_half(half: int, g: int, half_len: int, odd: bool) -> int:
     >>> mirror_half(585, 10, 3, odd=False), mirror_half(123, 10, 3, odd=True)
     (585585, 12321)
     """
+    check_int(half_len, "half length must be a positive integer")
     return (half // g if odd else half) * g**half_len + reverse_in_base(half, g)
 
 
@@ -57,9 +58,10 @@ def iter_palindromes(g: int, lo: int, hi: int) -> Iterator[int]:
 
     Generated by digit length, then by half-value, so the stream is
     ascending without sorting and each palindrome appears exactly once.
+    Requires integers ``1 <= lo <= hi``.
     """
-    if not 1 <= lo <= hi:
-        raise DomainError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
+    check_int(lo, "lower end must be a positive integer")
+    check_int(hi, f"upper end must be an integer >= {lo}", lo)
     for d, first, last in length_ranges(g, lo, hi):
         for half in _halves(g, d, first, last):
             yield mirror_half(half, g, (d + 1) // 2, d % 2 == 1)

@@ -155,7 +155,10 @@ class PreciseReal:
 
     def __init__(self, lower, upper, bits: int, source: Callable[[int], tuple] | None = None):
         if source is None:  # fixed endpoints are rationals; computed ones come ordered
-            lower, upper = Fraction(lower), Fraction(upper)
+            try:
+                lower, upper = Fraction(lower), Fraction(upper)
+            except (TypeError, ValueError, ArithmeticError) as exc:
+                raise DomainError(f"interval endpoints must be rationals, got [{lower!r}, {upper!r}]") from exc
             if lower > upper:
                 raise DomainError(f"empty interval [{lower}, {upper}]")
         object.__setattr__(self, "_lo", lower)

@@ -151,12 +151,13 @@ def length_ranges(g: int, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
 
     Yields ``(d, first, last)`` per digit length ``d``, ascending, where
     [first, last] are the integers of [lo, hi] with ``d`` digits; nothing
-    when ``lo > hi``.  Requires ``lo >= 1``.
+    when ``lo > hi``.  Requires ``lo >= 1`` and an integer ``hi``.
 
     >>> list(length_ranges(10, 95, 1234))
     [(2, 95, 99), (3, 100, 999), (4, 1000, 1234)]
     """
     d = digit_count(lo, g)
+    check_int(hi, "upper end must be an integer", None)
     end = g**d
     while lo <= hi:
         yield d, lo, min(end - 1, hi)

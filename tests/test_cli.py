@@ -307,6 +307,54 @@ def test_reports_match_goldens(capsys, golden, argv):
 
 
 @pytest.mark.parametrize(
+    "command, code, csv",
+    [
+        ("check 585 --bases 10,2", 0, ["base,is_palindrome", "10,True", "2,True"]),
+        ("check 10 --bases 10,2", 1, ["base,is_palindrome", "10,False", "2,False"]),
+        ("search 10 2 1e3 --threads 1", 0, ["palindrome", "1", "3", "5", "7", "9", "33", "99", "313", "585", "717"]),
+        ("search 10 2 100 --threads 1 --checkpoint CP", 0, ["palindrome", "1", "3", "5", "7", "9", "33", "99"]),
+        ("count 10 2 1e9 --threads 1", 0, ["count", "30"]),
+        ("count 10 2 1e9 --threads 1 --checkpoint CP", 0, ["count", "30"]),
+        ("family 9 10 2", 0, ["n,value", "1,99", "3,9009"]),
+        # the report is printed even though the certification is left undecided
+        ("family 74 10 2 --bound 1e40 --exhaustive-limit 50", 4, ["n,value", "2,7447"]),
+        (
+            "bound 1 10 2",
+            0,
+            [
+                "quantity,value",
+                "shift_exponent_bound,131463019477863.0",
+                "shift_term_tail_fit,3.3219280948873626",
+                "shift_term_dependence_degree,62.05050236331545",
+                "shift_term_three_log_solved,131463019477863.0",
+            ],
+        ),
+        ("cf 10 2 3", 0, ["index,quotient,p,q", "0,3,3,1", "1,3,10,3", "2,9,93,28"]),
+    ],
+    ids=[
+        "check", "check-negative", "search", "search-checkpoint", "count", "count-checkpoint",
+        "family", "family-undecided", "bound", "cf",
+    ],
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_every_subcommand_prints_one_report(capsys, tmp_path, command, code, csv, fmt):
+    # one envelope for every subcommand, in either format, whatever the exit code
+    cp = str(tmp_path / "cp.json")
+    argv = [cp if arg == "CP" else arg for arg in command.split()] + ["--format", fmt]
+    got, out, err = run(capsys, *argv)
+    assert got == code and err == ""
+    if fmt == "csv":
+        assert out == "\n".join(csv) + "\n"
+        return
+    doc = json.loads(out)
+    envelope = ["command", "parameters", "results", "timing_seconds"]
+    assert list(doc) == envelope + (["checkpoint_path"] if cp in argv else [])
+    assert doc["command"] == argv[0] and doc.get("checkpoint_path", cp) == cp
+    if argv[0] == "family":
+        assert doc["results"]["status"] == ("undecided" if code == 4 else "complete")
+
+
+@pytest.mark.parametrize(
     "argv, code",
     [
         # dependent or equal bases make log g / log h rational: escalation never settled

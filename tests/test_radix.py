@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from simulpal.bounds import min_zero_run_for_tail_fit, shift_exponent_bound, tail_fit_threshold
-from simulpal.palgen import family_instance
+from simulpal.palgen import count_palindromes_upto, family_instance, iter_palindromes, mirror_half
 from simulpal.radix import DomainError, digit_count, is_palindrome, length_ranges, reverse_in_base
 
 from conftest import oracle_digits, oracle_reverse
@@ -42,6 +42,16 @@ def test_non_integer_input_is_rejected(n):
         family_instance(n, 10, 2, 3)
     with pytest.raises(DomainError, match=f"shift exponent must be a positive integer, got {n!r}"):
         family_instance(74, 10, 2, n)
+    # an upper end or a half length: True counted 1, 2.5 came back as a range
+    # end, and 2.0 mirrored to 1221.0
+    with pytest.raises(DomainError, match=f"upper end must be an integer, got {n!r}"):
+        count_palindromes_upto(10, n)
+    with pytest.raises(DomainError, match=f"upper end must be an integer, got {n!r}"):
+        list(length_ranges(10, 1, n))
+    with pytest.raises(DomainError, match=f"upper end must be an integer >= 1, got {n!r}"):
+        list(iter_palindromes(10, 1, n))
+    with pytest.raises(DomainError, match=f"half length must be a positive integer, got {n!r}"):
+        mirror_half(12, 10, n, False)
 
 
 def test_reverse_examples():

@@ -14,7 +14,7 @@ from simulpal.bounds import (
 )
 from simulpal.lindep import DependenceWitness, dependence_witness, multiplicatively_independent
 from simulpal.palgen import family_instance
-from simulpal.precise import PreciseReal, hp_log
+from simulpal.precise import PreciseReal, hp_exp, hp_log
 from simulpal.radix import DomainError, is_palindrome, reverse_in_base
 from simulpal.reduction import (
     _base_pair,
@@ -323,6 +323,13 @@ _EPSILON = PreciseReal.log_ratio(10, 2)
         (lambda: hp_log(float("nan")), "logarithm of non-positive value nan"),
         (lambda: PreciseReal.log_ratio(float("inf"), 2), "needs positive x and y"),
         (lambda: dependence_witness("x", 10, 2), "expected a positive rational, got 'x'"),
+        # a fixed endpoint that Fraction cannot take: a bare OverflowError or a plain ValueError
+        (lambda: hp_exp(float("inf")), "endpoints must be rationals, got \\[inf, inf\\]"),
+        (lambda: hp_exp(float("-inf")), "endpoints must be rationals, got \\[-inf, -inf\\]"),
+        (lambda: hp_exp(float("nan")), "endpoints must be rationals, got \\[nan, nan\\]"),
+        (lambda: hp_exp("x"), "endpoints must be rationals, got \\['x', 'x'\\]"),
+        (lambda: PreciseReal.exact(float("nan")), "endpoints must be rationals, got \\[nan, nan\\]"),
+        (lambda: hp_log(2) * float("inf"), "endpoints must be rationals, got \\[inf, inf\\]"),
     ],
     ids=[
         "hp_log-bits", "verify_family-bits", "log_ratio-bits", "verify_family-bound", "verify_family-parity-bound",
@@ -330,6 +337,7 @@ _EPSILON = PreciseReal.log_ratio(10, 2)
         "shift-bound-float", "shift-bound-bool", "zero-run-n", "laurent-b1", "matveev-b", "matveev-D", "matveev-kappa",
         "exhaustive-limit-float", "exhaustive-limit-negative", "dependent-n_floor", "dependent-s_bound",
         "dependent-factor_floor", "dependent-slack", "hp_log-inf", "hp_log-nan", "log_ratio-inf", "witness-string",
+        "hp_exp-inf", "hp_exp-minus-inf", "hp_exp-nan", "hp_exp-string", "exact-nan", "times-inf",
     ],
 )
 def test_certification_rejects_arguments_that_are_not_integers(call, match):
