@@ -51,12 +51,13 @@ def parse_exact_int(text: str) -> int:
 
 
 def parse_base_list(text: str) -> list[int]:
+    # an empty entry fails int(); check keys its results by base, so a repeated one would collapse
     try:
-        out = [int(part) for part in text.split(",") if part]
+        out = [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise DomainError(f"bad base list {text!r}") from exc
-    if not out:
-        raise DomainError("need at least one base")
+    if len(set(out)) < len(out):
+        raise DomainError(f"base list {text!r} repeats a base")
     return out
 
 
@@ -220,8 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("g", type=int)
         p.add_argument("h", type=int)
         p.add_argument("bound", help="inclusive bound; scientific shorthand like 1e14 is exact")
-        p.add_argument("--checkpoint", help="write resumable state to this file")
-        p.add_argument("--resume", help="resume from this checkpoint file and keep updating it")
+        state = p.add_mutually_exclusive_group()
+        state.add_argument("--checkpoint", help="write resumable state to this file")
+        state.add_argument("--resume", help="resume from this checkpoint file and keep updating it")
         p.add_argument(
             "--threads",
             type=int,

@@ -16,7 +16,7 @@ import os
 import tempfile
 import time
 import warnings
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -90,110 +90,94 @@ def _scan_chunk(driver: int, tested: int, d: int, n_lo: int, n_hi: int) -> list[
     """Simultaneous palindromes among the d-digit base-``driver`` palindromes
     in [n_lo, n_hi), ascending; [n_lo, n_hi) holds only d-digit integers.
 
-    Depth-first walk over the half-value's digits, most significant first,
-    in ascending digit order.  A node with k digits fixed confines N to an
-    interval of width g**(d-k) and knows ``low = N mod g**k``, the top k
-    digits mirrored.  In each base-h length L the interval meets, the
-    numbers share their top j base-h digits; mirrored, those give N mod
-    h**j.  The two residues join by CRT into one residue R modulo
-    M = lcm(g**k, h**j), and a node whose residues disagree modulo
-    gcd(g**k, h**j) holds no base-h palindrome and is dropped.  Once the
-    interval holds at most g numbers congruent to R, no more than its
-    children would be, the walk lists them and tests each in both bases.
-    For coprime bases that happens near k = d/3, for (10, 2) near d/2.7.
+    The powers of h split [n_lo, n_hi) into blocks of one base-h length L
+    each, and each block gets its own depth-first walk over the
+    half-value's digits, most significant first, in ascending digit order.
+    A node with k digits fixed confines N to an interval of width
+    g**(d-k), cut to the block, and knows ``low = N mod g**k``, the top k
+    digits mirrored.  The interval's numbers share their top j base-h
+    digits; mirrored, those give N mod h**j.  The two residues join by CRT
+    into one residue R modulo M = lcm(g**k, h**j), and a node whose
+    residues disagree modulo gcd(g**k, h**j) holds no base-h palindrome
+    and is dropped.  Once the interval holds at most g numbers congruent
+    to R, no more than its children would, the walk lists them and tests
+    each in both bases.  For coprime bases that happens near k = d/3, for
+    (10, 2) near d/2.7.
 
-    A node in one base-h length hands r = N mod h**j down: its children's
-    N mod g**(k+1) = low + c*g**k must meet r modulo gcd(g**(k+1), h**j),
-    which holds for c ≡ c0 (mod s), s = gcd(g**(k+1), h**j) / gcd(g**k, h**j).
-    The walk steps over the other digits; s reaches 2 for (10, 2), 3 for
-    (12, 18) and 5 for (20, 50), and stays 1 for coprime bases.
+    A node hands r = N mod h**j down: its children's N mod g**(k+1) =
+    low + c*g**k must meet r modulo gcd(g**(k+1), h**j), which holds for
+    c ≡ c0 (mod s), s = gcd(g**(k+1), h**j) / gcd(g**k, h**j).  The walk
+    steps over the other digits; s reaches 2 for (10, 2), 3 for (12, 18)
+    and 5 for (20, 50), and stays 1 for coprime bases.
 
     A base-b palindrome of even length is a multiple of b + 1: its digit
     pairs contribute a*b**i*(1 + b**odd).  So N ≡ 0 modulo f, the lcm of
     g + 1 when d is even and h + 1 when L is even.  R joins that too: a
-    piece with R ≢ 0 modulo gcd(M, f) is dropped, and the listing starts
+    node with R ≢ 0 modulo gcd(M, f) is dropped, and the listing starts
     and steps by lcm(M, f).  A palindrome ends in its nonzero top digit, so
-    for bases 2 and 3 every piece of even length in either base is dropped
-    once its top digit in both bases is fixed.
+    for bases 2 and 3 a block of even length in either base lists nothing:
+    its nodes are dropped once their top digit in both bases is fixed.
     """
     g, h = driver, tested
-    t = (d + 1) // 2
-    odd = d % 2 == 1
     gp = [g**i for i in range(d + 1)]
     hp = [1]
     while hp[-1] <= gp[d]:
         hp.append(hp[-1] * h)
-    # f[L % 2]: a simultaneous palindrome with L base-h digits is a multiple of f
-    fg = 1 if odd else g + 1
-    f = (lcm(fg, h + 1), fg)
-    # crt[k][2*j + L % 2] = _crt_entry(g**k, h**j, g, f[L % 2])
-    crt = [[None] * (2 * len(hp)) for _ in range(t + 1)]
-    # per base-h length L, the two _mirror_test argument triples, built when
-    # first met; base 2's test is one string comparison: run it first
-    tests: list = [None] * len(hp)
+    # crt[L % 2][k][j] = _crt_entry(g**k, h**j, g, f): blocks whose L has one parity share f
+    crt = [[[None] * len(hp) for _ in range((d + 1) // 2 + 1)] for _ in range(2)]
     hits: list[int] = []
 
     def walk(k: int, prefix: int, low: int, step: int, c0: int) -> None:
-        # visit the nodes with k digits fixed below the node (prefix, low),
-        # only the digits c ≡ c0 (mod step)
+        # visit the nodes with k digits fixed below the node (prefix, low) that
+        # meet the block [lo, hi), only the digits c ≡ c0 (mod step)
         span = gp[d - k]
-        # a piece cut narrower by a base-h length's edge may share more top digits than it uses
+        # a child cut narrower by the block's edge may share more top digits than it uses
         e0 = bisect_left(hp, span)
-        crt_k = crt[k]
+        crt_k = crt_L[k]
         base = prefix * g
-        c_first = max(n_lo // span - base, 0)
+        c_first = max(lo // span - base, 0)
         c_first += (c0 - c_first) % step
-        for c in range(c_first, min((n_hi - 1) // span - base + 1, g), step):
+        for c in range(c_first, min((hi - 1) // span - base + 1, g), step):
             low1 = low + c * gp[k - 1]  # N mod g**k
-            lo = (base + c) * span
-            hi = lo + span
-            if lo < n_lo:
-                lo = n_lo
-            if hi > n_hi:
-                hi = n_hi
-            pieces = []
-            b = lo
-            while b < hi:
-                # [a, b): the child's numbers with L base-h digits; they share
-                # their top j = L - e base-h digits
-                a = b
-                L = bisect_right(hp, a)
-                b = hi if hi < hp[L] else hp[L]
-                e = e0
-                while a // hp[e] != (b - 1) // hp[e]:
-                    e += 1
-                j = L - e
-                entry = crt_k[2 * j + L % 2]
-                if entry is None:
-                    entry = crt_k[2 * j + L % 2] = _crt_entry(gp[k], hp[j], g, f[L % 2])
-                q, m, inv, M, s, inv_s, qf, fm, inv_f, MF = entry
-                # the top digits, mirrored, are N mod h**j
-                r = _reverse(a // hp[e], h)
-                if (r - low1) % q:
-                    continue
-                u = (r - low1) // q
-                R = low1 + gp[k] * (u * inv % m)  # N mod M
-                if R % qf:
-                    continue
-                if b - a > g * MF:
-                    if a != lo or b != hi:  # more than one piece: no one r to hand down
-                        s = 1
-                    walk(k + 1, base + c, low1, s, u * inv_s % s)
-                    break
-                R += M * (-R // qf * inv_f % fm)  # N mod MF
-                first = a + (R - a) % MF  # lifted into [a, b)
-                if first < b:
-                    pieces.append((first, b, L, MF))
+            a = (base + c) * span
+            b = a + span
+            if a < lo:
+                a = lo
+            if b > hi:
+                b = hi
+            # [a, b): the child's numbers; they share their top j = L - e base-h digits
+            e = e0
+            while a // hp[e] != (b - 1) // hp[e]:
+                e += 1
+            j = L - e
+            entry = crt_k[j]
+            if entry is None:
+                entry = crt_k[j] = _crt_entry(gp[k], hp[j], g, f)
+            q, m, inv, M, s, inv_s, qf, fm, inv_f, MF = entry
+            # the top digits, mirrored, are N mod h**j
+            r = _reverse(a // hp[e], h)
+            if (r - low1) % q:
+                continue
+            u = (r - low1) // q
+            R = low1 + gp[k] * (u * inv % m)  # N mod M
+            if R % qf:
+                continue
+            if b - a > g * MF:
+                walk(k + 1, base + c, low1, s, u * inv_s % s)
             else:
-                for first, b, L, MF in pieces:
-                    if tests[L] is None:
-                        tests[L] = ((h, L - 1, hp[L - 1]), (g, d - 1, gp[d - 1]))[:: -1 if g == 2 else 1]
-                    (x, kx, px), (y, ky, py) = tests[L]
-                    for n in range(first, b, MF):
-                        if _mirror_test(n, x, kx, px) and _mirror_test(n, y, ky, py):
-                            hits.append(n)
+                R += M * (-R // qf * inv_f % fm)  # N mod MF
+                for n in range(a + (R - a) % MF, b, MF):  # R lifted into [a, b)
+                    if _mirror_test(n, x, kx, px) and _mirror_test(n, y, ky, py):
+                        hits.append(n)
 
-    walk(1, 0, 0, 1, 0)
+    for L, lo, last in length_ranges(h, n_lo, n_hi - 1):
+        hi = last + 1
+        crt_L = crt[L % 2]
+        # a simultaneous palindrome with d base-g and L base-h digits is a multiple of f
+        f = lcm(1 if d % 2 else g + 1, 1 if L % 2 else h + 1)
+        # base 2's test is one string comparison: run it first
+        (x, kx, px), (y, ky, py) = ((h, L - 1, hp[L - 1]), (g, d - 1, gp[d - 1]))[:: -1 if g == 2 else 1]
+        walk(1, 0, 0, 1, 0)
     return hits
 
 

@@ -378,6 +378,9 @@ def test_every_subcommand_prints_one_report(capsys, tmp_path, command, code, csv
         pytest.param(["count", "10", "2", "1e3", "--checkpoint-interval", "-1"], 2, id="count-interval-negative"),
         # a negative limit was accepted and the run exited 0
         pytest.param(["family", "74", "10", "2", "--exhaustive-limit", "-1"], 2, id="family-exhaustive-limit-negative"),
+        # a repeated base printed one result row for two listed bases; an empty entry was dropped
+        pytest.param(["check", "585", "--bases", "10,10"], 2, id="check-bases-repeated"),
+        pytest.param(["check", "585", "--bases", "10,,2"], 2, id="check-bases-empty-entry"),
     ],
 )
 def test_bad_input_exits_with_documented_code(capsys, argv, code):
@@ -420,3 +423,15 @@ def test_unknown_option_is_usage_error(capsys, argv):
     out, err = capsys.readouterr()
     assert exc.value.code == 2
     assert out == "" and "Traceback" not in err and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("command", ["search", "count"])
+def test_checkpoint_with_resume_is_usage_error(capsys, tmp_path, command):
+    # --resume used to win silently, and the --checkpoint file was never written
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "10", "2", "1e5", "--checkpoint", str(a), "--resume", str(b)])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == "" and "Traceback" not in err and "not allowed with argument" in err
+    assert not a.exists() and not b.exists()

@@ -295,7 +295,7 @@ def test_digit_walk_matches_oracle_on_bases_sharing_a_prime(p, a, b, bound):
         # in (12, 18, 5) and by 5 in (35, 25, 5)
         (12, 18, 7), (18, 12, 7), (20, 50, 6), (6, 4, 9), (12, 18, 5), (35, 25, 5),
         # h + 1 shares a prime with g in the first three; the last two drop every
-        # piece, since an even-length palindrome in one base would end in 0 in the other
+        # node, since an even-length palindrome in one base would end in 0 in the other
         (12, 2, 8), (6, 2, 10), (4, 3, 10), (2, 3, 16), (3, 2, 14),
     ],
 )
@@ -307,6 +307,32 @@ def test_scan_chunk_equals_linear_scan_over_any_split(driver, tested, d):
     edges = sorted({n0, n1, *(rng.randrange(n0, n1) for _ in range(5))})
     pieces = [_scan_chunk(driver, tested, d, c0, c1) for c0, c1 in zip(edges[:-1], edges[1:])]
     assert [n for piece in pieces for n in piece] == linear
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # coprime pairs, then pairs that share a prime
+    pair=st.sampled_from([(2, 3), (3, 5), (10, 3), (11, 13), (10, 2), (12, 18), (6, 10), (20, 22), (6, 4)]),
+    drive_first=st.booleans(),
+    data=st.data(),
+)
+def test_scan_chunk_matches_oracle_across_powers_of_the_tested_base(pair, drive_first, data):
+    # the ends fall on a power of h or next to one, and a power of h lies inside,
+    # so the interval spans two or more base-h lengths and the walk runs once per length
+    g, h = pair if drive_first else pair[::-1]
+    d = data.draw(st.integers(2, 2 * max(t for t in range(1, 16) if g**t <= 10_000)), label="d")
+    n0, n1 = g ** (d - 1), g**d
+    powers = [h**i for i in range(1, n1.bit_length()) if n0 < h**i < n1]
+    assume(powers)
+    ends = sorted({min(max(p + e, n0), n1) for p in powers for e in (-1, 0, 1)} | {n0, n1})
+    inside = data.draw(st.sampled_from(powers), label="inside")
+    n_lo = data.draw(st.sampled_from([x for x in ends if x < inside]), label="n_lo")
+    n_hi = data.draw(st.sampled_from([x for x in ends if x > inside]), label="n_hi")
+    t = (d + 1) // 2
+    # every d-digit base-g palindrome, ascending, built from its top t digits
+    pals = (x * g ** (d - t) + oracle_reverse(x // g if d % 2 else x, g) for x in range(g ** (t - 1), g**t))
+    expected = [n for n in pals if n_lo <= n < n_hi and oracle_is_palindrome(n, g) and oracle_is_palindrome(n, h)]
+    assert _scan_chunk(g, h, d, n_lo, n_hi) == expected
 
 
 def test_kill_and_resume_inside_a_digit_length(tmp_path, known_list_10_2):
@@ -612,7 +638,7 @@ def test_walk_skips_the_digits_its_residue_rules_out(monkeypatch):
         # steps over half of them; visiting every child took 17 291 reversals,
         # and listing without the multiples of 11 and 33 took 9 326
         (10, 2, 38, 6_500),
-        # every piece of even length in base 2 or 3 is dropped; without that the
+        # every node of even length in base 2 or 3 is dropped; without that the
         # walk took 89 973 reversals driven by 2 and 73 899 driven by 3
         (2, 3, 5, 35_000),
     ]:
