@@ -88,7 +88,7 @@ def cmd_check(args):
 
 def cmd_search(args):
     bound = parse_exact_int(args.bound)
-    checkpoint_path = args.resume if args.resume else args.checkpoint
+    checkpoint_path = args.checkpoint if args.resume is None else args.resume
     found = simulcheck.search(
         args.g,
         args.h,

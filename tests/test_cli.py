@@ -381,6 +381,10 @@ def test_every_subcommand_prints_one_report(capsys, tmp_path, command, code, csv
         # a repeated base printed one result row for two listed bases; an empty entry was dropped
         pytest.param(["check", "585", "--bases", "10,10"], 2, id="check-bases-repeated"),
         pytest.param(["check", "585", "--bases", "10,,2"], 2, id="check-bases-empty-entry"),
+        # an empty --resume exited 3; an empty --checkpoint ran, then exited 3 after its
+        # temp file landed in the parent of the working directory
+        pytest.param(["count", "10", "2", "1e5", "--resume", ""], 2, id="count-resume-empty"),
+        pytest.param(["search", "10", "2", "1e5", "--checkpoint", ""], 2, id="search-checkpoint-empty"),
     ],
 )
 def test_bad_input_exits_with_documented_code(capsys, argv, code):

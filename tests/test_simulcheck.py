@@ -14,7 +14,6 @@ from simulpal import palgen, simulcheck
 from simulpal.palgen import iter_palindromes
 from simulpal.radix import DomainError, is_palindrome
 from simulpal.simulcheck import (
-    CHUNK_HALVES,
     CheckpointMismatchError,
     SearchCheckpoint,
     _scan_chunk,
@@ -109,9 +108,10 @@ class _BatchRecordingPool(ProcessPoolExecutor):
 
 
 def test_search_parallel_matches_sequential(monkeypatch, known_list_10_2):
-    # 50 halves a chunk cut the 9-digit (10, 2) length into 1 800 chunks, so
-    # the pool runs and sends them in batches of more than one
-    monkeypatch.setattr(simulcheck, "CHUNK_HALVES", 50)
+    # units of the walk of 10 integers cut the 9-digit (10, 2) length into the
+    # 90 prefixes of depth 2 and the 19-digit base-3 length into the 162 of
+    # depth 5, so the pool runs and gets them in batches of more than one
+    monkeypatch.setattr(simulcheck, "UNIT_INTEGERS", 10)
     monkeypatch.setattr(simulcheck, "usable_cpus", lambda: 2)
     monkeypatch.setattr(simulcheck, "ProcessPoolExecutor", _BatchRecordingPool)
     monkeypatch.setattr(_BatchRecordingPool, "batches", [])
@@ -121,6 +121,56 @@ def test_search_parallel_matches_sequential(monkeypatch, known_list_10_2):
         par = search(g, h, 10**9, threads=2)
         assert seq == par == listed
     assert max(_BatchRecordingPool.batches) > 1
+
+
+def test_progress_events_of_a_search_to_1e12():
+    # one unit for each length of at most UNIT_INTEGERS integers; the
+    # benchmark's harness keeps a mark per event
+    events = []
+    assert len(search(10, 2, 10**12, progress=events.append)) == 38
+    assert len(events) <= 16
+    last_of_length = {e["digit_length"]: e for e in events}
+    assert sorted(last_of_length) == list(range(1, 13))
+    for d, e in last_of_length.items():
+        assert e["cursor"] == e["length_end"] == 10**d - 1
+    assert [e["cursor"] for e in events] == sorted({e["cursor"] for e in events})
+
+
+def test_a_second_identical_search_builds_no_crt_entry(monkeypatch):
+    built = 0
+    real = simulcheck._crt_entry
+
+    def counting(*args):
+        nonlocal built
+        built += 1
+        return real(*args)
+
+    monkeypatch.setattr(simulcheck, "_crt_entry", counting)
+    simulcheck._tables.cache_clear()  # earlier tests of this process may have built them
+    for g, h, bound in ((10, 2, 10**14), (2, 3, 10**12), (17, 23, 10**9)):
+        built = 0
+        first = search(g, h, bound)
+        assert built > 0
+        built = 0
+        assert search(g, h, bound) == first and built == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=st.integers(2, 16),
+    calls=st.lists(st.tuples(st.integers(2, 16), st.integers(1, 6000), st.booleans()), min_size=2, max_size=5),
+)
+def test_interleaved_searches_share_tables_per_process(g, calls):
+    # searches with one base in common, in any order, in one process: the
+    # tables of one (driver, tested, d) must serve each later search, whatever
+    # the other base, the bound or the parity of the lengths
+    for h, bound, drive_g in calls:
+        if h == g:
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            found = search(g, h, bound, enumeration_base=g if drive_g else h)
+        assert found == oracle_simultaneous(bound, g, h)
 
 
 def test_count_matches_search():
@@ -147,6 +197,10 @@ def test_validation_errors(tmp_path):
     with pytest.raises(DomainError, match="base must be an integer"):
         search(10, 2, 100, enumeration_base=2.0, checkpoint_path=str(path))
     assert not path.exists()
+    # an empty path named the parent of the working directory for the temp file
+    for resume in (False, True):
+        with pytest.raises(DomainError, match="checkpoint path"):
+            search(10, 2, 100, checkpoint_path="", resume=resume)
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -335,9 +389,13 @@ def test_scan_chunk_matches_oracle_across_powers_of_the_tested_base(pair, drive_
     assert _scan_chunk(g, h, d, n_lo, n_hi) == expected
 
 
-def test_kill_and_resume_inside_a_digit_length(tmp_path, known_list_10_2):
-    # at 1e11 the 11-digit block spans three chunks; stop after the second
+def test_kill_and_resume_inside_a_digit_length(monkeypatch, tmp_path, known_list_10_2):
+    # units of 10**8 integers' walk cut the 11-digit length at depth k = 1,
+    # since 10**3 * UNIT_INTEGERS <= 10**11 < 10**6 * UNIT_INTEGERS: nine
+    # units of 10**10 integers; stop after the second
+    monkeypatch.setattr(simulcheck, "UNIT_INTEGERS", 10**8)
     bound = 10**11
+    assert 10**3 * simulcheck.UNIT_INTEGERS <= bound < 10**6 * simulcheck.UNIT_INTEGERS
     path = tmp_path / "cp.json"
     seen = []
 
@@ -348,11 +406,40 @@ def test_kill_and_resume_inside_a_digit_length(tmp_path, known_list_10_2):
 
     with pytest.raises(_AbortAfter):
         search(10, 2, bound, checkpoint_path=str(path), progress=bomb, checkpoint_interval=0.0)
-    # the second chunk's last integer: each spans CHUNK_HALVES halves of 10**5 integers
-    cursor = 10**10 + 2 * CHUNK_HALVES * 10**5 - 1
-    assert json.loads(path.read_text())["cursor"] == cursor == 89_999_999_999
+    # the second unit's last integer; a unit of depth k = 1 spans 10**(11 - 1) integers
+    cursor = 10**10 + 2 * 10 ** (11 - 1) - 1
+    assert json.loads(path.read_text())["cursor"] == cursor == 29_999_999_999
     resumed = search(10, 2, bound, checkpoint_path=str(path), resume=True)
     assert resumed == [n for n in known_list_10_2 if n <= bound]
+
+
+@pytest.mark.parametrize("g,h,bound,seed", [(10, 2, 10**11, 1), (10, 2, 10**11, 2), (2, 3, 10**12, 3), (12, 18, 10**10, 4)])
+def test_kill_at_a_random_unit_and_resume_off_the_prefix_edges(monkeypatch, tmp_path, g, h, bound, seed):
+    # one grain kills the run at a random unit; another resumes it, so the
+    # resumed run's first unit starts at cursor + 1, which is none of its prefix edges
+    def unit_ends(unit_integers):
+        monkeypatch.setattr(simulcheck, "UNIT_INTEGERS", unit_integers)
+        events = []
+        found = search(g, h, bound, progress=events.append)
+        return found, [e["cursor"] for e in events if e["cursor"] < e["length_end"]]
+
+    expected = search(g, h, bound)
+    (killing, killing_ends), (resuming, resuming_ends) = unit_ends(10**2), unit_ends(10**6)
+    assert killing == resuming == expected
+    # cursor + 1 lies inside a length (a unit end below its last integer) and is no unit start of the resuming grain
+    cursor = random.Random(seed).choice(sorted(set(killing_ends) - set(resuming_ends)))
+    path = tmp_path / "cp.json"
+
+    def bomb(info):
+        if info["cursor"] == cursor:
+            raise _AbortAfter
+
+    monkeypatch.setattr(simulcheck, "UNIT_INTEGERS", 10**2)
+    with pytest.raises(_AbortAfter):
+        search(g, h, bound, checkpoint_path=str(path), progress=bomb)
+    assert json.loads(path.read_text())["cursor"] == cursor
+    monkeypatch.setattr(simulcheck, "UNIT_INTEGERS", 10**6)
+    assert search(g, h, bound, checkpoint_path=str(path), resume=True) == expected
 
 
 def test_checkpoint_with_a_palindrome_cursor_mid_length_resumes(tmp_path, known_list_10_2):
