@@ -76,11 +76,14 @@ def _reverse(a: int, g: int) -> int:
 
 
 def _mirror_test(n: int, h: int, k: int, p: int) -> bool:
-    # n has k + 1 base-h digits and p == h**k.  The i-th highest digit comes
-    # from dividing a running upper remainder by p (the power is divided
-    # down, never re-exponentiated), the i-th lowest from reducing a running
-    # lower remainder mod h.  Base 2 compares the binary string with its
-    # reversal instead, which is cheaper than any loop over the bits.
+    # Reads n < h**(k + 1) as a block of exactly k + 1 base-h digits, leading
+    # zeros included (the search tests a number's middle digits so), with
+    # p == h**k.  The i-th highest digit comes from dividing a running upper
+    # remainder by p (the power is divided down, never re-exponentiated), the
+    # i-th lowest from reducing a running lower remainder mod h.  Base 2
+    # compares the binary string with its reversal instead, which is cheaper
+    # than any loop over the bits but drops leading zeros: in base 2, n must
+    # not start with a zero.
     if h == 2:
         s = bin(n)
         return s[2:] == s[:1:-1]

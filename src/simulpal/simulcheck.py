@@ -100,17 +100,20 @@ def _scan_chunk(driver: int, tested: int, d: int, n_lo: int, n_hi: int) -> list[
     in [n_lo, n_hi), ascending; [n_lo, n_hi) holds only d-digit integers.
 
     The powers of h split [n_lo, n_hi) into blocks of one base-h length L
-    each, and each block gets its own depth-first walk over the
-    half-value's digits, most significant first, in ascending digit order.
-    A node with k digits fixed confines N to an interval of width
-    g**(d-k), cut to the block, and knows ``low = N mod g**k``, the top k
-    digits mirrored.  The interval's numbers share their top j base-h
-    digits; mirrored, those give N mod h**j.  The two residues join by CRT
-    into one residue R modulo M = lcm(g**k, h**j), and a node whose
-    residues disagree modulo gcd(g**k, h**j) holds no base-h palindrome
-    and is dropped.  Once the interval holds few numbers congruent to R,
-    the walk lists them and tests each in both bases (the rule is below).
-    For coprime bases that happens near k = d/3, for (10, 2) near d/2.7.
+    each, and each block gets its own walk over the half-value's digits,
+    most significant first, one level of nodes at a time; the block's few
+    hits are sorted at its end.  A node with k digits fixed confines N to
+    an interval [a, b) of width g**(d-k), cut to the block, and knows
+    ``low = N mod g**k``, the top k digits mirrored.  The interval's
+    numbers share their top j = L - e base-h digits, ``top``, with e the
+    least such that a and b - 1 have one quotient by h**e (for h = 2, the
+    bit length of a ^ (b - 1)); mirrored, those give N mod h**j.  The two
+    residues join by CRT into one residue R modulo M = lcm(g**k, h**j),
+    and a node whose residues disagree modulo gcd(g**k, h**j) holds no
+    base-h palindrome and is dropped.  Once the interval holds few numbers
+    congruent to R, the walk lists them and tests each in both bases (the
+    rule is below).  For coprime bases that happens near k = d/3, for
+    (10, 2) near d/2.7.
 
     A node hands r = N mod h**j down: its children's N mod g**(k+1) =
     low + c*g**k must meet r modulo gcd(g**(k+1), h**j), which holds for
@@ -122,73 +125,117 @@ def _scan_chunk(driver: int, tested: int, d: int, n_lo: int, n_hi: int) -> list[
     pairs contribute a*b**i*(1 + b**odd).  So N ≡ 0 modulo f, the lcm of
     g + 1 when d is even and h + 1 when L is even.  R joins that too: a
     node with R ≢ 0 modulo gcd(M, f) is dropped, and the listing starts
-    and steps by lcm(M, f).  A palindrome ends in its nonzero top digit, so
-    for bases 2 and 3 a block of even length in either base lists nothing:
-    its nodes are dropped once their top digit in both bases is fixed.
+    and steps by MF = lcm(M, f).  A palindrome ends in its nonzero top
+    digit, so for bases 2 and 3 a block of even length in either base
+    lists nothing: its nodes are dropped once their top digit in both
+    bases is fixed.
 
-    A node lists its numbers once they are at most as many as its g/s
-    children, or 8 times as many if base 2 tests first: a child costs about
-    one test in another base, which first matches the j digits the node
-    shares, and base 2's test is one string comparison.  Measured: (10, 2)
-    and (2, 3) ran alike with 4 to 16 and up to 40 % slower with 1; (20, 22)
-    ran 20 % slower with 2 than with 1.  A process builds its tables once.
+    A listed number is tested in the tested base first.  Its top and low j
+    base-h digits already match, so for h > 2 the test reads only the
+    w = L - 2j middle digits as one block, and none if w <= 0; base 2 reads
+    the whole binary string, one string comparison.  A base-2 leaf with
+    e >= 1 that would list 4 or more numbers, where MF has exactly j factors
+    2, is cut at mid = (2*top + 1) << (e - 1): bit j mirrors the next top
+    bit, 0 below mid and 1 from it on, so each half steps by 2*MF and the
+    leaf tests half as many numbers.
+
+    A node lists its numbers once they are at most 4 times as many as its
+    g/s children, or 8 times as many if 2 is one of the bases: a child
+    costs a few tests.  Measured, best of 5 with each factor: (10, 2) and
+    (2, 3) ran within 8 % from 4 to 16 and up to 40 % slower with 1; (3, 5)
+    to 1e16 took 764, 708-724, 625-636, 578, 590 and 615 ms with 1, 2, 3,
+    4, 8 and 16, while (20, 22) to 1e16 and (11, 13) to 1e12 and 1e14 ran
+    within 5 % from 2 to 4.  A process builds its tables once.
     """
     g, h = driver, tested
     gp, hp, crt = _tables(g, h, d)
+    two = h == 2
+    cap = (8 if 2 in (g, h) else 4) * g  # numbers a node may list per child: see the docstring
+    top_g = gp[d - 1]
     hits: list[int] = []
-
-    def walk(k: int, prefix: int, low: int, step: int, c0: int) -> None:
-        # visit the nodes with k digits fixed below the node (prefix, low) that
-        # meet the block [lo, hi), only the digits c ≡ c0 (mod step)
-        span = gp[d - k]
-        # a child cut narrower by the block's edge may share more top digits than it uses
-        e0 = bisect_left(hp, span)
-        crt_k = crt_L[k]
-        base = prefix * g
-        c_first = max(lo // span - base, 0)
-        c_first += (c0 - c_first) % step
-        for c in range(c_first, min((hi - 1) // span - base + 1, g), step):
-            low1 = low + c * gp[k - 1]  # N mod g**k
-            a = (base + c) * span
-            b = a + span
-            if a < lo:
-                a = lo
-            if b > hi:
-                b = hi
-            # [a, b): the child's numbers; they share their top j = L - e base-h digits
-            e = e0
-            while a // hp[e] != (b - 1) // hp[e]:
-                e += 1
-            j = L - e
-            entry = crt_k[j]
-            if entry is None:
-                entry = crt_k[j] = _crt_entry(gp[k], hp[j], g, f)
-            q, m, inv, M, s, inv_s, qf, fm, inv_f, MF = entry
-            # the top digits, mirrored, are N mod h**j
-            r = _reverse(a // hp[e], h)
-            if (r - low1) % q:
-                continue
-            u = (r - low1) // q
-            R = low1 + gp[k] * (u * inv % m)  # N mod M
-            if R % qf:
-                continue
-            if (b - a) * s > cap * MF:
-                walk(k + 1, base + c, low1, s, u * inv_s % s)
-            else:
-                R += M * (-R // qf * inv_f % fm)  # N mod MF
-                for n in range(a + (R - a) % MF, b, MF):  # R lifted into [a, b)
-                    if _mirror_test(n, x, kx, px) and _mirror_test(n, y, ky, py):
-                        hits.append(n)
-
-    cap = (8 if 2 in (g, h) else 1) * g  # numbers a node may list per child: see the docstring
     for L, lo, last in length_ranges(h, n_lo, n_hi - 1):
         hi = last + 1
         crt_L = crt[L % 2]
         # a simultaneous palindrome with d base-g and L base-h digits is a multiple of f
         f = lcm(1 if d % 2 else g + 1, 1 if L % 2 else h + 1)
-        # base 2's test is one string comparison: run it first
-        (x, kx, px), (y, ky, py) = ((h, L - 1, hp[L - 1]), (g, d - 1, gp[d - 1]))[:: -1 if g == 2 else 1]
-        walk(1, 0, 0, 1, 0)
+        found: list[int] = []
+        # the nodes of one level: (prefix, low = N mod g**(k-1), step, c0); the walk
+        # visits only the digits c ≡ c0 (mod step) of each
+        nodes = [(0, 0, 1, 0)]
+        k = 0
+        while nodes:
+            k += 1
+            span, width, gk1, gk, crt_k = gp[d - k], gp[d - k + 1], gp[k - 1], gp[k], crt_L[k]
+            # a child cut narrower by the block's edge may share more top digits than it uses
+            e0 = bisect_left(hp, span)
+            children = []
+            for prefix, low, step, c0 in nodes:
+                base = prefix * g
+                a0 = base * span
+                cut = a0 < lo or a0 + width > hi  # the node meets an edge of the block
+                if cut:
+                    c = max(lo // span - base, 0)
+                    digits = range(c + (c0 - c) % step, min((hi - 1) // span - base + 1, g), step)
+                else:
+                    digits = range(c0, g, step)
+                for c in digits:
+                    low1 = low + c * gk1  # N mod g**k
+                    a = a0 + c * span
+                    b = a + span
+                    if cut:
+                        a, b = max(a, lo), min(b, hi)
+                    # [a, b): the child's numbers; they share their top j = L - e base-h digits
+                    if two:
+                        e = (a ^ (b - 1)).bit_length()
+                        if e < e0:
+                            e = e0
+                        top = a >> e
+                    else:
+                        e = e0
+                        while (top := a // hp[e]) != (b - 1) // hp[e]:
+                            e += 1
+                    j = L - e
+                    entry = crt_k[j]
+                    if entry is None:
+                        entry = crt_k[j] = _crt_entry(gk, hp[j], g, f)
+                    q, m, inv, M, s, inv_s, qf, fm, inv_f, MF = entry
+                    # the top digits, mirrored, are N mod h**j
+                    r = _reverse(top, h)
+                    if (r - low1) % q:
+                        continue
+                    u = (r - low1) // q
+                    R = low1 + gk * (u * inv % m)  # N mod M
+                    if R % qf:
+                        continue
+                    if (b - a) * s > cap * MF:
+                        children.append((base + c, low1, s, u * inv_s % s))
+                        continue
+                    R += M * (-R // qf * inv_f % fm)  # N mod MF
+                    # list the numbers ≡ R in [a, b), tested base first
+                    if not two:
+                        # their top and low j base-h digits match: test the w middle ones, if any
+                        w = L - 2 * j
+                        for n in range(a + (R - a) % MF, b, MF):
+                            if w > 0 and not _mirror_test(n // hp[j] % hp[w], h, w - 1, hp[w - 1]):
+                                continue
+                            if _mirror_test(n, g, d - 1, top_g):
+                                found.append(n)
+                        continue
+                    runs = (range(a + (R - a) % MF, b, MF),)
+                    if e and MF >> j & 1 and b - a >= 4 * MF:
+                        # bit j mirrors the next top bit, 0 below mid and 1 from it on: each
+                        # half lists every 2 * MF from the residue whose bit j is that bit
+                        mid = min(max((2 * top + 1) << (e - 1), a), b)
+                        R0, R1 = (R + MF, R) if R >> j & 1 else (R, R + MF)
+                        MF2 = 2 * MF
+                        runs = (range(a + (R0 - a) % MF2, mid, MF2), range(mid + (R1 - mid) % MF2, b, MF2))
+                    for run in runs:
+                        for n in run:
+                            if _mirror_test(n, 2, 0, 1) and _mirror_test(n, g, d - 1, top_g):
+                                found.append(n)
+            nodes = children
+        found.sort()
+        hits += found
     return hits
 
 

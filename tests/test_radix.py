@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from simulpal.bounds import min_zero_run_for_tail_fit, shift_exponent_bound, tail_fit_threshold
 from simulpal.palgen import count_palindromes_upto, family_instance, iter_palindromes, mirror_half
-from simulpal.radix import DomainError, digit_count, is_palindrome, length_ranges, reverse_in_base
+from simulpal.radix import DomainError, _mirror_test, digit_count, is_palindrome, length_ranges, reverse_in_base
 
 from conftest import oracle_digits, oracle_reverse
 
@@ -109,6 +109,19 @@ def test_palindrome_iff_digitstring_symmetric(n, g):
     ds = oracle_digits(n, g)
     assert is_palindrome(n, g) == (ds == ds[::-1])
     assert digit_count(n, g) == len(ds)
+
+
+@given(h=st.integers(3, 36), w=st.integers(1, 7), data=st.data())
+def test_mirror_test_reads_a_zero_padded_block(h, w, data):
+    # the search tests the w middle base-h digits of a number as one block,
+    # which may start with zeros; half the draws mirror their digits
+    digits = data.draw(st.lists(st.integers(0, h - 1), min_size=w, max_size=w), label="digits")
+    if data.draw(st.booleans(), label="mirror"):
+        digits[w // 2 :] = digits[: (w + 1) // 2][::-1]
+    block = sum(x * h**i for i, x in enumerate(digits))
+    padded = oracle_digits(block, h)
+    padded += [0] * (w - len(padded))
+    assert _mirror_test(block, h, w - 1, h ** (w - 1)) == (padded == padded[::-1])
 
 
 @given(g=st.integers(2, 40), lo=st.integers(1, 10**5), width=st.integers(-3, 10**5))

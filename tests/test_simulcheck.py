@@ -3,6 +3,7 @@ import os
 import random
 import tempfile
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from math import gcd, inf
 
@@ -382,11 +383,37 @@ def test_scan_chunk_matches_oracle_across_powers_of_the_tested_base(pair, drive_
     inside = data.draw(st.sampled_from(powers), label="inside")
     n_lo = data.draw(st.sampled_from([x for x in ends if x < inside]), label="n_lo")
     n_hi = data.draw(st.sampled_from([x for x in ends if x > inside]), label="n_hi")
-    t = (d + 1) // 2
-    # every d-digit base-g palindrome, ascending, built from its top t digits
-    pals = (x * g ** (d - t) + oracle_reverse(x // g if d % 2 else x, g) for x in range(g ** (t - 1), g**t))
-    expected = [n for n in pals if n_lo <= n < n_hi and oracle_is_palindrome(n, g) and oracle_is_palindrome(n, h)]
+    expected = [n for n in _palindromes(g, d) if n_lo <= n < n_hi and oracle_is_palindrome(n, h)]
     assert _scan_chunk(g, h, d, n_lo, n_hi) == expected
+
+
+def _palindromes(g, d):
+    # every d-digit base-g palindrome, ascending, built from its top t digits and checked by the oracle
+    t = (d + 1) // 2
+    pals = [x * g ** (d - t) + oracle_reverse(x // g if d % 2 else x, g) for x in range(g ** (t - 1), g**t)]
+    assert all(oracle_is_palindrome(n, g) for n in pals)
+    return pals
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # base 2 tested, then other tested bases with both drivers
+    pair=st.sampled_from(
+        [(10, 2), (3, 2), (6, 2), (12, 2), (16, 2), (20, 22), (22, 20), (3, 5), (5, 3), (12, 18), (18, 12)]
+    ),
+    data=st.data(),
+)
+def test_scan_chunk_matches_oracle_over_cuts_inside_nodes(pair, data):
+    # cuts at random points of one driver length fall inside nodes of every
+    # depth, not only near powers of h: the walk must clamp the nodes they cut
+    # and leave the others whole, split base-2 leaves at their middle, and
+    # skip the test of a block that leaves no middle base-h digits
+    g, h = pair
+    d = data.draw(st.integers(2, 2 * max(t for t in range(1, 16) if g**t <= 30_000)), label="d")
+    n0, n1 = g ** (d - 1), g**d
+    edges = sorted({n0, n1, *data.draw(st.lists(st.integers(n0, n1), max_size=4), label="cuts")})
+    pieces = [_scan_chunk(g, h, d, c0, c1) for c0, c1 in zip(edges[:-1], edges[1:])]
+    assert [n for piece in pieces for n in piece] == [n for n in _palindromes(g, d) if oracle_is_palindrome(n, h)]
 
 
 def test_kill_and_resume_inside_a_digit_length(monkeypatch, tmp_path, known_list_10_2):
@@ -732,6 +759,36 @@ def test_walk_skips_the_digits_its_residue_rules_out(monkeypatch):
         calls = 0
         assert len(search(g, h, 10**12, threads=1)) == hits
         assert calls <= most
+
+
+def test_walk_counts_of_search_10_2_and_2_3(monkeypatch):
+    # children are _reverse calls; a listed number takes one _mirror_test call
+    # in the tested base 2 and, if it passes, one in the driving base
+    children = 0
+    tests = Counter()
+    real_reverse, real_test = simulcheck._reverse, simulcheck._mirror_test
+
+    def reverse(a, g):
+        nonlocal children
+        children += 1
+        return real_reverse(a, g)
+
+    def mirror_test(n, h, k, p):
+        tests[h] += 1
+        return real_test(n, h, k, p)
+
+    monkeypatch.setattr(simulcheck, "_reverse", reverse)
+    monkeypatch.setattr(simulcheck, "_mirror_test", mirror_test)
+    # base-2 leaves list each half of their middle bit's split; unsplit they
+    # listed 11 489 and 614 570 numbers
+    for g, h, bound, hits, walk in [
+        (10, 2, 10**12, 38, (3_642, {2: 6_675, 10: 138})),
+        (2, 3, 10**16, 5, (170_382, {2: 343_723, 3: 779})),
+    ]:
+        children = 0
+        tests.clear()
+        assert len(search(g, h, bound)) == hits
+        assert (children, dict(tests)) == walk
 
 
 def test_even_length_palindromes_are_multiples_of_base_plus_one():
