@@ -1,13 +1,16 @@
 """Certified real arithmetic: enclosures with on-demand precision escalation.
 
-A :class:`PreciseReal` is an interval certified to contain one real number.
-An exact value keeps rational endpoints, and arithmetic among exact values
-is exact.  A computed value has a recipe to recompute it at any precision
-and dyadic endpoints, raw mpmath ``mpf`` tuples.  Every operation on it is
-one of mpmath's interval functions (``mpi_add``, ``mpi_log``, ...) at the
-result's precision, and an exact operand is first rounded outward to that
-precision.  Undecided comparisons refine the operands instead of guessing,
-and raise if certainty is unreachable.
+A :class:`PreciseReal` is an interval certified to contain one real number:
+an exact value has rational endpoints, a computed one has dyadic endpoints
+(raw mpmath ``mpf`` tuples) and a recipe to recompute them at any precision.
+Every operation, comparisons and floor included, is a row of one table: an
+exact formula on rationals, used when every operand is exact, and an mpmath
+interval function (``mpi_add``, ``mpi_log``, ...) at the result's precision,
+used otherwise with an exact operand rounded outward.  Log and exp have no
+exact formula, so their results are always computed.  ``_apply`` alone picks
+the endpoints and ``_compose`` alone builds a result and its recipe.
+Undecided comparisons refine the operands instead of guessing, and raise if
+certainty is unreachable.
 """
 
 from __future__ import annotations
@@ -31,24 +34,9 @@ class UndecidedComparisonError(ArithmeticError):
     """A comparison stayed undecided at the precision-escalation cap."""
 
 
-def check_precision(bits: int) -> None:
-    """Reject a working precision that is not an int in [1, MAX_PRECISION] bits."""
-    check_int(bits, _PRECISION_RULE, 1, MAX_PRECISION)
-
-
-def _enclosure(f: Callable[[tuple, int], tuple], x: "PreciseReal", bits: int) -> "PreciseReal":
-    """The image of ``x`` under ``f``, mpmath's ``mpi_log`` or ``mpi_exp``.
-
-    Both are increasing, so ``f`` of x's endpoints at precision b (an exact
-    x rounded outward) encloses the image, at ``bits`` now and at each
-    refinement.
-    """
-
-    def endpoints(b: int) -> tuple:
-        check_precision(b)
-        return f(x.refined(b)._dyadic(b), b)
-
-    return PreciseReal(*endpoints(bits), bits, endpoints)
+def check_precision(bits: int) -> int:
+    """``bits`` if it is an int in [1, MAX_PRECISION], else a DomainError."""
+    return check_int(bits, _PRECISION_RULE, 1, MAX_PRECISION)
 
 
 def _show(x) -> str:
@@ -60,13 +48,6 @@ def _show(x) -> str:
     except OverflowError:
         return to_str(x, 15)
     return repr(f) if f or x == fzero else to_str(x, 15)  # no underflow to 0.0
-
-
-def _endpoints(operands: tuple["PreciseReal", ...], bits: int) -> tuple[bool, list]:
-    # whether every operand is exact, and then their rational endpoint pairs,
-    # else their mpf pairs at bits, an exact operand's rounded outward
-    exact = all(x._source is None for x in operands)
-    return exact, [(x._lo, x._hi) if exact else x._dyadic(bits) for x in operands]
 
 
 def _corners(f):
@@ -97,8 +78,13 @@ def _dyadic_dist(a, bits: int):
     return (fzero, fhalf) if mpf_lt(fhalf, shifted[1]) else mpi_abs(shifted, bits)
 
 
-# each operation as its exact formula on rationals and as an mpmath interval
-# function on mpf tuples, which takes the precision last
+def _common_floor(floor):
+    # the floor both endpoints share, else None (undecided); a precision passed is ignored
+    return lambda a, *bits: floor(a[0]) if floor(a[0]) == floor(a[1]) else None
+
+
+# each operation as its exact formula on rationals, or None where it has none,
+# and as an mpmath interval function on mpf tuples, which takes the precision last
 _ADD = (lambda a, b: (a[0] + b[0], a[1] + b[1]), mpi_add)
 _SUB = (lambda a, b: (a[0] - b[1], a[1] - b[0]), mpi_sub)
 _MUL = (_corners(lambda x, y: x * y), mpi_mul)
@@ -106,22 +92,31 @@ _DIV = (_corners(lambda x, y: x / y), mpi_div)
 _NEG = (lambda a: (-a[1], -a[0]), mpi_neg)
 _ABS = (_exact_abs, mpi_abs)
 _DIST = (_exact_dist, _dyadic_dist)
+_LOG = (None, mpi_log)
+_EXP = (None, mpi_exp)
+# decisions: True, False, or None while the endpoints overlap
+_GT = (lambda a, b: True if a[0] > b[1] else False if a[1] <= b[0] else None, lambda a, b, bits: mpi_gt(a, b))
+_FLOOR = (_common_floor(math.floor), _common_floor(lambda q: int(to_int(q, "f"))))  # int(): gmpy's mpz
 
 
-def _apply(op, operands: tuple["PreciseReal", ...], bits: int) -> tuple:
-    # op's exact formula if every operand is exact, else its mpmath function
-    exact, pairs = _endpoints(operands, bits)
-    return op[0](*pairs) if exact else op[1](*pairs, bits)
+def _apply(op, operands: tuple["PreciseReal", ...], bits: int):
+    # op's exact formula on the rational endpoints if it has one and every
+    # operand is exact, else its mpmath function on mpf endpoints at bits
+    exact, dyadic = op
+    if exact is not None and all(x._source is None for x in operands):
+        return exact(*[(x._lo, x._hi) for x in operands])
+    return dyadic(*[x._dyadic(bits) for x in operands], bits)
 
 
-def _compose(op, *operands: "PreciseReal") -> "PreciseReal":
-    # op at the coarsest precision of its operands, refinable while one is
-    bits = min(x.bits for x in operands)
+def _compose(op, *operands: "PreciseReal", bits: int | None = None) -> "PreciseReal":
+    # op at bits, by default the coarsest precision of its operands; the result
+    # refines while an operand does, and always where op has no exact formula
+    bits = min(x.bits for x in operands) if bits is None else check_precision(bits)
 
     def endpoints(b: int) -> tuple:
         return _apply(op, tuple(x.refined(b) for x in operands), b)
 
-    source = endpoints if any(x.refinable for x in operands) else None
+    source = endpoints if op[0] is None or any(x.refinable for x in operands) else None
     return PreciseReal(*_apply(op, operands, bits), bits, source)
 
 
@@ -154,7 +149,9 @@ class PreciseReal:
     __slots__ = ("_lo", "_hi", "bits", "_source")
 
     def __init__(self, lower, upper, bits: int, source: Callable[[int], tuple] | None = None):
-        if source is None:  # fixed endpoints are rationals; computed ones come ordered
+        if source is None:  # fixed endpoints are rationals; computed ones come ordered, at a checked precision
+            if bits is not MAX_PRECISION:  # the constant that exact(), a hot path, passes needs no check
+                check_precision(bits)
             try:
                 lower, upper = Fraction(lower), Fraction(upper)
             except (TypeError, ValueError, ArithmeticError) as exc:
@@ -198,6 +195,7 @@ class PreciseReal:
         """A new enclosure recomputed at ``bits`` precision (self if fixed)."""
         if self._source is None or bits <= self.bits:
             return self
+        check_precision(bits)
         return PreciseReal(*self._source(bits), bits, self._source)
 
     def _dyadic(self, bits: int) -> tuple:
@@ -265,7 +263,7 @@ class PreciseReal:
             DomainError,
             "logarithm of an interval not certainly positive",
         )
-        return _enclosure(mpi_log, me, me.bits if me.refinable else DEFAULT_PRECISION)
+        return _compose(_LOG, me, bits=me.bits if me.refinable else DEFAULT_PRECISION)
 
     def dist_to_nearest_int(self) -> "PreciseReal":
         """Enclosure of the distance from the value to the nearest integer."""
@@ -275,27 +273,15 @@ class PreciseReal:
 
     def is_greater(self, other) -> bool:
         """Certified strict comparison self > other (ties count as False)."""
-
-        def decided(a, b):
-            exact, (x, y) = _endpoints((a, b), min(a.bits, b.bits))
-            if not exact:
-                return mpi_gt(x, y)
-            return True if x[0] > y[1] else False if x[1] <= y[0] else None
-
-        return _escalate((self, self._coerce(other)), decided, UndecidedComparisonError, "comparison undecided")
+        decide = lambda a, b: _apply(_GT, (a, b), min(a.bits, b.bits))
+        return _escalate((self, self._coerce(other)), decide, UndecidedComparisonError, "comparison undecided")
 
     def is_less(self, other) -> bool:
         return self._coerce(other).is_greater(self)
 
     def floor(self) -> int:
         """Certified floor of the value."""
-
-        def decided(a):
-            exact, ((lo, hi),) = _endpoints((a,), a.bits)
-            floor = math.floor if exact else (lambda q: int(to_int(q, "f")))  # int(): gmpy's mpz
-            return floor(lo) if floor(lo) == floor(hi) else None
-
-        return _escalate((self,), decided, UndecidedComparisonError, "floor undecided")
+        return _escalate((self,), lambda a: _apply(_FLOOR, (a,), a.bits), UndecidedComparisonError, "floor undecided")
 
 
 def hp_log(x, bits: int = DEFAULT_PRECISION) -> PreciseReal:
@@ -304,7 +290,7 @@ def hp_log(x, bits: int = DEFAULT_PRECISION) -> PreciseReal:
     ``hp_log(1)`` is exactly zero with radius zero.
     """
     q = positive_rational(x, f"logarithm of non-positive value {x}")
-    return _enclosure(mpi_log, PreciseReal.exact(q), bits)
+    return _compose(_LOG, PreciseReal.exact(q), bits=bits)
 
 
 def hp_exp(x, bits: int = DEFAULT_PRECISION) -> PreciseReal:
@@ -314,4 +300,4 @@ def hp_exp(x, bits: int = DEFAULT_PRECISION) -> PreciseReal:
     A large |x| costs no more than a small one, but reading ``lower`` or
     ``upper`` builds a rational of about 1.44·|x| bits.
     """
-    return _enclosure(mpi_exp, PreciseReal.exact(x), bits)
+    return _compose(_EXP, PreciseReal.exact(x), bits=bits)

@@ -292,7 +292,7 @@ class SearchCheckpoint:
             g, h, bound, cursor, hits = (check_int(doc[k], f"{k} must be an integer", None) for k in keys)
             state = cls(g, h, bound, cursor, [check_int(x, "found must list integers", None) for x in doc["found"]])
             state._validate(hits)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:  # RecursionError: deeply nested JSON
             raise CheckpointMismatchError(f"damaged checkpoint: {exc!r}") from exc
         return state
 
@@ -379,10 +379,7 @@ def search(
     length below the bound) and ``found`` (the hits so far).  An exception
     raised from it aborts the run after a final checkpoint write.
     """
-    check_base(g)
-    check_base(h)
-    if g == h:
-        raise DomainError("the two bases must differ")
+    planned = plan_enumeration_base(g, h, bound)  # checks both bases and that they differ
     check_int(bound, "search bound must be an integer >= 1")
     check_int(threads, "need an integer count of at least one worker")
     if enumeration_base is not None and check_base(enumeration_base) not in (g, h):
@@ -405,7 +402,7 @@ def search(
     if state.cursor == bound:
         return list(state.found)
 
-    driver = enumeration_base or plan_enumeration_base(g, h, bound)
+    driver = enumeration_base or planned
     tested = h if driver == g else g
     workers = min(threads, usable_cpus())
     if workers < threads:

@@ -1,10 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines.  Criteria 2, 3, 6, 8, 10, 12, 13, 14 and 15 do real work (full
+lines.  Criteria 2, 3, 6, 8, 10, 12, 13, 14, 15 and 17 do real work (full
 scans, ten thousand reductions, exhaustive property sweeps, the searches to
 1e18 with either base of (10, 2) driving and, for bases 2 and 3, to 1e14, ten
-thousand certified families); the whole module finishes in a few minutes.
+thousand certified families, both engines on twelve base pairs); the whole
+module finishes in a few minutes.
 """
 
 import random
@@ -14,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from simulpal.bounds import shift_exponent_bound
-from simulpal.lindep import dependence_witness
+from simulpal.lindep import dependence_witness, multiplicatively_independent
 from simulpal.palgen import iter_palindromes
 from simulpal.precise import PreciseReal, hp_log
 from simulpal.radix import reverse_in_base
@@ -29,7 +30,7 @@ from simulpal.reduction import (
 )
 from simulpal.simulcheck import count, is_palindrome_early_exit, search
 
-from conftest import oracle_is_palindrome, oracle_reverse, oracle_simultaneous
+from conftest import oracle_digits, oracle_is_palindrome, oracle_reverse, oracle_simultaneous
 
 X_MODEL = 2_650_000_000_000_000
 
@@ -284,14 +285,14 @@ def test_criterion_12_known_list_1e18(known_list_10_2):
     _pass(12, f"all 62 entries below 1e18 reproduced in {elapsed:.1f}s")
 
 
-def _family_shapes(n_value: int, max_prefix: int):
-    # every (a, n) with a < max_prefix, 10 not dividing a, n >= digits of a,
-    # and n_value = a*10**n + rev(a): a's digits, zeros, a's digits reversed
-    s = str(n_value)
+def _family_shapes(n_value: int, g: int, max_prefix: int):
+    # every (a, n) with a < max_prefix, g not dividing a, n >= base-g digits of
+    # a, and n_value = a*g**n + rev(a): a's digits, zeros, a's digits reversed
+    s = oracle_digits(n_value, g)[::-1]  # most significant first
     d = len(s)
     for n_a in range(1, d // 2 + 1):
-        a = int(s[:n_a])
-        if a < max_prefix and a % 10 and s[d - n_a :] == str(a)[::-1] and set(s[n_a : d - n_a]) <= {"0"}:
+        a = sum(digit * g**i for i, digit in enumerate(reversed(s[:n_a])))
+        if a < max_prefix and a % g and s[d - n_a :] == s[:n_a][::-1] and set(s[n_a : d - n_a]) <= {0}:
             yield a, d - n_a
 
 
@@ -306,7 +307,7 @@ def test_criterion_13_family_sweep_1e18(known_list_10_2):
         rev_a = reverse_in_base(a, 10)
         certified |= {(a, n) for n in report.ns if a * 10**n + rev_a <= 10**18}
     elapsed = time.perf_counter() - started
-    expected = {shape for n_value in known_list_10_2 for shape in _family_shapes(n_value, 10**4)}
+    expected = {shape for n_value in known_list_10_2 for shape in _family_shapes(n_value, 10, 10**4)}
     assert len(expected) >= 6
     assert certified == expected
     _pass(
@@ -335,3 +336,46 @@ def test_criterion_15_driver_against_driver_1e16(known_list_10_2):
     assert len(known_list_10_2) == 62 and max(known_list_10_2) < 10**18
     assert found == known_list_10_2
     _pass(15, f"base 2 driving (10, 2) reproduces all 62 entries below 1e18 in {elapsed:.1f}s")
+
+
+# every pair the certification accepts with g <= 16: h divides g, and the
+# bases are independent; (4, 2), (8, 2), (8, 4), (9, 3), (16, 2), (16, 4)
+# and (16, 8) are powers of one base
+FAMILY_PAIRS = [(g, h) for g in range(2, 17) for h in range(2, g) if g % h == 0 and multiplicatively_independent(g, h)]
+
+
+def family_pairs_agree(X: int, max_prefix: int, threads: int = 1) -> dict:
+    """Check each pair of FAMILY_PAIRS with two engines: the family-shaped
+    hits of ``search(g, h, X)`` must be the shifts below X that
+    ``verify_family`` certifies for every a < ``max_prefix``, each report
+    ``complete``.  Returns the number of shifts per pair.  Criterion 17 runs
+    it at X = 1e14 with a < 600; the CI workflow at X = 1e20 with a < 3 000
+    on two workers.
+    """
+    shifts = {}
+    for g, h in FAMILY_PAIRS:
+        certified = set()
+        for a in range(1, max_prefix):
+            if a % g:
+                report = verify_family(a, g, h)
+                assert report.status == "complete", f"({g}, {h}): a={a} left {report.status}"
+                rev_a = reverse_in_base(a, g)
+                certified |= {(a, n) for n in report.ns if a * g**n + rev_a <= X}
+        found = search(g, h, X, threads=threads)
+        expected = {shape for n_value in found for shape in _family_shapes(n_value, g, max_prefix)}
+        assert certified == expected, f"({g}, {h}): the engines differ on {sorted(certified ^ expected)}"
+        shifts[g, h] = len(certified)
+    return shifts
+
+
+def test_criterion_17_every_family_pair_two_engines_1e14():
+    started = time.perf_counter()
+    assert len(FAMILY_PAIRS) == 12 and FAMILY_PAIRS[0] == (6, 2) and FAMILY_PAIRS[-1] == (15, 5)
+    shifts = family_pairs_agree(10**14, 600)
+    elapsed = time.perf_counter() - started
+    assert min(shifts.values()) >= 1
+    _pass(
+        17,
+        f"on all 12 family pairs, search below 1e14 and verify_family for a < 600 agree on "
+        f"{sum(shifts.values())} shifts ({min(shifts.values())}-{max(shifts.values())} a pair), in {elapsed:.1f}s",
+    )

@@ -246,6 +246,15 @@ def test_damaged_checkpoint_exit_code(capsys, tmp_path, damage):
     assert code == 3 and err.startswith("checkpoint error") and out == ""
 
 
+def test_deeply_nested_checkpoint_exit_code(capsys, tmp_path):
+    # json.loads raises RecursionError here, which once escaped as a traceback
+    path = tmp_path / "cp.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "count", "10", "2", "1e5", "--threads", "1", "--resume", str(path))
+    assert code == 3 and err.startswith("checkpoint error: damaged checkpoint: RecursionError")
+    assert len(err.splitlines()) == 1 and out == ""
+
+
 @pytest.mark.parametrize(
     "doc",
     [

@@ -144,6 +144,14 @@ def test_log_positive_requirement():
         PreciseReal(2, 1, 64)
 
 
+def test_a_fixed_value_at_one_bit_escalates_promptly():
+    # the product starts at the fixed value's 1 bit; escalation doubles from
+    # there, where 0 bits (now refused) doubled to 0 forever
+    started = time.perf_counter()
+    assert (PreciseReal(1, 1, 1) * hp_log(2)).floor() == 0
+    assert time.perf_counter() - started < 1.0
+
+
 def test_exp_log_consistency():
     x = hp_exp(1, 128)
     back = x.log()

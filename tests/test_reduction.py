@@ -330,6 +330,11 @@ _EPSILON = PreciseReal.log_ratio(10, 2)
         (lambda: hp_exp("x"), "endpoints must be rationals, got \\['x', 'x'\\]"),
         (lambda: PreciseReal.exact(float("nan")), "endpoints must be rationals, got \\[nan, nan\\]"),
         (lambda: hp_log(2) * float("inf"), "endpoints must be rationals, got \\[inf, inf\\]"),
+        # a fixed value at 0 bits made escalation double 0 forever; a string was a bare TypeError
+        (lambda: PreciseReal(1, 2, 0), "precision must be in"),
+        (lambda: PreciseReal(1, 2, -3), "precision must be in"),
+        (lambda: PreciseReal(1, 2, "x"), "precision must be in"),
+        (lambda: PreciseReal(1, 2, True), "precision must be in"),
     ],
     ids=[
         "hp_log-bits", "verify_family-bits", "log_ratio-bits", "verify_family-bound", "verify_family-parity-bound",
@@ -338,6 +343,7 @@ _EPSILON = PreciseReal.log_ratio(10, 2)
         "exhaustive-limit-float", "exhaustive-limit-negative", "dependent-n_floor", "dependent-s_bound",
         "dependent-factor_floor", "dependent-slack", "hp_log-inf", "hp_log-nan", "log_ratio-inf", "witness-string",
         "hp_exp-inf", "hp_exp-minus-inf", "hp_exp-nan", "hp_exp-string", "exact-nan", "times-inf",
+        "fixed-bits-zero", "fixed-bits-negative", "fixed-bits-string", "fixed-bits-bool",
     ],
 )
 def test_certification_rejects_arguments_that_are_not_integers(call, match):
@@ -355,6 +361,14 @@ def test_verify_family_scans_every_shift_below_the_certificate_floor():
     assert report.tested_upper == report.dependent_result.floor - 1 == 29
     report = verify_family(74, 10, 2, pairs=[], bound=10**9, exhaustive_limit=5)
     assert (report.status, report.undecided_above, report.tested_upper) == ("undecided", 11, 11)
+
+
+def test_verify_family_scan_tests_its_top_shift():
+    # 74*10**2 + 47 = 7447 = 0b1110100010111; with X = 2 and no pairs the scan
+    # ends at 2 itself.  The family sweeps cannot see this edge: no hit of the
+    # 12 family pairs with a < 600 lies within 20 shifts of its scan's top
+    report = verify_family(74, 10, 2, pairs=[], bound=2)
+    assert (report.tested_upper, report.ns) == (2, (2,))
 
 
 def test_verify_family_small_bound_is_exhaustive():

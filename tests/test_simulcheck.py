@@ -515,8 +515,9 @@ def test_checkpoint_non_json_is_refused(tmp_path):
     path.write_bytes(b"\xff\xfe not a checkpoint")
     with pytest.raises(CheckpointMismatchError):
         search(10, 2, 10**5, checkpoint_path=str(path), resume=True)
-    # text that is not JSON, then JSON documents that are not objects
-    for text in ("cursor = 7\n", "[]", "7", '"cursor"', "null"):
+    # text that is not JSON, then JSON documents that are not objects, the
+    # last nested too deep for the parser (a RecursionError, not a ValueError)
+    for text in ("cursor = 7\n", "[]", "7", '"cursor"', "null", "[" * 100_000 + "]" * 100_000):
         path.write_text(text)
         with pytest.raises(CheckpointMismatchError, match="damaged"):
             search(10, 2, 10**5, checkpoint_path=str(path), resume=True)
