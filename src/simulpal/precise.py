@@ -192,10 +192,10 @@ class PreciseReal:
         return self._source is not None
 
     def refined(self, bits: int) -> "PreciseReal":
-        """A new enclosure recomputed at ``bits`` precision (self if fixed)."""
-        if self._source is None or bits <= self.bits:
+        """A new enclosure recomputed at ``bits`` precision (self if fixed or
+        already as fine); ``bits`` is checked either way."""
+        if check_precision(bits) <= self.bits or self._source is None:
             return self
-        check_precision(bits)
         return PreciseReal(*self._source(bits), bits, self._source)
 
     def _dyadic(self, bits: int) -> tuple:

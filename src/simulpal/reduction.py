@@ -157,6 +157,15 @@ def _base_pair(g: int, h: int, bits: int) -> _BasePair:
     return _BasePair(hp_log(h, bits), epsilon, cf, _certified(epsilon, cf.convergents))
 
 
+@lru_cache(maxsize=1024)
+def _convergent_terms(g: int, h: int, bits: int, p: int, q: int) -> tuple[PreciseReal, PreciseReal, PreciseReal]:
+    # the dependent sieve's terms of one convergent p/q that no prefix changes:
+    # |epsilon - p/q|, its log, and log q + log log h
+    base = _base_pair(g, h, bits)
+    err = abs(base.epsilon - Fraction(p, q))
+    return err, err.log(), hp_log(q, bits) + base.log_h.log()
+
+
 @dataclass(frozen=True)
 class ReductionProblem:
     """Inequality |n1 + n2*epsilon + delta| < c1*exp(-n2*c2) with n2 <= X."""
@@ -248,6 +257,9 @@ def dependent_case_check(
     n -> ceil((q - s_bound)/r) and factor -> q, comparing in the log
     domain.  ``s_bound`` defaults to |s| of the witness, ``factor_floor``
     to max(1, r*floor + s), ``slack`` to the digit count of ``a``.
+    The terms of each convergent that no prefix changes, |epsilon - p/q|,
+    its log and log q + log log h, are computed once per process, base
+    pair and precision; each call builds only the prefix's right-hand sides.
     """
     require_family_bases(a, g, h)
     check_int(n_floor, "the testing floor must be a positive integer")
@@ -286,16 +298,14 @@ def dependent_case_check(
     large_regime = []
     survivors = []
     log_c = hp_log(c, bits)
-    log_log_h = log_h.log()
     rhs_small = Fraction(c, factor_floor * h**floor_n) / log_h
     for p, q in candidates:
-        err = abs(eps - Fraction(p, q))
+        err, log_err, log_q_log_h = _convergent_terms(g, h, bits, p, q)
         if err.is_greater(rhs_small):
             small_regime.append(q)
             continue
         n_sub = max(floor_n, -((s_bound - q) // r))  # ceil((q - s_bound) / r)
-        rhs_log = log_c - n_sub * log_h - (hp_log(q, bits) + log_log_h)
-        if err.log().is_greater(rhs_log):
+        if log_err.is_greater(log_c - n_sub * log_h - log_q_log_h):
             large_regime.append(q)
         else:
             survivors.append(q)

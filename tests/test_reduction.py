@@ -15,9 +15,10 @@ from simulpal.bounds import (
 from simulpal.lindep import DependenceWitness, dependence_witness, multiplicatively_independent
 from simulpal.palgen import family_instance
 from simulpal.precise import PreciseReal, hp_exp, hp_log
-from simulpal.radix import DomainError, is_palindrome, reverse_in_base
+from simulpal.radix import DomainError, digit_count, is_palindrome, reverse_in_base
 from simulpal.reduction import (
     _base_pair,
+    _convergent_terms,
     _pairs,
     ReductionOutcome,
     ReductionProblem,
@@ -29,6 +30,7 @@ from simulpal.reduction import (
 )
 
 from conftest import oracle_is_palindrome
+from test_acceptance import FAMILY_PAIRS
 
 X_MODEL = 2_650_000_000_000_000  # prior shift bound for bases (10, 2), prefixes < 1e6
 
@@ -335,6 +337,12 @@ _EPSILON = PreciseReal.log_ratio(10, 2)
         (lambda: PreciseReal(1, 2, -3), "precision must be in"),
         (lambda: PreciseReal(1, 2, "x"), "precision must be in"),
         (lambda: PreciseReal(1, 2, True), "precision must be in"),
+        # refined() compared the precision before checking it: a bare TypeError, or the value unchanged
+        (lambda: hp_log(2).refined("x"), "precision must be in"),
+        (lambda: hp_log(2).refined(0), "precision must be in"),
+        (lambda: hp_log(2).refined(True), "precision must be in"),
+        (lambda: hp_log(2).refined(-5), "precision must be in"),
+        (lambda: PreciseReal(1, 2, 64).refined(0), "precision must be in"),
     ],
     ids=[
         "hp_log-bits", "verify_family-bits", "log_ratio-bits", "verify_family-bound", "verify_family-parity-bound",
@@ -344,6 +352,7 @@ _EPSILON = PreciseReal.log_ratio(10, 2)
         "dependent-factor_floor", "dependent-slack", "hp_log-inf", "hp_log-nan", "log_ratio-inf", "witness-string",
         "hp_exp-inf", "hp_exp-minus-inf", "hp_exp-nan", "hp_exp-string", "exact-nan", "times-inf",
         "fixed-bits-zero", "fixed-bits-negative", "fixed-bits-string", "fixed-bits-bool",
+        "refined-bits-string", "refined-bits-zero", "refined-bits-bool", "refined-bits-negative", "refined-fixed-bits-zero",
     ],
 )
 def test_certification_rejects_arguments_that_are_not_integers(call, match):
@@ -416,6 +425,58 @@ def test_dependent_case_candidates_match_fresh_expansion(X):
         assert count == 40
     else:
         assert len(fresh) > 50
+
+
+def test_a_second_dependent_prefix_computes_no_convergent_term():
+    # 92 (witness (1, 0, 2)) has the larger ceiling, so 33 after it finds
+    # every convergent's terms in the memo; 92 after 33 computes only the
+    # one convergent its ceiling adds
+    _convergent_terms.cache_clear()  # earlier tests of this process may have filled it
+    first = verify_family(92, 10, 2)
+    assert first.branch == "dependent" and _convergent_terms.cache_info().misses > 0
+    misses = _convergent_terms.cache_info().misses
+    assert verify_family(33, 10, 2).branch == "dependent"
+    assert _convergent_terms.cache_info().misses == misses
+    _convergent_terms.cache_clear()
+    verify_family(33, 10, 2)
+    misses = _convergent_terms.cache_info().misses
+    assert verify_family(92, 10, 2) == first
+    assert _convergent_terms.cache_info().misses == misses + 1
+
+
+def _dependent_reports(g: int, h: int, max_prefix: int):
+    reports = (verify_family(a, g, h) for a in range(1, max_prefix) if a % g)
+    return [report for report in reports if report.branch == "dependent"]
+
+
+def test_dependent_prefixes_of_10_2_below_600():
+    reports = _dependent_reports(10, 2, 600)
+    assert [report.a for report in reports] == [1, 3, 5, 7, 9, 33, 92, 99, 313, 585]
+    for report in reports:
+        assert report.status == "complete" and report.dependent_result.survivors == ()
+
+
+@pytest.mark.parametrize("g, h", FAMILY_PAIRS)
+def test_dependent_sieve_cold_equals_warm(g, h):
+    # the memo only saves work: the sieve decides each convergent alike from
+    # an empty memo and from a full one; started at the floor the report's
+    # sieve settled on, it settles there again
+    for report in _dependent_reports(g, h, 600):
+        result = report.dependent_result
+        args = (report.witness, report.a, g, h, report.bound)
+        kwargs = {"n_floor": result.floor, "slack": digit_count(report.a, g)}
+        _convergent_terms.cache_clear()
+        cold = dependent_case_check(*args, **kwargs)
+        assert dependent_case_check(*args, **kwargs) == cold == result
+
+
+def test_dependent_sieve_cold_equals_warm_past_the_table():
+    # X = 10**40 needs convergents past the table's 50 quotients
+    check = lambda: dependent_case_check(DependenceWitness(1, 0, 0, degenerate=True), 999_999, 10, 2, 10**40)
+    _convergent_terms.cache_clear()
+    cold = check()
+    assert _convergent_terms.cache_info().misses > 50
+    assert check() == cold
 
 
 def test_verify_family_dependent_small_bound_scans_directly():
