@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import lindep
-from .precise import PreciseReal, hp_exp, hp_log
+from .precise import PreciseReal, hp_exp, hp_log, upper_float
 from .radix import DomainError, check_base, check_int, digit_count, positive_rational
 
 # evaluation precision for closed-form bound expressions
@@ -30,20 +30,6 @@ THREE_LOG_COEFF = Fraction(2_022 * 10**7)  # 2.022e10, with the three-log bound
 TWO_LOG_COEFF = Fraction(142)  # with the two-log bound
 SHIFT_THREE_LOG_COEFF = Fraction(511 * 10**10)  # 5.11e12, solved form of the above
 SHIFT_TWO_LOG_COEFF = Fraction(191 * 10**5)  # 1.91e7, solved form of the above
-
-
-def _float_up(q: Fraction) -> float:
-    f = q.numerator / q.denominator
-    if Fraction(f) < q:
-        f = math.nextafter(f, math.inf)
-    return f
-
-
-def _float_down(q: Fraction) -> float:
-    f = q.numerator / q.denominator
-    if Fraction(f) > q:
-        f = math.nextafter(f, -math.inf)
-    return f
 
 
 def _height_and_abs_log(q: Fraction) -> tuple[Fraction, Fraction]:
@@ -102,9 +88,9 @@ class MatveevInstance:
         check_int(self.D, "the degree D must be a positive integer")
         check_int(self.kappa, "kappa must be 1 or 2", 1, 2)
         for x in self.alphas:
-            what = f"logarithm arguments must be positive and != 1, got {x}"
-            if positive_rational(x, what) == 1:
-                raise DomainError(what)
+            what = "logarithm arguments must be positive and != 1, got {}"
+            if positive_rational(x, what, x) == 1:
+                raise DomainError(what.format(x))
         if self.A is not None and len(self.A) != len(self.alphas):
             raise DomainError("need one height bound per logarithm")
 
@@ -128,13 +114,14 @@ def _height_bounds(inst: MatveevInstance) -> tuple[float, ...]:
     out = []
     for x in inst.alphas:
         height, logabs = _height_and_abs_log(Fraction(x))
-        out.append(_float_up(max(inst.D * height, logabs)))
+        out.append(upper_float(max(inst.D * height, logabs)))
     return tuple(out)
 
 
 def _pow(x: PreciseReal, k: int) -> PreciseReal:
-    out = PreciseReal.exact(1)
-    for _ in range(k):
+    # k >= 1 at every call
+    out = x
+    for _ in range(k - 1):
         out = out * x
     return out
 
@@ -177,13 +164,13 @@ def matveev_lower_bound(inst: MatveevInstance) -> MatveevEvaluation:
 
     total = c_n * c0 * w0 * Fraction(D * D) * omega
     return MatveevEvaluation(
-        C_n=_float_up(c_n.upper),
-        C0=_float_up(c0.upper),
-        W0=_float_up(w0.upper),
-        Omega=_float_up(omega),
-        B_bound=_float_up(b_ratio),
+        C_n=upper_float(c_n),
+        C0=upper_float(c0),
+        W0=upper_float(w0),
+        Omega=upper_float(omega),
+        B_bound=upper_float(b_ratio),
         A=A,
-        value=_float_down(-total.upper),
+        value=-upper_float(total),
     )
 
 
@@ -259,12 +246,12 @@ def laurent_lower_bound(inst: LaurentInstance) -> LaurentEvaluation:
     )
     exponent = Fraction(2434, 100) * D**4 * log_b**2 * logA1 * logA2
     return LaurentEvaluation(
-        logA1=_float_up(logA1),
-        logA2=_float_up(logA2),
-        b_prime=_float_up(b_prime),
-        log_b=_float_up(log_b),
+        logA1=upper_float(logA1),
+        logA2=upper_float(logA2),
+        b_prime=upper_float(b_prime),
+        log_b=upper_float(log_b),
         bound=hp_exp(-exponent, _EVAL_BITS),
-        log_value=_float_down(-exponent),
+        log_value=-upper_float(exponent),
     )
 
 
@@ -277,7 +264,7 @@ def tail_fit_threshold(a: int, g: int, h: int) -> float:
     """log(g*a)/log h: zero runs longer than this guarantee the reversed
     prefix fits inside the base-h digits pinned down by the low block."""
     _check_prefix(a, g, h)
-    return _float_up(PreciseReal.log_ratio(g * a, h, _EVAL_BITS).upper)
+    return upper_float(hp_log(g * a, _EVAL_BITS) / _base_terms(g, h)[2])
 
 
 def min_zero_run_for_tail_fit(a: int, g: int, h: int) -> int:
@@ -288,14 +275,14 @@ def min_zero_run_for_tail_fit(a: int, g: int, h: int) -> int:
 
 
 @lru_cache
-def _base_terms(g: int) -> tuple[PreciseReal, PreciseReal]:
-    # log g and (log 2)**3, shared by every prefix over base g
-    return hp_log(g, _EVAL_BITS), _pow(hp_log(2, _EVAL_BITS), 3)
+def _base_terms(g: int, h: int) -> tuple[PreciseReal, PreciseReal, PreciseReal]:
+    # log g, (log 2)**3 and log h, shared by every prefix over bases g and h
+    return hp_log(g, _EVAL_BITS), _pow(hp_log(2, _EVAL_BITS), 3), hp_log(h, _EVAL_BITS)
 
 
 def _shared_terms(a: int, g: int, h: int) -> tuple[PreciseReal, PreciseReal, dict[str, PreciseReal]]:
     # log g, log(a g h) and the dependence-degree term, which both thresholds use
-    log_g, log2cubed = _base_terms(g)
+    log_g, log2cubed, _ = _base_terms(g, h)
     log_agh = hp_log(a * g * h, _EVAL_BITS)
     return log_g, log_agh, {"dependence_degree": log_g * _pow(log_agh, 2) / log2cubed}
 
@@ -311,7 +298,7 @@ def zero_run_threshold_terms(a: int, g: int, h: int, n: int) -> dict[str, float]
     log_n = hp_log(n, _EVAL_BITS)
     terms["two_log"] = TWO_LOG_COEFF * _pow(log_n, 2) * log_g
     terms["three_log"] = THREE_LOG_COEFF * log_g * log_agh * log_n
-    return {"tail_fit": tail_fit_threshold(a, g, h)} | {k: _float_up(v.upper) for k, v in terms.items()}
+    return {"tail_fit": tail_fit_threshold(a, g, h)} | {k: upper_float(v) for k, v in terms.items()}
 
 
 def shift_exponent_bound_terms(a: int, g: int, h: int) -> dict[str, float]:
@@ -324,7 +311,7 @@ def shift_exponent_bound_terms(a: int, g: int, h: int) -> dict[str, float]:
         # expressions dominate every solution of the two-log equation
         log_a = hp_log(a, _EVAL_BITS)
         terms["two_log_solved"] = SHIFT_TWO_LOG_COEFF * log_a * _pow(log_a.log(), 3)
-    return {"tail_fit": tail_fit_threshold(a, g, h)} | {k: _float_up(v.upper) for k, v in terms.items()}
+    return {"tail_fit": tail_fit_threshold(a, g, h)} | {k: upper_float(v) for k, v in terms.items()}
 
 
 def shift_exponent_bound(a: int, g: int, h: int) -> float:

@@ -28,7 +28,7 @@ def prime_exponent_vector(x, primes: list[int]) -> list[int]:
     >>> prime_exponent_vector(Fraction(4, 7), [2, 7])
     [2, -1]
     """
-    q = positive_rational(x, f"expected a positive rational, got {x!r}")
+    q = positive_rational(x, "expected a positive rational, got {!r}", x)
     vec = []
     num, den = q.numerator, q.denominator
     for p in primes:
@@ -100,7 +100,7 @@ def dependence_witness(alpha, g: int, h: int) -> DependenceWitness | None:
     >>> dependence_witness(Fraction(4, 7), 10, 2) is None
     True
     """
-    a = positive_rational(alpha, f"expected a positive rational, got {alpha!r}")
+    a = positive_rational(alpha, "expected a positive rational, got {!r}", alpha)
     if not multiplicatively_independent(g, h):
         raise DomainError(f"bases {g} and {h} are multiplicatively dependent")
     if a == 1:

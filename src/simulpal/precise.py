@@ -8,18 +8,22 @@ exact formula on rationals, used when every operand is exact, and an mpmath
 interval function (``mpi_add``, ``mpi_log``, ...) at the result's precision,
 used otherwise with an exact operand rounded outward.  Log and exp have no
 exact formula, so their results are always computed.  ``_apply`` alone picks
-the endpoints and ``_compose`` alone builds a result and its recipe.
-Undecided comparisons refine the operands instead of guessing, and raise if
-certainty is unreachable.
+the endpoints and ``_compose`` alone builds a result, with a recipe only when
+it is computed; results skip the constructor's checks, which only endpoints
+from outside need.  ``upper_float`` and ``upper_floor`` round an upper end
+straight from its dyadic form, with no rational built.  Undecided comparisons
+refine the operands instead of guessing, and raise if certainty is
+unreachable.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable
 
-from mpmath.libmp import fhalf, from_rational, fzero, mpf_add, mpf_floor, mpf_lt, mpf_sign
+from mpmath.libmp import fhalf, from_float, from_rational, fzero, mpf_add, mpf_floor, mpf_lt, mpf_sign
 from mpmath.libmp import mpi_abs, mpi_add, mpi_div, mpi_exp, mpi_gt, mpi_log, mpi_mul, mpi_neg
 from mpmath.libmp import mpi_sub, to_float, to_int, to_rational, to_str
 
@@ -59,17 +63,20 @@ def _corners(f):
     return op
 
 
+_ZERO, _HALF = Fraction(0), Fraction(1, 2)
+
+
 def _exact_abs(a):
-    return max(0, a[0], -a[1]), max(-a[0], a[1])
+    return max(_ZERO, a[0], -a[1]), max(-a[0], a[1])
 
 
 # The distance to the nearest integer shifts by an integer k near the lower
 # end, which leaves the lower end at least -1/2; an interval whose upper end
 # then passes 1/2 holds a half-integer, and its image is [0, 1/2].
 def _exact_dist(a):
-    k = math.floor(a[0] + Fraction(1, 2))
+    k = math.floor(a[0] + _HALF)
     lo, hi = a[0] - k, a[1] - k
-    return (0, Fraction(1, 2)) if hi > Fraction(1, 2) else _exact_abs((lo, hi))
+    return (_ZERO, _HALF) if hi > _HALF else _exact_abs((lo, hi))
 
 
 def _dyadic_dist(a, bits: int):
@@ -82,6 +89,10 @@ def _common_floor(floor):
     # the floor both endpoints share, else None (undecided); a precision passed is ignored
     return lambda a, *bits: floor(a[0]) if floor(a[0]) == floor(a[1]) else None
 
+
+# the floor of one endpoint, indexed by whether it is computed: of a rational,
+# then of an mpf tuple (int(): gmpy's mpz)
+_FLOOR_OF = (math.floor, lambda q: int(to_int(q, "f")))
 
 # each operation as its exact formula on rationals, or None where it has none,
 # and as an mpmath interval function on mpf tuples, which takes the precision last
@@ -96,28 +107,39 @@ _LOG = (None, mpi_log)
 _EXP = (None, mpi_exp)
 # decisions: True, False, or None while the endpoints overlap
 _GT = (lambda a, b: True if a[0] > b[1] else False if a[1] <= b[0] else None, lambda a, b, bits: mpi_gt(a, b))
-_FLOOR = (_common_floor(math.floor), _common_floor(lambda q: int(to_int(q, "f"))))  # int(): gmpy's mpz
+_FLOOR = tuple(map(_common_floor, _FLOOR_OF))
+
+_SOURCE, _BITS = attrgetter("_source"), attrgetter("bits")
 
 
 def _apply(op, operands: tuple["PreciseReal", ...], bits: int):
     # op's exact formula on the rational endpoints if it has one and every
-    # operand is exact, else its mpmath function on mpf endpoints at bits
+    # operand is exact, else its mpmath function on mpf endpoints at bits,
+    # with an exact operand's endpoints rounded outward
     exact, dyadic = op
-    if exact is not None and all(x._source is None for x in operands):
-        return exact(*[(x._lo, x._hi) for x in operands])
-    return dyadic(*[x._dyadic(bits) for x in operands], bits)
+    if exact is not None and not any(map(_SOURCE, operands)):
+        return exact(*[x._ends for x in operands])
+    return dyadic(*[x._ends if x._source else _outward(x._ends, bits) for x in operands], bits)
+
+
+def _outward(ends: tuple[Fraction, Fraction], bits: int) -> tuple:
+    lo, hi = ends
+    down = from_rational(lo.numerator, lo.denominator, bits, "f")
+    return down, from_rational(hi.numerator, hi.denominator, bits, "c")
 
 
 def _compose(op, *operands: "PreciseReal", bits: int | None = None) -> "PreciseReal":
     # op at bits, by default the coarsest precision of its operands; the result
     # refines while an operand does, and always where op has no exact formula
-    bits = min(x.bits for x in operands) if bits is None else check_precision(bits)
+    bits = min(map(_BITS, operands)) if bits is None else check_precision(bits)
+    ends = _apply(op, operands, bits)
+    if op[0] is not None and not any(map(_SOURCE, operands)):
+        return _make(ends, bits, None)
 
     def endpoints(b: int) -> tuple:
-        return _apply(op, tuple(x.refined(b) for x in operands), b)
+        return _apply(op, tuple([x.refined(b) for x in operands]), b)
 
-    source = endpoints if op[0] is None or any(x.refinable for x in operands) else None
-    return PreciseReal(*_apply(op, operands, bits), bits, source)
+    return _make(ends, bits, endpoints)
 
 
 def _escalate(operands: tuple["PreciseReal", ...], decide, error: type[Exception], what: str):
@@ -139,6 +161,13 @@ def _escalate(operands: tuple["PreciseReal", ...], decide, error: type[Exception
         operands = tuple(x.refined(bits) for x in operands)
 
 
+def _fractions(lower, upper) -> tuple[Fraction, Fraction]:
+    try:
+        return Fraction(lower), Fraction(upper)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise DomainError(f"interval endpoints must be rationals, got [{lower!r}, {upper!r}]") from exc
+
+
 class PreciseReal:
     """An interval [lower, upper] certified to contain one real number.
 
@@ -146,22 +175,17 @@ class PreciseReal:
     without one the value is fixed, with rational endpoints.
     """
 
-    __slots__ = ("_lo", "_hi", "bits", "_source")
+    __slots__ = ("_ends", "bits", "_source")
 
     def __init__(self, lower, upper, bits: int, source: Callable[[int], tuple] | None = None):
         if source is None:  # fixed endpoints are rationals; computed ones come ordered, at a checked precision
-            if bits is not MAX_PRECISION:  # the constant that exact(), a hot path, passes needs no check
-                check_precision(bits)
-            try:
-                lower, upper = Fraction(lower), Fraction(upper)
-            except (TypeError, ValueError, ArithmeticError) as exc:
-                raise DomainError(f"interval endpoints must be rationals, got [{lower!r}, {upper!r}]") from exc
+            check_precision(bits)
+            lower, upper = _fractions(lower, upper)
             if lower > upper:
                 raise DomainError(f"empty interval [{lower}, {upper}]")
-        object.__setattr__(self, "_lo", lower)
-        object.__setattr__(self, "_hi", upper)
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "_source", source)
+        _set_ends(self, (lower, upper))
+        _set_bits(self, bits)
+        _set_source(self, source)
 
     def __setattr__(self, name, value):
         raise AttributeError("PreciseReal is immutable; use refined() for new precision")
@@ -171,21 +195,22 @@ class PreciseReal:
     @classmethod
     def exact(cls, q) -> "PreciseReal":
         """A rational value, enclosed with radius zero."""
-        return cls(q, q, MAX_PRECISION)
+        q = q if type(q) is Fraction else _fractions(q, q)[0]
+        return _make((q, q), MAX_PRECISION, None)
 
     @classmethod
     def log_ratio(cls, x, y, bits: int = DEFAULT_PRECISION) -> "PreciseReal":
         """Certified enclosure of log(x)/log(y) for positive rationals, y != 1."""
-        what = f"log({x})/log({y}) needs positive x and y, and y != 1"
-        if positive_rational(y, what) == 1:
-            raise DomainError(what)
-        return hp_log(positive_rational(x, what), bits) / hp_log(y, bits)
+        what = "log({})/log({}) needs positive x and y, and y != 1"
+        if positive_rational(y, what, x, y) == 1:
+            raise DomainError(what.format(x, y))
+        return hp_log(positive_rational(x, what, x, y), bits) / hp_log(y, bits)
 
     # geometry ----------------------------------------------------------
 
     # rationals, built from mpf endpoints when read (int(): gmpy's mpz)
-    lower = property(lambda s: s._lo if s._source is None else Fraction(*map(int, to_rational(s._lo))))
-    upper = property(lambda s: s._hi if s._source is None else Fraction(*map(int, to_rational(s._hi))))
+    lower = property(lambda s: s._ends[0] if s._source is None else Fraction(*map(int, to_rational(s._ends[0]))))
+    upper = property(lambda s: s._ends[1] if s._source is None else Fraction(*map(int, to_rational(s._ends[1]))))
 
     @property
     def refinable(self) -> bool:
@@ -196,22 +221,14 @@ class PreciseReal:
         already as fine); ``bits`` is checked either way."""
         if check_precision(bits) <= self.bits or self._source is None:
             return self
-        return PreciseReal(*self._source(bits), bits, self._source)
-
-    def _dyadic(self, bits: int) -> tuple:
-        # mpf endpoints at bits: an exact value's are rounded outward
-        if self._source is not None:
-            return self._lo, self._hi
-        lo, hi = self._lo, self._hi
-        down = from_rational(lo.numerator, lo.denominator, bits, "f")
-        return down, from_rational(hi.numerator, hi.denominator, bits, "c")
+        return _make(self._source(bits), bits, self._source)
 
     def _signs(self) -> tuple[int, int]:
         sign = mpf_sign if self._source else (lambda q: (q > 0) - (q < 0))
-        return sign(self._lo), sign(self._hi)
+        return sign(self._ends[0]), sign(self._ends[1])
 
     def __repr__(self):
-        return f"PreciseReal([{_show(self._lo)}, {_show(self._hi)}], bits={self.bits})"
+        return f"PreciseReal([{_show(self._ends[0])}, {_show(self._ends[1])}], bits={self.bits})"
 
     # interval ring operations -------------------------------------------
 
@@ -238,12 +255,8 @@ class PreciseReal:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _escalate(
-            (self._coerce(other),),
-            lambda b: None if b._signs()[0] <= 0 <= b._signs()[1] else b,
-            ZeroDivisionError,
-            "divisor interval contains zero",
-        )
+        decide = lambda b: None if b._signs()[0] <= 0 <= b._signs()[1] else b
+        other = _escalate((self._coerce(other),), decide, ZeroDivisionError, "divisor interval contains zero")
         return _compose(_DIV, self, other)
 
     def __rtruediv__(self, other):
@@ -257,12 +270,8 @@ class PreciseReal:
 
     def log(self) -> "PreciseReal":
         """Enclosure of the natural logarithm (self must be certainly positive)."""
-        me = _escalate(
-            (self,),
-            lambda a: a if a._signs()[0] > 0 else None,
-            DomainError,
-            "logarithm of an interval not certainly positive",
-        )
+        decide = lambda a: a if a._signs()[0] > 0 else None
+        me = _escalate((self,), decide, DomainError, "logarithm of an interval not certainly positive")
         return _compose(_LOG, me, bits=me.bits if me.refinable else DEFAULT_PRECISION)
 
     def dist_to_nearest_int(self) -> "PreciseReal":
@@ -284,12 +293,39 @@ class PreciseReal:
         return _escalate((self,), lambda a: _apply(_FLOOR, (a,), a.bits), UndecidedComparisonError, "floor undecided")
 
 
+_set_ends, _set_bits, _set_source = (getattr(PreciseReal, name).__set__ for name in PreciseReal.__slots__)
+
+
+def _make(ends: tuple, bits: int, source) -> PreciseReal:
+    # a result with ordered endpoints at a checked precision, built without __init__'s checks
+    x = object.__new__(PreciseReal)
+    _set_ends(x, ends)
+    _set_bits(x, bits)
+    _set_source(x, source)
+    return x
+
+
+def upper_float(x) -> float:
+    """The least float at or above the upper end of ``x``, a PreciseReal or a
+    rational: an upper bound of the value, +inf past float range."""
+    hi = PreciseReal._coerce(x)._ends[1]
+    if not isinstance(hi, tuple):
+        hi = from_rational(hi.numerator, hi.denominator, 53, "c")
+    f = to_float(hi, rnd="c")  # exact unless it over- or underflows, where it may fall below hi
+    return math.nextafter(f, math.inf) if mpf_lt(from_float(f), hi) else f
+
+
+def upper_floor(x: PreciseReal) -> int:
+    """The floor of the upper end of ``x``: an integer at least floor(x)."""
+    return _FLOOR_OF[x._source is not None](x._ends[1])
+
+
 def hp_log(x, bits: int = DEFAULT_PRECISION) -> PreciseReal:
     """Certified enclosure of the natural logarithm of a positive rational.
 
     ``hp_log(1)`` is exactly zero with radius zero.
     """
-    q = positive_rational(x, f"logarithm of non-positive value {x}")
+    q = positive_rational(x, "logarithm of non-positive value {}", x)
     return _compose(_LOG, PreciseReal.exact(q), bits=bits)
 
 

@@ -28,16 +28,17 @@ def check_int(x, what: str, least: int | None = 1, most: int | None = None) -> i
     return x
 
 
-def positive_rational(x, what: str) -> Fraction:
+def positive_rational(x, what: str, *args) -> Fraction:
     """``Fraction(x)`` if ``x`` is a positive rational (not NaN, an infinity
-    or a string), else a :class:`DomainError` with the message ``what``."""
+    or a string), else a :class:`DomainError` with the message
+    ``what.format(*args)``, built only then."""
     try:
         q = Fraction(x)
         if q > 0:
             return q
     except (TypeError, ValueError, ArithmeticError):
         pass
-    raise DomainError(what)
+    raise DomainError(what.format(*args))
 
 
 def check_base(g: int) -> int:

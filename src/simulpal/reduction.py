@@ -26,6 +26,7 @@ from .precise import (
     _escalate,
     check_precision,
     hp_log,
+    upper_floor,
 )
 from .radix import DomainError, check_int, digit_count, is_palindrome_early_exit, reverse_in_base
 
@@ -208,7 +209,7 @@ def baker_davenport_reduce(problem: ReductionProblem) -> ReductionOutcome:
             continue
         if usable:
             value = (2 * pair.kappa * pair.q * problem.c1).log() / problem.c2
-            return ReductionOutcome("reduced", value.upper.__floor__(), pair)
+            return ReductionOutcome("reduced", upper_floor(value), pair)
     return ReductionOutcome("no-usable-pair")
 
 

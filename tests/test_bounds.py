@@ -23,7 +23,10 @@ from simulpal.bounds import (
     tail_fit_threshold,
     zero_run_threshold_terms,
 )
+from simulpal.lindep import dependence_witness
+from simulpal.precise import hp_log
 from simulpal.radix import DomainError
+from simulpal.reduction import verify_family
 
 
 def _zero_run_threshold(a, g, h, n):
@@ -221,6 +224,51 @@ def test_shift_exponent_small_prefix_regime():
     terms = shift_exponent_bound_terms(3, 10, 2)
     assert "two_log_solved" in terms
     assert max(terms.values()) == terms["three_log_solved"]
+
+
+# literal floats: a change to the arithmetic or to its rounding that moves a
+# bound term by one ulp shows here; for a = 123 also the bound, reduced bound
+# and pair denominator of the verify_family report
+@pytest.mark.parametrize(
+    "a, g, h, values, report",
+    [
+        (1, 10, 2, (3.3219280948873626, 62.05050236331545, 131463019477863.0), None),
+        (2, 10, 2, (4.321928094887363, 94.08669918318151, 198653783467446.88), None),
+        (3, 10, 2, (4.906890595608519, 115.9065774542785, 242508504574144.97, 17455.17168937064), None),
+        (74, 10, 2, (9.531381460516313, 368.43502994534737, 683949725593396.9, 255610099.1581942), None),
+        (92, 10, 2, (9.845490050944376, 390.74064425270643, 719097154973317.2, 296709583.22104853), None),
+        (
+            123, 10, 2,
+            (10.264442600226603, 421.5117062136084, 766863619325183.6, 356475340.880648),
+            (766863619325184, 63, 30387805924728145),
+        ),
+        (999999, 10, 2, (23.253495221515777, 1954.0645082980068, 2644038821689119.5, 4777285089.42511), None),
+        (35, 6, 2, (7.714245517666123, 196.2970761024471, 313696481294535.0, 138592138.45290697), None),
+        (1234, 15, 5, (6.10527832708171, 1063.3860830190433, 1864954972091013.5, 1027796222.213897), None),
+    ],
+)
+def test_shift_exponent_bound_terms_are_pinned(a, g, h, values, report):
+    names = ("tail_fit", "dependence_degree", "three_log_solved", "two_log_solved")
+    assert shift_exponent_bound_terms(a, g, h) == dict(zip(names, values))
+    if report is not None:
+        r = verify_family(a, g, h)
+        assert (r.bound, r.reduced_bound, r.pair_used.q) == report
+
+
+def test_bounds_round_outward_past_float_range():
+    # the product of 58 height bounds of 1e300 passes float range; the rounding
+    # raised a bare OverflowError, where +inf (and -inf below) still bound it
+    ev = matveev_lower_bound(MatveevInstance(alphas=tuple(range(2, 60)), b_coeffs=(1,) * 58, A=(1e300,) * 58))
+    assert (ev.Omega, ev.value) == (math.inf, -math.inf)
+    assert math.isfinite(ev.C_n) and math.isfinite(ev.W0)
+
+
+def test_prefixes_past_the_int_to_str_limit_are_bounded():
+    # a message built on every call once converted a 5 001-digit argument to
+    # decimal, which Python refuses past 4 300 digits
+    assert hp_log(10**5000).is_greater(11512)
+    assert shift_exponent_bound(10**5000 + 1, 10, 2) > 1e19
+    assert dependence_witness(Fraction(10**5000 + 1, 3), 10, 2) is None
 
 
 def test_majorant_examples():

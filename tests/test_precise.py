@@ -1,18 +1,24 @@
 import math
 import operator
+import sys
 import time
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from mpmath.libmp import fhalf, from_rational, fzero, mpf_add, mpf_floor, mpf_lt
+from mpmath.libmp import mpi_abs, mpi_add, mpi_div, mpi_log, mpi_mul, mpi_neg, mpi_sub, to_rational
 
 from simulpal import precise
 from simulpal.precise import (
+    DEFAULT_PRECISION,
     PreciseReal,
     UndecidedComparisonError,
     hp_exp,
     hp_log,
+    upper_float,
+    upper_floor,
 )
 from simulpal.radix import DomainError
 
@@ -349,6 +355,113 @@ def test_computed_unary_operations_enclose_the_exact_image(x, scale):
     _assert_encloses(-x, (-hi, -lo))
     _assert_encloses(abs(x), (0 if lo <= 0 <= hi else min(abs(lo), abs(hi)), max(abs(lo), abs(hi))))
     _assert_encloses(x.dist_to_nearest_int(), _dist_image(lo, hi))
+
+
+def _mpf(q: Fraction, bits: int | None = None, rnd: str = "f") -> tuple:
+    # q rounded in direction rnd at bits; by default exactly, for a dyadic q
+    exact_bits = abs(q.numerator).bit_length() + 1
+    return from_rational(q.numerator, q.denominator, bits or exact_bits, rnd)
+
+
+def _mpi(x, bits: int) -> tuple:
+    # a computed operand's dyadic endpoints, or a rational rounded outward at bits
+    if isinstance(x, PreciseReal):
+        return _mpf(x.lower), _mpf(x.upper)
+    return _mpf(x, bits, "f"), _mpf(x, bits, "c")
+
+
+def _rationals(interval) -> tuple[Fraction, Fraction]:
+    return tuple(Fraction(*map(int, to_rational(end))) for end in interval)
+
+
+def _mpi_dist(a, bits):
+    # the distance to the nearest integer from mpmath's own functions
+    k = mpf_floor(mpf_add(a[0], fhalf, bits, "f"))
+    shifted = mpi_sub(a, (k, k), bits)
+    return (fzero, fhalf) if mpf_lt(fhalf, shifted[1]) else mpi_abs(shifted, bits)
+
+
+# each row: the operation on PreciseReals, mpmath's interval function (the
+# precision last) and the exact formula on rationals, None for log
+_BINARY_ROWS = {
+    "+": (operator.add, mpi_add, operator.add),
+    "-": (operator.sub, mpi_sub, operator.sub),
+    "*": (operator.mul, mpi_mul, operator.mul),
+    "/": (operator.truediv, mpi_div, operator.truediv),
+}
+_UNARY_ROWS = {
+    "neg": (operator.neg, mpi_neg, operator.neg),
+    "abs": (abs, mpi_abs, abs),
+    "dist": (PreciseReal.dist_to_nearest_int, _mpi_dist, lambda q: abs(q - round(q))),
+    "log": (PreciseReal.log, mpi_log, None),
+}
+
+
+@settings(max_examples=300)
+@given(_computed, st.one_of(_rational, _computed), st.sampled_from(sorted(_BINARY_ROWS)), st.booleans())
+def test_binary_rows_are_mpmath_on_outward_rounded_operands(x, y, op, swap):
+    # two computed operands, or a computed and an exact one on either side:
+    # the endpoints are mpmath's at the coarser precision, bit for bit
+    a, b = (y, x) if swap else (x, y)
+    compute, mpi, _ = _BINARY_ROWS[op]
+    assume(op != "/" or not _ends(b)[0] <= 0 <= _ends(b)[1])
+    bits = min(x.bits, y.bits) if isinstance(y, PreciseReal) else x.bits
+    result = compute(a, b)
+    assert (result.lower, result.upper, result.bits) == (*_rationals(mpi(_mpi(a, bits), _mpi(b, bits), bits)), bits)
+
+
+@given(_rational, _rational, st.sampled_from(sorted(_BINARY_ROWS)))
+def test_binary_rows_on_exact_operands_are_exact(q, r, op):
+    assume(op != "/" or r != 0)
+    compute, _, exact = _BINARY_ROWS[op]
+    result = compute(PreciseReal.exact(q), PreciseReal.exact(r))
+    assert not result.refinable and result.lower == result.upper == exact(q, r)
+
+
+@settings(max_examples=200)
+@given(_computed, _rational, st.sampled_from(sorted(_UNARY_ROWS)))
+def test_unary_rows_are_mpmath_or_exact(x, q, op):
+    compute, mpi, exact = _UNARY_ROWS[op]
+    if op == "log":
+        assume(x.lower > 0 and q > 0)
+    result = compute(x)
+    assert (result.lower, result.upper, result.bits) == (*_rationals(mpi(_mpi(x, x.bits), x.bits)), x.bits)
+    # an exact operand: the exact rational, or for log mpmath's at the default precision
+    result = compute(PreciseReal.exact(q))
+    if exact is None:
+        expected = _rationals(mpi(_mpi(q, DEFAULT_PRECISION), DEFAULT_PRECISION))
+        assert (result.lower, result.upper, result.bits) == (*expected, DEFAULT_PRECISION)
+    else:
+        assert not result.refinable and result.lower == result.upper == exact(q)
+
+
+@given(st.one_of(_computed, _rational.map(PreciseReal.exact)))
+def test_upper_float_and_floor_round_the_upper_end(x):
+    up = upper_float(x)
+    assert Fraction(up) >= x.upper and Fraction(math.nextafter(up, -math.inf)) < x.upper
+    assert upper_floor(x) == math.floor(x.upper)
+
+
+@pytest.mark.parametrize(
+    "x, expected",
+    [
+        (Fraction(10**400), math.inf),
+        (-Fraction(10**400), -sys.float_info.max),
+        (Fraction(1, 10**400), 5e-324),
+        (-Fraction(1, 10**400), -0.0),
+        (Fraction(3, 2**1080), 5e-324),
+        (Fraction(1, 3), 0.33333333333333337),
+        (Fraction(-1, 3), -0.3333333333333333),
+        (hp_exp(1000, 64), math.inf),
+        (-hp_exp(1000, 64), -sys.float_info.max),
+        (hp_exp(-1000, 64), 5e-324),
+        (-hp_exp(-1000, 64), -0.0),
+    ],
+)
+def test_upper_float_rounds_up_past_float_range(x, expected):
+    # overflow gives +inf, or the largest float below a huge negative value;
+    # a tiny positive value rounds up to the least subnormal, not to 0.0
+    assert upper_float(x) == expected
 
 
 def test_immutability():
