@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import lindep
 from .precise import PreciseReal, hp_exp, hp_log, upper_float
-from .radix import DomainError, check_base, check_int, digit_count, positive_rational
+from .radix import DomainError, _digit_count, check_base, check_int, positive_rational
 
 # evaluation precision for closed-form bound expressions
 _EVAL_BITS = 128
@@ -38,16 +38,15 @@ def _height_and_abs_log(q: Fraction) -> tuple[Fraction, Fraction]:
     return height.upper, abs(hp_log(q, _EVAL_BITS)).upper
 
 
-def _check_prefix(a: int, g: int, h: int) -> None:
-    check_base(g)
-    check_base(h)
-    check_int(a, "prefix a must be a positive integer")
+_PREFIX_RULE = "prefix a must be a positive integer"
 
 
 def require_family_bases(a: int, g: int, h: int) -> None:
     """Validate the standing hypotheses: 2 <= h < g, h | g, g and h
     multiplicatively independent, and a positive."""
-    _check_prefix(a, g, h)
+    check_base(g)
+    check_base(h)
+    check_int(a, _PREFIX_RULE)
     if not 2 <= h < g:
         raise DomainError(f"need 2 <= h < g, got h={h}, g={g}")
     if g % h != 0:
@@ -263,15 +262,22 @@ def laurent_lower_bound(inst: LaurentInstance) -> LaurentEvaluation:
 def tail_fit_threshold(a: int, g: int, h: int) -> float:
     """log(g*a)/log h: zero runs longer than this guarantee the reversed
     prefix fits inside the base-h digits pinned down by the low block."""
-    _check_prefix(a, g, h)
+    check_base(g)
+    check_base(h)
+    return _tail_fit(check_int(a, _PREFIX_RULE), g, h)
+
+
+def _tail_fit(a: int, g: int, h: int) -> float:
+    # tail_fit_threshold without the argument checks
     return upper_float(hp_log(g * a, _EVAL_BITS) / _base_terms(g, h)[2])
 
 
 def min_zero_run_for_tail_fit(a: int, g: int, h: int) -> int:
     """Smallest integer zero-run length m with h**m > g*a: the base-h digit
     count of g*a."""
-    _check_prefix(a, g, h)
-    return digit_count(g * a, h)
+    check_base(g)
+    check_base(h)
+    return _digit_count(g * check_int(a, _PREFIX_RULE), h)
 
 
 @lru_cache
@@ -298,7 +304,7 @@ def zero_run_threshold_terms(a: int, g: int, h: int, n: int) -> dict[str, float]
     log_n = hp_log(n, _EVAL_BITS)
     terms["two_log"] = TWO_LOG_COEFF * _pow(log_n, 2) * log_g
     terms["three_log"] = THREE_LOG_COEFF * log_g * log_agh * log_n
-    return {"tail_fit": tail_fit_threshold(a, g, h)} | {k: upper_float(v) for k, v in terms.items()}
+    return {"tail_fit": _tail_fit(a, g, h)} | {k: upper_float(v) for k, v in terms.items()}
 
 
 def shift_exponent_bound_terms(a: int, g: int, h: int) -> dict[str, float]:
@@ -311,7 +317,7 @@ def shift_exponent_bound_terms(a: int, g: int, h: int) -> dict[str, float]:
         # expressions dominate every solution of the two-log equation
         log_a = hp_log(a, _EVAL_BITS)
         terms["two_log_solved"] = SHIFT_TWO_LOG_COEFF * log_a * _pow(log_a.log(), 3)
-    return {"tail_fit": tail_fit_threshold(a, g, h)} | {k: upper_float(v) for k, v in terms.items()}
+    return {"tail_fit": _tail_fit(a, g, h)} | {k: upper_float(v) for k, v in terms.items()}
 
 
 def shift_exponent_bound(a: int, g: int, h: int) -> float:

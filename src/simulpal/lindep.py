@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from sympy import factorint
 
-from .radix import DomainError, check_int, positive_rational
+from .radix import DomainError, check_int, positive_rational, shown
 
 
 def prime_exponent_vector(x, primes: list[int]) -> list[int]:
@@ -102,23 +103,15 @@ def dependence_witness(alpha, g: int, h: int) -> DependenceWitness | None:
     """
     a = positive_rational(alpha, "expected a positive rational, got {!r}", alpha)
     if not multiplicatively_independent(g, h):
-        raise DomainError(f"bases {g} and {h} are multiplicatively dependent")
+        raise DomainError(f"bases {shown(g)} and {shown(h)} are multiplicatively dependent")
     if a == 1:
         return DependenceWitness(1, 0, 0, degenerate=True)
 
     primes = sorted(factorint(g * h))
     e_g = prime_exponent_vector(g, primes)
     e_h = prime_exponent_vector(h, primes)
-    pivot = None
-    for i in range(len(primes)):
-        for j in range(i + 1, len(primes)):
-            if e_g[j] * e_h[i] - e_g[i] * e_h[j] != 0:
-                pivot = (i, j)
-                break
-        if pivot:
-            break
-    assert pivot is not None, "independent bases must admit an unimodular prime pair"
-    i, j = pivot
+    # the first two primes with independent exponent columns; independent bases have them
+    i, j = next((i, j) for i, j in combinations(range(len(primes)), 2) if e_g[j] * e_h[i] != e_g[i] * e_h[j])
     e_a = prime_exponent_vector(a, primes)
 
     r = e_g[j] * e_h[i] - e_g[i] * e_h[j]

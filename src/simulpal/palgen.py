@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .radix import DomainError, check_base, check_int, digit_count, length_ranges, reverse_in_base
+from .radix import DomainError, _digit_count, _reverse, check_base, check_int, length_ranges, reverse_in_base, shown
 
 
 def mirror_half(half: int, g: int, half_len: int, odd: bool) -> int:
@@ -101,21 +101,21 @@ def family_instance(a: int, g: int, h: int, n: int) -> FamilyInstance:
     check_int(a, "family prefix must be a positive integer")
     check_int(n, "shift exponent must be a positive integer")
     if a % g == 0:
-        raise DomainError(f"{g} divides {a}: the family value would not be a base-{g} palindrome")
-    n_a = digit_count(a, g)
+        raise DomainError(f"{g} divides {shown(a)}: the family value would not be a base-{g} palindrome")
+    n_a = _digit_count(a, g)
     if n < n_a:
         raise DomainError(f"shift {n} overlaps the {n_a} digits of the prefix")
-    rev_a = reverse_in_base(a, g)
+    rev_a = _reverse(a, g)
     N = a * g**n + rev_a
-    rr = reverse_in_base(rev_a, h)
+    rr = _reverse(rev_a, h)
     alpha = Fraction(a, rr)
     # k = floor(log_h(N / rr)), by exact integer comparison
-    k = digit_count(N, h) - digit_count(rr, h)
+    k = _digit_count(N, h) - _digit_count(rr, h)
     if rr * h**k > N:
         k -= 1
     elif rr * h ** (k + 1) <= N:
         k += 1
     m = n - n_a
-    m_tilde = m + n_a - digit_count(rr, h)
+    m_tilde = m + n_a - _digit_count(rr, h)
     return FamilyInstance(a=a, g=g, h=h, n=n, N=N, n_a=n_a, m=m, alpha=alpha, k=k, m_tilde=m_tilde)
 

@@ -129,9 +129,9 @@ def _outward(ends: tuple[Fraction, Fraction], bits: int) -> tuple:
 
 
 def _compose(op, *operands: "PreciseReal", bits: int | None = None) -> "PreciseReal":
-    # op at bits, by default the coarsest precision of its operands; the result
-    # refines while an operand does, and always where op has no exact formula
-    bits = min(map(_BITS, operands)) if bits is None else check_precision(bits)
+    # op at bits, a checked precision, by default the coarsest of its operands'; the
+    # result refines while an operand does, and always where op has no exact formula
+    bits = bits or min(map(_BITS, operands))
     ends = _apply(op, operands, bits)
     if op[0] is not None and not any(map(_SOURCE, operands)):
         return _make(ends, bits, None)
@@ -326,7 +326,7 @@ def hp_log(x, bits: int = DEFAULT_PRECISION) -> PreciseReal:
     ``hp_log(1)`` is exactly zero with radius zero.
     """
     q = positive_rational(x, "logarithm of non-positive value {}", x)
-    return _compose(_LOG, PreciseReal.exact(q), bits=bits)
+    return _compose(_LOG, PreciseReal.exact(q), bits=check_precision(bits))
 
 
 def hp_exp(x, bits: int = DEFAULT_PRECISION) -> PreciseReal:
@@ -336,4 +336,4 @@ def hp_exp(x, bits: int = DEFAULT_PRECISION) -> PreciseReal:
     A large |x| costs no more than a small one, but reading ``lower`` or
     ``upper`` builds a rational of about 1.44·|x| bits.
     """
-    return _compose(_EXP, PreciseReal.exact(x), bits=bits)
+    return _compose(_EXP, PreciseReal.exact(x), bits=check_precision(bits))

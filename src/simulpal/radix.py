@@ -20,25 +20,42 @@ class DomainError(ValueError):
     """Bad input: an argument outside an operation's domain or preconditions."""
 
 
+class _Shown(str):
+    __repr__ = str.__str__  # the same text under {} and {!r}
+
+
+def shown(x):
+    """``x`` as an error message formats it, except that an int of more than
+    50 digits becomes its digit count: ``str`` refuses an int past 4 300.
+
+    >>> shown(-123), f"got {shown(-10**5000)!r}"
+    (-123, 'got a negative integer of 5001 digits')
+    """
+    if not isinstance(x, int) or -(10**50) < x < 10**50:
+        return x
+    d = (abs(x).bit_length() - 1) * 3 // 10  # 10**d <= |x|, as 10**0.3 < 2
+    return _Shown(f"{'a negative' if x < 0 else 'an'} integer of {d + _digit_count(abs(x) // 10**d, 10)} digits")
+
+
 def check_int(x, what: str, least: int | None = 1, most: int | None = None) -> int:
     """``x`` if it is an ``int`` (not a bool) in [least, most], else a
     :class:`DomainError` with ``what`` and ``x``; a None limit is no limit."""
     if type(x) is not int or (least is not None and x < least) or (most is not None and x > most):
-        raise DomainError(f"{what}, got {x!r}")
+        raise DomainError(f"{what}, got {shown(x)!r}")
     return x
 
 
 def positive_rational(x, what: str, *args) -> Fraction:
     """``Fraction(x)`` if ``x`` is a positive rational (not NaN, an infinity
     or a string), else a :class:`DomainError` with the message
-    ``what.format(*args)``, built only then."""
+    ``what.format(*args)``, built only then, each argument :func:`shown`."""
     try:
         q = Fraction(x)
         if q > 0:
             return q
     except (TypeError, ValueError, ArithmeticError):
         pass
-    raise DomainError(what.format(*args))
+    raise DomainError(what.format(*map(shown, args)))
 
 
 def check_base(g: int) -> int:

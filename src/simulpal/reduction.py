@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil
 
-from .bounds import min_zero_run_for_tail_fit, require_family_bases, shift_exponent_bound
+from .bounds import require_family_bases, shift_exponent_bound
 from .lindep import DependenceWitness, dependence_witness
 from .precise import (
     DEFAULT_PRECISION,
@@ -28,7 +28,7 @@ from .precise import (
     hp_log,
     upper_floor,
 )
-from .radix import DomainError, check_int, digit_count, is_palindrome_early_exit, reverse_in_base
+from .radix import DomainError, _digit_count, _reverse, check_int, is_palindrome_early_exit, shown
 
 __all__ = [
     "ContinuedFraction",
@@ -93,13 +93,10 @@ def continued_fraction(x: PreciseReal, count: int) -> ContinuedFraction:
         (x,), expand, UndecidedComparisonError, f"continued fraction: {count} quotients not certain"
     )
 
-    ps: list[int] = [0, 1]
-    qs: list[int] = [1, 0]
-    convergents = []
+    convergents, (p0, q0), (p1, q1) = [], (0, 1), (1, 0)
     for a in quotients:
-        ps.append(a * ps[-1] + ps[-2])
-        qs.append(a * qs[-1] + qs[-2])
-        convergents.append((ps[-1], qs[-1]))
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        convergents.append((p1, q1))
     return ContinuedFraction(tuple(quotients), tuple(convergents), exact)
 
 
@@ -267,7 +264,7 @@ def dependent_case_check(
     check_int(X, "the prior bound X must be an integer at least the testing floor", n_floor)
     r, s = witness.r, witness.s
     s_bound = abs(s) if s_bound is None else check_int(s_bound, "s_bound must be a non-negative integer", 0)
-    slack = digit_count(a, g) if slack is None else check_int(slack, "slack must be a non-negative integer", 0)
+    slack = _digit_count(a, g) if slack is None else check_int(slack, "slack must be a non-negative integer", 0)
     c = Fraction(11 * r, 9) * h**slack
     base = _base_pair(g, h, bits)
     log_h, eps = base.log_h, base.epsilon
@@ -295,9 +292,7 @@ def dependent_case_check(
         cf = continued_fraction(eps, len(cf.quotients) + 20)
     candidates = [(p, q) for p, q in cf.convergents if q <= q_ceiling]
 
-    small_regime = []
-    large_regime = []
-    survivors = []
+    small_regime, large_regime, survivors = [], [], []
     log_c = hp_log(c, bits)
     rhs_small = Fraction(c, factor_floor * h**floor_n) / log_h
     for p, q in candidates:
@@ -311,14 +306,9 @@ def dependent_case_check(
         else:
             survivors.append(q)
 
-    bound = X if survivors else floor_n - 1
     return DependentCaseResult(
-        bound=bound,
-        floor=floor_n,
-        q_ceiling=q_ceiling,
-        small_regime=tuple(small_regime),
-        large_regime=tuple(large_regime),
-        survivors=tuple(survivors),
+        bound=X if survivors else floor_n - 1, floor=floor_n, q_ceiling=q_ceiling,
+        small_regime=tuple(small_regime), large_regime=tuple(large_regime), survivors=tuple(survivors),
     )
 
 
@@ -369,6 +359,11 @@ def verify_family(
     pairs for a model bound or an empty list.  If no reduction applies and the unreduced range
     exceeds ``exhaustive_limit``, the report comes back ``undecided``
     above the tested range instead of silently truncating.
+
+    Raises :class:`DomainError` at entry, its only check of a, g and h,
+    unless a is a positive int that g does not divide, g and h pass
+    ``require_family_bases``, ``bits`` is an int in [1, MAX_PRECISION],
+    ``bound`` is None or a positive int and ``exhaustive_limit`` an int >= 0.
     """
     check_precision(bits)
     if bound is not None:
@@ -376,9 +371,9 @@ def verify_family(
     check_int(exhaustive_limit, "the exhaustive limit must be a non-negative integer", 0)
     require_family_bases(a, g, h)
     if a % g == 0:
-        raise DomainError(f"{g} divides {a}: family values are not base-{g} palindromes")
-    rev_a = reverse_in_base(a, g)
-    n_a = digit_count(a, g)
+        raise DomainError(f"{g} divides {shown(a)}: family values are not base-{g} palindromes")
+    rev_a = _reverse(a, g)
+    n_a = _digit_count(a, g)
     alpha = witness = reduced_bound = pair_used = dependent_result = None
     # each branch proves that no shift n > certified with n >= floor gives a
     # palindrome (certified None: it proves nothing); the shifts below floor
@@ -389,10 +384,10 @@ def verify_family(
         branch, X, certified, floor = "excluded-parity", 0, 0, 0
     else:
         X = bound if bound is not None else ceil(shift_exponent_bound(a, g, h))
-        alpha = Fraction(a, reverse_in_base(rev_a, h))
+        alpha = Fraction(a, _reverse(rev_a, h))
         witness = dependence_witness(alpha, g, h)
-        # below this shift the digit-containment regime does not apply
-        regime_floor = n_a + max(min_zero_run_for_tail_fit(a, g, h), 2)
+        # below this shift the digit-containment regime does not apply (a zero run m needs h**m > g*a)
+        regime_floor = n_a + max(_digit_count(g * a, h), 2)
         branch = "independent" if witness is None else "dependent"
         if witness is None:
             base = _base_pair(g, h, bits)
@@ -431,18 +426,7 @@ def verify_family(
         power *= g
 
     return FamilyReport(
-        a=a,
-        g=g,
-        h=h,
-        alpha=alpha,
-        ns=tuple(ns),
-        status=status,
-        branch=branch,
-        bound=X,
-        reduced_bound=reduced_bound,
-        pair_used=pair_used,
-        dependent_result=dependent_result,
-        witness=witness,
-        tested_upper=top,
+        a=a, g=g, h=h, alpha=alpha, ns=tuple(ns), status=status, branch=branch, bound=X, reduced_bound=reduced_bound,
+        pair_used=pair_used, dependent_result=dependent_result, witness=witness, tested_upper=top,
         undecided_above=undecided_above,
     )

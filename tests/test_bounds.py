@@ -23,7 +23,8 @@ from simulpal.bounds import (
     tail_fit_threshold,
     zero_run_threshold_terms,
 )
-from simulpal.lindep import dependence_witness
+from simulpal.lindep import dependence_witness, multiplicatively_independent
+from simulpal.palgen import family_instance
 from simulpal.precise import hp_log
 from simulpal.radix import DomainError
 from simulpal.reduction import verify_family
@@ -269,6 +270,24 @@ def test_prefixes_past_the_int_to_str_limit_are_bounded():
     assert hp_log(10**5000).is_greater(11512)
     assert shift_exponent_bound(10**5000 + 1, 10, 2) > 1e19
     assert dependence_witness(Fraction(10**5000 + 1, 3), 10, 2) is None
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: hp_log(-(10**5000)), "non-positive value a negative integer of 5001 digits"),
+        (lambda: verify_family(-(10**5000), 10, 2), "positive integer, got a negative integer of 5001 digits"),
+        (lambda: verify_family(10**5000, 10, 2), "10 divides an integer of 5001 digits"),
+        (lambda: family_instance(10**5000, 10, 2, 3), "10 divides an integer of 5001 digits"),
+        (lambda: dependence_witness(2, 10**5000, 10**5000), "bases an integer of 5001 digits and an integer of 5001"),
+        (lambda: multiplicatively_independent(-(10**5000), 2), "got a negative integer of 5001 digits"),
+    ],
+    ids=["hp_log", "verify_family-negative", "verify_family-divisible", "family_instance", "witness", "independence"],
+)
+def test_rejected_arguments_past_the_int_to_str_limit_are_domain_errors(call, match):
+    # each message formatted the argument, which raised a bare ValueError past 4 300 digits
+    with pytest.raises(DomainError, match=match):
+        call()
 
 
 def test_majorant_examples():

@@ -1,9 +1,21 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
 from simulpal.bounds import min_zero_run_for_tail_fit, shift_exponent_bound, tail_fit_threshold
 from simulpal.palgen import count_palindromes_upto, family_instance, iter_palindromes, mirror_half
-from simulpal.radix import DomainError, _mirror_test, digit_count, is_palindrome, length_ranges, reverse_in_base
+from simulpal.radix import (
+    DomainError,
+    _mirror_test,
+    check_int,
+    digit_count,
+    is_palindrome,
+    length_ranges,
+    reverse_in_base,
+    shown,
+)
+from simulpal.reduction import verify_family
 
 from conftest import oracle_digits, oracle_reverse
 
@@ -35,7 +47,7 @@ def test_non_integer_input_is_rejected(n):
             is_palindrome(n, base)
     # a prefix or a shift of the family a*g**n + rev(a) follows the same rule:
     # 5.0 and True gave bounds, and family_instance answered with digit_count's message
-    for f in (shift_exponent_bound, tail_fit_threshold, min_zero_run_for_tail_fit):
+    for f in (shift_exponent_bound, tail_fit_threshold, min_zero_run_for_tail_fit, verify_family):
         with pytest.raises(DomainError, match=f"prefix a must be a positive integer, got {n!r}"):
             f(n, 10, 2)
     with pytest.raises(DomainError, match=f"family prefix must be a positive integer, got {n!r}"):
@@ -52,6 +64,25 @@ def test_non_integer_input_is_rejected(n):
         list(iter_palindromes(10, 1, n))
     with pytest.raises(DomainError, match=f"half length must be a positive integer, got {n!r}"):
         mirror_half(12, 10, n, False)
+
+
+def test_messages_name_an_integer_past_50_digits_by_its_digit_count():
+    # up to 50 digits a message shows the value as before; past that, str()
+    # would refuse it beyond 4 300 digits, and the digits would not help
+    with pytest.raises(DomainError, match=f"got {-(10**50 - 1)}$"):
+        check_int(-(10**50 - 1), "x")
+    with pytest.raises(DomainError, match="got a negative integer of 51 digits$"):
+        check_int(-(10**50), "x")
+    for digits in (51, 52, 299, 4300, 4301, 5001, 20000):
+        assert shown(10 ** (digits - 1)) == shown(10**digits - 1) == f"an integer of {digits} digits"
+        assert f"{shown(-(10**digits) + 1)!r}" == f"a negative integer of {digits} digits"
+    for x in (0, True, 2.5, "5", Fraction(10**60, 3)):
+        assert shown(x) is x
+
+
+@given(st.integers(min_value=10**50, max_value=10**400))
+def test_shown_digit_count_matches_str(x):
+    assert shown(x) == f"an integer of {len(str(x))} digits"
 
 
 def test_reverse_examples():

@@ -1,9 +1,11 @@
+import sys
 from fractions import Fraction
 from math import ceil
 
 import mpmath
 import pytest
 
+from simulpal import radix, reduction
 from simulpal.bounds import (
     LaurentInstance,
     MatveevInstance,
@@ -243,6 +245,40 @@ def test_verify_family_rejects_divisible_prefix():
         verify_family(20, 10, 2)
 
 
+def test_verify_family_checks_each_argument_once_per_public_call(monkeypatch):
+    # verify_family checks a, g and h at entry and then takes the unchecked
+    # digit helpers; only the public stages it calls check their own arguments.
+    # Outside the direct scan, whose per-shift palindrome test checks its own,
+    # that makes 13.7 check_int calls a prefix of (10, 2), where three checks
+    # of the bases and the checked digit helpers made 25.4.
+    counts = {False: 0, True: 0}
+    in_scan = [False]
+    check_int = radix.check_int
+
+    def counted(*args, **kwargs):
+        counts[in_scan[0]] += 1
+        return check_int(*args, **kwargs)
+
+    def scan_test(n, h, test=reduction.is_palindrome_early_exit):
+        in_scan[0] = True
+        try:
+            return test(n, h)
+        finally:
+            in_scan[0] = False
+
+    prefixes = [a for a in range(1, 600) if a % 10]
+    for a in prefixes:  # fills the per-process caches first
+        verify_family(a, 10, 2)
+    for module in [m for name, m in sys.modules.items() if name.startswith("simulpal.")]:
+        if getattr(module, "check_int", None) is check_int:
+            monkeypatch.setattr(module, "check_int", counted)
+    monkeypatch.setattr(reduction, "is_palindrome_early_exit", scan_test)
+    for a in prefixes:
+        verify_family(a, 10, 2)
+    assert counts[False] <= 16 * len(prefixes)
+    assert counts[True] > 0
+
+
 def test_verify_family_closed_loop():
     for a in (9, 74, 585):
         report = verify_family(a, 10, 2)
@@ -298,6 +334,12 @@ _EPSILON = PreciseReal.log_ratio(10, 2)
         (lambda: verify_family(74, 10, 2, bound=1e9), "prior bound X must be a positive integer"),
         (lambda: verify_family(2, 10, 2, bound=1e9), "prior bound X must be a positive integer"),
         (lambda: verify_family(74, 10, 2, bound=True), "prior bound X must be a positive integer"),
+        # verify_family checks its prefix and bases once, at entry, and no stage it calls checks them again
+        (lambda: verify_family(74, 10.0, 2), r"base must be an integer in \[2, 4294967295\], got 10.0"),
+        (lambda: verify_family(74, 2, 10), "need 2 <= h < g, got h=10, g=2"),
+        (lambda: verify_family(74, 10, 3), r"need h \| g, got h=3, g=10"),
+        (lambda: verify_family(74, 8, 2), "bases 8 and 2 are multiplicatively dependent"),
+        (lambda: verify_family(True, 10, 2), "prefix a must be a positive integer, got True"),
         (lambda: precompute_reduction_pairs(_EPSILON, 1.5), "prior bound X must be a positive integer"),
         # 2.5 quotients came back as 3
         (lambda: continued_fraction(_EPSILON, 2.5), "integer count of at least one quotient"),
@@ -346,7 +388,9 @@ _EPSILON = PreciseReal.log_ratio(10, 2)
     ],
     ids=[
         "hp_log-bits", "verify_family-bits", "log_ratio-bits", "verify_family-bound", "verify_family-parity-bound",
-        "verify_family-bound-bool", "pairs-X", "cf-count", "dependent-X", "independent", "witness",
+        "verify_family-bound-bool", "verify_family-float-base", "verify_family-h-above-g", "verify_family-h-not-dividing",
+        "verify_family-dependent-bases", "verify_family-bool-prefix",
+        "pairs-X", "cf-count", "dependent-X", "independent", "witness",
         "shift-bound-float", "shift-bound-bool", "zero-run-n", "laurent-b1", "matveev-b", "matveev-D", "matveev-kappa",
         "exhaustive-limit-float", "exhaustive-limit-negative", "dependent-n_floor", "dependent-s_bound",
         "dependent-factor_floor", "dependent-slack", "hp_log-inf", "hp_log-nan", "log_ratio-inf", "witness-string",
