@@ -51,8 +51,7 @@ def require_family_bases(a: int, g: int, h: int) -> None:
         raise DomainError(f"need 2 <= h < g, got h={h}, g={g}")
     if g % h != 0:
         raise DomainError(f"need h | g, got h={h}, g={g}")
-    if not lindep.multiplicatively_independent(g, h):
-        raise DomainError(f"bases {g} and {h} are multiplicatively dependent")
+    lindep._require_independent(g, h)
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import precise, reduction, simulcheck
-from .lindep import multiplicatively_independent
+from .lindep import _require_independent
 from .radix import DomainError, check_base, is_palindrome, reverse_in_base
 from .simulcheck import CheckpointMismatchError
 
@@ -129,7 +129,7 @@ def cmd_family(args):
         "reduced_bound": report_obj.reduced_bound,
         "pair_used": None if report_obj.pair_used is None else {
             "q": report_obj.pair_used.q,
-            "kappa": str(report_obj.pair_used.kappa),
+            "kappa": str(Fraction(report_obj.pair_used.q, 2 * report_obj.bound)),
         },
         "witness": None if report_obj.witness is None else asdict(report_obj.witness),
         "dependent_sieve": None
@@ -170,11 +170,8 @@ def cmd_bound(args):
 
 
 def cmd_cf(args):
-    check_base(args.g)
-    check_base(args.h)
     # equal or power-related bases make log g / log h rational
-    if not multiplicatively_independent(args.g, args.h):
-        raise DomainError(f"bases {args.g} and {args.h} are multiplicatively dependent")
+    _require_independent(check_base(args.g), check_base(args.h))
     x = precise.PreciseReal.log_ratio(args.g, args.h, args.precision)
     cf = reduction.continued_fraction(x, args.count)
     results = {

@@ -17,6 +17,8 @@ from sympy import factorint
 
 from .radix import DomainError, check_int, positive_rational, shown
 
+_INDEPENDENCE_RULE = "multiplicative independence is considered for integers >= 2"
+
 
 def prime_exponent_vector(x, primes: list[int]) -> list[int]:
     """p-adic valuations of a positive rational at each listed prime.
@@ -58,8 +60,11 @@ def multiplicatively_independent(g: int, h: int) -> bool:
     >>> multiplicatively_independent(6, 12)
     True
     """
-    check_int(g, "multiplicative independence is considered for integers >= 2", 2)
-    check_int(h, "multiplicative independence is considered for integers >= 2", 2)
+    return _independent(check_int(g, _INDEPENDENCE_RULE, 2), check_int(h, _INDEPENDENCE_RULE, 2))
+
+
+def _independent(g: int, h: int) -> bool:
+    # multiplicatively_independent without the argument checks
     while g != h:
         if g < h:
             g, h = h, g
@@ -67,6 +72,12 @@ def multiplicatively_independent(g: int, h: int) -> bool:
             return True
         g //= h
     return False
+
+
+def _require_independent(g: int, h: int) -> None:
+    # the standing hypothesis on two bases already checked as integers >= 2
+    if not _independent(g, h):
+        raise DomainError(f"bases {shown(g)} and {shown(h)} are multiplicatively dependent")
 
 
 @dataclass(frozen=True)
@@ -102,8 +113,7 @@ def dependence_witness(alpha, g: int, h: int) -> DependenceWitness | None:
     True
     """
     a = positive_rational(alpha, "expected a positive rational, got {!r}", alpha)
-    if not multiplicatively_independent(g, h):
-        raise DomainError(f"bases {shown(g)} and {shown(h)} are multiplicatively dependent")
+    _require_independent(check_int(g, _INDEPENDENCE_RULE, 2), check_int(h, _INDEPENDENCE_RULE, 2))
     if a == 1:
         return DependenceWitness(1, 0, 0, degenerate=True)
 
@@ -117,12 +127,8 @@ def dependence_witness(alpha, g: int, h: int) -> DependenceWitness | None:
     r = e_g[j] * e_h[i] - e_g[i] * e_h[j]
     s = e_h[i] * e_a[j] - e_h[j] * e_a[i]
     t = e_g[j] * e_a[i] - e_g[i] * e_a[j]
-    d = gcd(abs(r), abs(s), abs(t))
-    r, s, t = r // d, s // d, t // d
-    if r < 0:
-        r, s, t = -r, -s, -t
-    witness = DependenceWitness(r, s, t)
-    if r == 0 or not witness.holds_for(a, g, h):
-        return None
-    return witness
+    # r != 0 by the choice of i and j; dividing by d makes r > 0 and the gcd 1
+    d = gcd(r, s, t) if r > 0 else -gcd(r, s, t)
+    witness = DependenceWitness(r // d, s // d, t // d)
+    return witness if witness.holds_for(a, g, h) else None
 

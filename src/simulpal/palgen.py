@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .radix import DomainError, _digit_count, _reverse, check_base, check_int, length_ranges, reverse_in_base, shown
+from .radix import DomainError, _digit_count, _reverse, check_base, check_int, length_ranges, shown
 
 
 def mirror_half(half: int, g: int, half_len: int, odd: bool) -> int:
@@ -30,7 +30,13 @@ def mirror_half(half: int, g: int, half_len: int, odd: bool) -> int:
     (585585, 12321)
     """
     check_int(half_len, "half length must be a positive integer")
-    return (half // g if odd else half) * g**half_len + reverse_in_base(half, g)
+    check_base(g)
+    return _mirror(check_int(half, "digit reversal is defined for positive integers only"), g, half_len, odd)
+
+
+def _mirror(half: int, g: int, half_len: int, odd: bool) -> int:
+    # mirror_half without the argument checks
+    return (half // g if odd else half) * g**half_len + _reverse(half, g)
 
 
 def _halves(g: int, d: int, first: int, last: int) -> range:
@@ -41,9 +47,9 @@ def _halves(g: int, d: int, first: int, last: int) -> range:
     p = g ** (d // 2)
     t, odd = (d + 1) // 2, d % 2 == 1
     start, stop = first // p, last // p
-    if mirror_half(start, g, t, odd) < first:
+    if _mirror(start, g, t, odd) < first:
         start += 1
-    if mirror_half(stop, g, t, odd) > last:
+    if _mirror(stop, g, t, odd) > last:
         stop -= 1
     return range(start, stop + 1)
 
@@ -64,7 +70,7 @@ def iter_palindromes(g: int, lo: int, hi: int) -> Iterator[int]:
     check_int(hi, f"upper end must be an integer >= {lo}", lo)
     for d, first, last in length_ranges(g, lo, hi):
         for half in _halves(g, d, first, last):
-            yield mirror_half(half, g, (d + 1) // 2, d % 2 == 1)
+            yield _mirror(half, g, (d + 1) // 2, d % 2 == 1)
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,15 @@ class _Shown(str):
 
 
 def shown(x):
-    """``x`` as an error message formats it, except that an int of more than
-    50 digits becomes its digit count: ``str`` refuses an int past 4 300.
+    """``x`` as an error message formats it, except that an int of more than 50 digits,
+    alone or in a Fraction, becomes its digit count: ``str`` refuses an int past 4 300.
 
-    >>> shown(-123), f"got {shown(-10**5000)!r}"
-    (-123, 'got a negative integer of 5001 digits')
+    >>> shown(-123), f"got {shown(-10**5000)!r}", f"{shown(Fraction(10**60, 3))}"
+    (-123, 'got a negative integer of 5001 digits', 'the ratio of an integer of 61 digits to 3')
     """
+    if isinstance(x, Fraction):
+        n, d = shown(x.numerator), shown(x.denominator)
+        return x if n is x.numerator and d is x.denominator else _Shown(f"the ratio of {n} to {d}")
     if not isinstance(x, int) or -(10**50) < x < 10**50:
         return x
     d = (abs(x).bit_length() - 1) * 3 // 10  # 10**d <= |x|, as 10**0.3 < 2

@@ -102,50 +102,40 @@ def continued_fraction(x: PreciseReal, count: int) -> ContinuedFraction:
 
 @dataclass(frozen=True)
 class ReductionPair:
-    """A convergent denominator prepared for the reduction step.
-
-    ``kappa = q / (2X)``; the pair is stored only after the certified
-    check ``||q * epsilon|| < 1/(2 kappa X) = 1/q``.
-    """
+    """A convergent p/q of epsilon with certified ||q * epsilon|| < 1/q; a
+    reduction of any bound X < q/2 uses it with kappa = q/(2X)."""
 
     p: int
     q: int
-    kappa: Fraction
 
 
-def _certified(epsilon: PreciseReal, convergents) -> tuple[tuple[int, int], ...]:
+def _certified(epsilon: PreciseReal, convergents) -> tuple[ReductionPair, ...]:
     # the convergents p/q whose hypothesis ||q epsilon|| < 1/q is certified
-    return tuple((p, q) for p, q in convergents if abs(epsilon * q - p).is_less(Fraction(1, q)))
-
-
-def _pairs(certified, X: int) -> list[ReductionPair]:
-    return [ReductionPair(p=p, q=q, kappa=Fraction(q, 2 * X)) for p, q in certified if q > 4 * X]
+    return tuple(ReductionPair(p, q) for p, q in convergents if abs(epsilon * q - p).is_less(Fraction(1, q)))
 
 
 def precompute_reduction_pairs(epsilon: PreciseReal, X: int, count: int = 50) -> list[ReductionPair]:
     """Usable reduction pairs among the first ``count`` convergents of epsilon.
 
-    Only convergents with q > 4X qualify (which keeps
-    kappa = q/(2X) above 2, so the per-instance test ||q delta|| > 1/kappa
-    has room to succeed); for each the hypothesis ||q epsilon|| < 1/q is
-    certified by interval arithmetic before the pair is admitted.
-    Pairs are independent of the shifted term, so one list serves every
-    family instance over the same base pair.
+    Only convergents with q > 4X qualify (which keeps kappa = q/(2X) above
+    2, so the per-instance test ||q delta|| > 1/kappa has room to succeed),
+    and only once ||q epsilon|| < 1/q is certified by interval arithmetic.
+    One list serves every family instance over the same base pair and X.
     """
     check_int(X, "the prior bound X must be a positive integer")
-    return _pairs(_certified(epsilon, continued_fraction(epsilon, count).convergents), X)
+    return [pair for pair in _certified(epsilon, continued_fraction(epsilon, count).convergents) if pair.q > 4 * X]
 
 
 @dataclass(frozen=True)
 class _BasePair:
     """What every prefix over one base pair shares: log h, epsilon =
-    log g / log h, its first 50 partial quotients and the convergents that
-    pass the certified check ||q epsilon|| < 1/q, which does not depend on X."""
+    log g / log h, its first 50 partial quotients and the reduction pairs
+    among their convergents, of which each prefix takes those of q > 4X."""
 
     log_h: PreciseReal
     epsilon: PreciseReal
     cf: ContinuedFraction
-    certified: tuple[tuple[int, int], ...]
+    certified: tuple[ReductionPair, ...]
 
 
 @lru_cache
@@ -166,9 +156,9 @@ def _convergent_terms(g: int, h: int, bits: int, p: int, q: int) -> tuple[Precis
 
 @dataclass(frozen=True)
 class ReductionProblem:
-    """Inequality |n1 + n2*epsilon + delta| < c1*exp(-n2*c2) with n2 <= X."""
+    """Inequality |n1 + n2*epsilon + delta| < c1*exp(-n2*c2) with n2 <= X,
+    where each pair is a convergent of epsilon with q > 2X (kappa > 1)."""
 
-    epsilon: PreciseReal
     delta: PreciseReal
     c1: PreciseReal
     c2: PreciseReal
@@ -176,12 +166,10 @@ class ReductionProblem:
     pairs: tuple[ReductionPair, ...]
 
     def __post_init__(self):
+        check_int(self.X, "the prior bound X must be a positive integer")
         for pair in self.pairs:
-            if pair.kappa.numerator <= pair.kappa.denominator:
-                raise DomainError(f"pair q={pair.q} has kappa <= 1")
-            # X/q > 1/(2 kappa), cross-multiplied
-            if 2 * self.X * pair.kappa.numerator > pair.q * pair.kappa.denominator:
-                raise DomainError(f"pair q={pair.q} violates X/q <= 1/(2 kappa)")
+            if pair.q <= 2 * self.X:
+                raise DomainError(f"pair q={shown(pair.q)} needs q > 2X, got X={shown(self.X)}")
 
 
 @dataclass(frozen=True)
@@ -192,20 +180,20 @@ class ReductionOutcome:
 
 
 def baker_davenport_reduce(problem: ReductionProblem) -> ReductionOutcome:
-    """Scan the prepared pairs in order; the first (q, kappa) whose certified
-    test ||q * delta|| > 1/kappa succeeds reduces the bound on n2 to
-    floor(log(2 kappa q c1) / c2).  If no pair qualifies the caller falls
-    back to the unreduced bound."""
+    """Scan the prepared pairs in order; with kappa = q/(2X), the first whose
+    certified test ||q * delta|| > 1/kappa = 2X/q succeeds reduces the bound on
+    n2 to floor(log(2 kappa q c1) / c2) = floor(log(q**2 c1 / X) / c2).  If no
+    pair qualifies the caller falls back to the unreduced bound."""
     for pair in problem.pairs:
         dist = (problem.delta * pair.q).dist_to_nearest_int()
         try:
-            usable = dist.is_greater(1 / pair.kappa)
+            usable = dist.is_greater(Fraction(2 * problem.X, pair.q))
         except UndecidedComparisonError:
             # an exact tie cannot be certified either way; skipping the pair
             # only weakens the reduction, never its soundness
             continue
         if usable:
-            value = (2 * pair.kappa * pair.q * problem.c1).log() / problem.c2
+            value = (Fraction(pair.q * pair.q, problem.X) * problem.c1).log() / problem.c2
             return ReductionOutcome("reduced", upper_floor(value), pair)
     return ReductionOutcome("no-usable-pair")
 
@@ -354,11 +342,12 @@ def verify_family(
     alpha = a / rev(rev(a, g), h); Baker-Davenport reduction (independent
     case) or the convergent sieve (dependent case) to shrink X to a small
     top; then direct early-exit testing of every remaining shift.
-    The work that depends only on (g, h, bits) is done once per process;
-    ``pairs`` replaces the reduction pairs built from it, for example with
-    pairs for a model bound or an empty list.  If no reduction applies and the unreduced range
-    exceeds ``exhaustive_limit``, the report comes back ``undecided``
-    above the tested range instead of silently truncating.
+    The work that depends only on (g, h, bits), the reduction pairs included,
+    is done once per process, and each prefix takes the pairs of q > 4X;
+    ``pairs`` replaces them, for example with pairs for a model bound or an
+    empty list.  If no reduction applies and the unreduced range exceeds
+    ``exhaustive_limit``, the report comes back ``undecided`` above the
+    tested range instead of silently truncating.
 
     Raises :class:`DomainError` at entry, its only check of a, g and h,
     unless a is a positive int that g does not divide, g and h pass
@@ -391,11 +380,10 @@ def verify_family(
         branch = "independent" if witness is None else "dependent"
         if witness is None:
             base = _base_pair(g, h, bits)
-            log_h = base.log_h
-            delta = hp_log(alpha, bits) / log_h
-            c1 = Fraction(11 * h**n_a, 9) / log_h
-            pairs = tuple(_pairs(base.certified, X) if pairs is None else pairs)
-            outcome = baker_davenport_reduce(ReductionProblem(base.epsilon, delta, c1, log_h, X, pairs))
+            delta = hp_log(alpha, bits) / base.log_h
+            c1 = Fraction(11 * h**n_a, 9) / base.log_h
+            pairs = tuple(pair for pair in base.certified if pair.q > 4 * X) if pairs is None else tuple(pairs)
+            outcome = baker_davenport_reduce(ReductionProblem(delta, c1, base.log_h, X, pairs))
             reduced_bound, pair_used = outcome.new_bound, outcome.pair_used
             certified, floor = reduced_bound, regime_floor
         elif X < max(30, regime_floor):

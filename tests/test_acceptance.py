@@ -99,7 +99,6 @@ def test_criterion_5_shift_bound_model_instance():
 def test_criterion_6_reduction_power(model_pairs):
     started = time.perf_counter()
     log2 = hp_log(2, 192)
-    eps = PreciseReal.log_ratio(10, 2, 192)
     c1 = Fraction(11 * 2**6, 9) / log2
     reduced = []
     for a in range(3, 10**4 + 1):
@@ -112,7 +111,7 @@ def test_criterion_6_reduction_power(model_pairs):
         if dependence_witness(alpha, 10, 2) is not None:
             continue
         delta = hp_log(alpha, 192) / log2
-        problem = ReductionProblem(eps, delta, c1, log2, X_MODEL, tuple(model_pairs))
+        problem = ReductionProblem(delta, c1, log2, X_MODEL, tuple(model_pairs))
         outcome = baker_davenport_reduce(problem)
         assert outcome.status == "reduced", f"no usable pair for a={a}"
         assert outcome.new_bound <= 81, f"a={a} reduced only to {outcome.new_bound}"

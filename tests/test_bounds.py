@@ -281,8 +281,14 @@ def test_prefixes_past_the_int_to_str_limit_are_bounded():
         (lambda: family_instance(10**5000, 10, 2, 3), "10 divides an integer of 5001 digits"),
         (lambda: dependence_witness(2, 10**5000, 10**5000), "bases an integer of 5001 digits and an integer of 5001"),
         (lambda: multiplicatively_independent(-(10**5000), 2), "got a negative integer of 5001 digits"),
+        # a rational's numerator or denominator is named the same way
+        (lambda: hp_log(Fraction(-(10**5000), 3)), "value the ratio of a negative integer of 5001 digits to 3"),
+        (lambda: dependence_witness(Fraction(-(10**5000), 3), 10, 2), "got the ratio of a negative integer of 5001"),
     ],
-    ids=["hp_log", "verify_family-negative", "verify_family-divisible", "family_instance", "witness", "independence"],
+    ids=[
+        "hp_log", "verify_family-negative", "verify_family-divisible", "family_instance", "witness", "independence",
+        "hp_log-fraction", "witness-fraction",
+    ],
 )
 def test_rejected_arguments_past_the_int_to_str_limit_are_domain_errors(call, match):
     # each message formatted the argument, which raised a bare ValueError past 4 300 digits

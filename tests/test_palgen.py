@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simulpal import palgen, radix
 from simulpal.palgen import (
     _halves,
     count_palindromes_upto,
@@ -74,6 +75,26 @@ def test_iter_palindromes_window():
     assert list(iter_palindromes(10, 90, 130)) == [99, 101, 111, 121]
     with pytest.raises(DomainError):
         list(iter_palindromes(10, 5, 4))
+
+
+def test_listing_checks_its_arguments_once_not_per_palindrome(monkeypatch):
+    # iter_palindromes checks g, lo and hi at entry and mirrors each half
+    # unchecked, so listing 1 998 palindromes costs what listing 18 does
+    calls = [0]
+    check_int = radix.check_int
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return check_int(*args, **kwargs)
+
+    monkeypatch.setattr(radix, "check_int", counted)
+    monkeypatch.setattr(palgen, "check_int", counted)
+    counts = []
+    for hi, listed in ((10**2, 18), (10**6, 1998)):
+        calls[0] = 0
+        assert len(list(iter_palindromes(10, 1, hi))) == listed
+        counts.append(calls[0])
+    assert counts[0] == counts[1] > 0
 
 
 @pytest.mark.parametrize("g", [2, 3, 10])

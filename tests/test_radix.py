@@ -76,8 +76,11 @@ def test_messages_name_an_integer_past_50_digits_by_its_digit_count():
     for digits in (51, 52, 299, 4300, 4301, 5001, 20000):
         assert shown(10 ** (digits - 1)) == shown(10**digits - 1) == f"an integer of {digits} digits"
         assert f"{shown(-(10**digits) + 1)!r}" == f"a negative integer of {digits} digits"
-    for x in (0, True, 2.5, "5", Fraction(10**60, 3)):
+    for x in (0, True, 2.5, "5", Fraction(10**50 - 1, 3), Fraction(-3, 10**50 - 1)):
         assert shown(x) is x
+    # a rational shows a numerator or denominator of more than 50 digits the same way
+    assert shown(Fraction(10**60, 3)) == "the ratio of an integer of 61 digits to 3"
+    assert f"{shown(Fraction(-3, 10**5000 + 1))!r}" == "the ratio of -3 to an integer of 5001 digits"
 
 
 @given(st.integers(min_value=10**50, max_value=10**400))

@@ -21,7 +21,6 @@ from simulpal.radix import DomainError, digit_count, is_palindrome, reverse_in_b
 from simulpal.reduction import (
     _base_pair,
     _convergent_terms,
-    _pairs,
     ReductionOutcome,
     ReductionProblem,
     baker_davenport_reduce,
@@ -80,7 +79,7 @@ def test_precompute_pairs_model_case():
     pairs = precompute_reduction_pairs(eps, X_MODEL, 50)
     assert len(pairs) == 16
     assert all(pair.q > 4 * X_MODEL for pair in pairs)
-    assert all(pair.kappa == Fraction(pair.q, 2 * X_MODEL) > 2 for pair in pairs)
+    assert all(Fraction(pair.q, 2 * X_MODEL) > 2 for pair in pairs)
     # denominators ascend, so the scan prefers the smallest usable q
     qs = [pair.q for pair in pairs]
     assert qs == sorted(qs)
@@ -90,7 +89,7 @@ def test_precompute_pairs_small_bound():
     eps = PreciseReal.log_ratio(10, 2, 192)
     pairs = precompute_reduction_pairs(eps, 10, 12)
     assert pairs
-    assert all(pair.q > 40 and pair.kappa > 1 for pair in pairs)
+    assert all(pair.q > 40 for pair in pairs)
 
 
 def test_precompute_pairs_rational_epsilon():
@@ -99,18 +98,14 @@ def test_precompute_pairs_rational_epsilon():
 
 
 def test_reduction_problem_validation():
+    # kappa = q/(2X) must exceed 1: a pair needs q > 2X
     eps = PreciseReal.log_ratio(10, 2, 192)
     pairs = precompute_reduction_pairs(eps, X_MODEL, 50)
-    p, q = pairs[0].p, pairs[0].q
-    # kappa > 1 above q/(2X) makes X/q > 1/(2 kappa)
-    for kappa, message in [
-        (Fraction(1, 2), "kappa <= 1"),
-        (Fraction(1), "kappa <= 1"),
-        (Fraction(q, X_MODEL), "violates X/q"),
-    ]:
-        bad = type(pairs[0])(p=p, q=q, kappa=kappa)
-        with pytest.raises(ValueError, match=message):
-            ReductionProblem(eps, eps, hp_log(2), hp_log(2), X_MODEL, (bad,))
+    q = pairs[0].q
+    for X in ((q + 1) // 2, q):
+        with pytest.raises(DomainError, match=f"pair q={q} needs q > 2X, got X={X}"):
+            ReductionProblem(eps, hp_log(2), hp_log(2), X, (pairs[0],))
+    assert ReductionProblem(eps, hp_log(2), hp_log(2), (q - 1) // 2, (pairs[0],)).pairs == (pairs[0],)
 
 
 def _model_problem(a, pairs, bits=192):
@@ -118,9 +113,7 @@ def _model_problem(a, pairs, bits=192):
     rr = reverse_in_base(reverse_in_base(a, 10), 2)
     delta = hp_log(Fraction(a, rr), bits) / log2
     c1 = Fraction(11 * 2**6, 9) / log2
-    return ReductionProblem(
-        PreciseReal.log_ratio(10, 2, bits), delta, c1, log2, X_MODEL, tuple(pairs)
-    )
+    return ReductionProblem(delta, c1, log2, X_MODEL, tuple(pairs))
 
 
 def test_baker_davenport_model_sample():
@@ -147,7 +140,8 @@ def test_baker_davenport_soundness_above_new_bound():
     problem = _model_problem(74, pairs)
     outcome = baker_davenport_reduce(problem)
     assert outcome.status == "reduced"
-    q, kappa = outcome.pair_used.q, outcome.pair_used.kappa
+    q = outcome.pair_used.q
+    kappa = Fraction(q, 2 * X_MODEL)
     for n2 in (outcome.new_bound + 1, X_MODEL):
         lhs = (problem.c1 * q).log() - n2 * problem.c2
         rhs = hp_log(Fraction(1, 2 * kappa))
@@ -157,9 +151,7 @@ def test_baker_davenport_soundness_above_new_bound():
 def test_baker_davenport_zero_shift_has_no_pair():
     eps = PreciseReal.log_ratio(10, 2, 192)
     pairs = precompute_reduction_pairs(eps, X_MODEL, 50)
-    problem = ReductionProblem(
-        eps, PreciseReal.exact(0), Fraction(11 * 64, 9) / hp_log(2), hp_log(2), X_MODEL, tuple(pairs)
-    )
+    problem = ReductionProblem(PreciseReal.exact(0), Fraction(11 * 64, 9) / hp_log(2), hp_log(2), X_MODEL, tuple(pairs))
     assert baker_davenport_reduce(problem) == ReductionOutcome("no-usable-pair")
 
 
@@ -171,16 +163,15 @@ def test_baker_davenport_synthetic_hand_checked():
     X = 1000
     pairs = precompute_reduction_pairs(eps, X, 12)
     assert pairs[0].q == 15601
-    problem = ReductionProblem(
-        eps, PreciseReal.exact(Fraction(1, 3)), PreciseReal.exact(1), PreciseReal.exact(1), X, tuple(pairs)
-    )
+    one = PreciseReal.exact(1)
+    problem = ReductionProblem(PreciseReal.exact(Fraction(1, 3)), one, one, X, tuple(pairs))
     outcome = baker_davenport_reduce(problem)
     assert outcome.status == "reduced"
     assert outcome.pair_used.q == 15601
     assert outcome.new_bound == 12
     # inequality chain: c1 q exp(-n2 c2) > 1/(2 kappa) holds up to the bound
     # and fails beyond it
-    kappa = outcome.pair_used.kappa
+    kappa = Fraction(outcome.pair_used.q, 2 * X)
     assert 15601 * mpmath.exp(-12) > float(1 / (2 * kappa))
     assert 15601 * mpmath.exp(-13) < float(1 / (2 * kappa))
 
@@ -249,8 +240,10 @@ def test_verify_family_checks_each_argument_once_per_public_call(monkeypatch):
     # verify_family checks a, g and h at entry and then takes the unchecked
     # digit helpers; only the public stages it calls check their own arguments.
     # Outside the direct scan, whose per-shift palindrome test checks its own,
-    # that makes 13.7 check_int calls a prefix of (10, 2), where three checks
-    # of the bases and the checked digit helpers made 25.4.
+    # that makes 11.04 check_int calls a prefix of (10, 2), where three checks
+    # of the bases and the checked digit helpers made 25.4, and a second check
+    # of the bases inside the independence test 13.7.  Of the 11.04, 0.57 is
+    # ReductionProblem's check that X is an int, once per independent prefix.
     counts = {False: 0, True: 0}
     in_scan = [False]
     check_int = radix.check_int
@@ -275,7 +268,7 @@ def test_verify_family_checks_each_argument_once_per_public_call(monkeypatch):
     monkeypatch.setattr(reduction, "is_palindrome_early_exit", scan_test)
     for a in prefixes:
         verify_family(a, 10, 2)
-    assert counts[False] <= 16 * len(prefixes)
+    assert counts[False] <= 11.1 * len(prefixes)
     assert counts[True] > 0
 
 
@@ -341,6 +334,8 @@ _EPSILON = PreciseReal.log_ratio(10, 2)
         (lambda: verify_family(74, 8, 2), "bases 8 and 2 are multiplicatively dependent"),
         (lambda: verify_family(True, 10, 2), "prefix a must be a positive integer, got True"),
         (lambda: precompute_reduction_pairs(_EPSILON, 1.5), "prior bound X must be a positive integer"),
+        # X must be an int: kappa = q/(2X) is built from it as an exact rational
+        (lambda: ReductionProblem(_EPSILON, _EPSILON, _EPSILON, 1000.0, ()), "prior bound X must be a positive"),
         # 2.5 quotients came back as 3
         (lambda: continued_fraction(_EPSILON, 2.5), "integer count of at least one quotient"),
         (lambda: dependent_case_check(DependenceWitness(1, 1, -1), 5, 10, 2, X=100.5), "integer at least the testing floor"),
@@ -390,7 +385,7 @@ _EPSILON = PreciseReal.log_ratio(10, 2)
         "hp_log-bits", "verify_family-bits", "log_ratio-bits", "verify_family-bound", "verify_family-parity-bound",
         "verify_family-bound-bool", "verify_family-float-base", "verify_family-h-above-g", "verify_family-h-not-dividing",
         "verify_family-dependent-bases", "verify_family-bool-prefix",
-        "pairs-X", "cf-count", "dependent-X", "independent", "witness",
+        "pairs-X", "problem-X", "cf-count", "dependent-X", "independent", "witness",
         "shift-bound-float", "shift-bound-bool", "zero-run-n", "laurent-b1", "matveev-b", "matveev-D", "matveev-kappa",
         "exhaustive-limit-float", "exhaustive-limit-negative", "dependent-n_floor", "dependent-s_bound",
         "dependent-factor_floor", "dependent-slack", "hp_log-inf", "hp_log-nan", "log_ratio-inf", "witness-string",
@@ -437,7 +432,7 @@ def test_base_pair_table_gives_the_precomputed_pairs(g, h):
     eps = PreciseReal.log_ratio(g, h)
     shift_bounds = [ceil(shift_exponent_bound(a, 10, 2)) for a in (1, 74, 999_999)]
     for X in [1, 10**3, 10**9, *shift_bounds]:
-        assert _pairs(table.certified, X) == precompute_reduction_pairs(eps, X)
+        assert [pair for pair in table.certified if pair.q > 4 * X] == precompute_reduction_pairs(eps, X)
 
 
 @pytest.mark.parametrize("g, h", [(10, 2), (12, 4)])
@@ -449,6 +444,16 @@ def test_verify_family_default_pairs_match_explicit_pairs(g, h):
         X = ceil(shift_exponent_bound(a, g, h))
         explicit = verify_family(a, g, h, pairs=precompute_reduction_pairs(eps, X))
         assert verify_family(a, g, h) == explicit
+
+
+def test_prefixes_reduced_by_one_convergent_share_its_pair():
+    # the pairs are built once per base pair, and each prefix reduces with
+    # the certified pairs themselves, not with copies made for its bound
+    first, second = verify_family(11, 10, 2), verify_family(13, 10, 2)
+    assert first.branch == second.branch == "independent" and first.bound != second.bound
+    assert first.pair_used.q == second.pair_used.q
+    assert first.pair_used is second.pair_used
+    assert any(pair is first.pair_used for pair in _base_pair(10, 2, 192).certified)
 
 
 @pytest.mark.parametrize("X", [X_MODEL, 10**40])
