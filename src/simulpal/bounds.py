@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import lindep
 from .precise import PreciseReal, hp_exp, hp_log, upper_float
-from .radix import DomainError, _digit_count, check_base, check_int, positive_rational
+from .radix import DomainError, check_base, check_int, positive_rational
 
 # evaluation precision for closed-form bound expressions
 _EVAL_BITS = 128
@@ -269,14 +269,6 @@ def tail_fit_threshold(a: int, g: int, h: int) -> float:
 def _tail_fit(a: int, g: int, h: int) -> float:
     # tail_fit_threshold without the argument checks
     return upper_float(hp_log(g * a, _EVAL_BITS) / _base_terms(g, h)[2])
-
-
-def min_zero_run_for_tail_fit(a: int, g: int, h: int) -> int:
-    """Smallest integer zero-run length m with h**m > g*a: the base-h digit
-    count of g*a."""
-    check_base(g)
-    check_base(h)
-    return _digit_count(g * check_int(a, _PREFIX_RULE), h)
 
 
 @lru_cache

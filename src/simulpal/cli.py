@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import bounds as bounds_mod
 from . import precise, reduction, simulcheck
 from .lindep import _require_independent
-from .radix import DomainError, check_base, is_palindrome, reverse_in_base
+from .radix import DomainError, check_base, is_palindrome, reverse_in_base, shown
 from .simulcheck import CheckpointMismatchError
 
 EXIT_OK = 0
@@ -36,7 +36,12 @@ EXIT_UNDECIDED = 4
 
 
 def parse_exact_int(text: str) -> int:
-    """Integer parser accepting scientific shorthand: '1e18' -> 10**18 exactly."""
+    """Integer parser accepting scientific shorthand: '1e18' -> 10**18 exactly.
+
+    An integer with more digits than Python converts to a string
+    (``sys.get_int_max_str_digits()``, 0 for no limit) is refused: no
+    report could print it.
+    """
     try:
         return int(text)
     except ValueError:
@@ -47,6 +52,9 @@ def parse_exact_int(text: str) -> int:
         raise DomainError(f"not a number: {text!r}") from exc
     if q.denominator != 1:
         raise DomainError(f"{text!r} is not an integer")
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # Python before 3.10.7 has no limit
+    if limit and abs(q.numerator) >= 10**limit:
+        raise DomainError(f"{text!r} is {shown(q.numerator)}, more than the {limit} digits a report can print")
     return q.numerator
 
 

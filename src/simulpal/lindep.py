@@ -31,7 +31,11 @@ def prime_exponent_vector(x, primes: list[int]) -> list[int]:
     >>> prime_exponent_vector(Fraction(4, 7), [2, 7])
     [2, -1]
     """
-    q = positive_rational(x, "expected a positive rational, got {!r}", x)
+    return _prime_exponents(positive_rational(x, "expected a positive rational, got {!r}", x), primes)
+
+
+def _prime_exponents(q: Fraction | int, primes: list[int]) -> list[int]:
+    # prime_exponent_vector without the argument check, for a positive q
     vec = []
     num, den = q.numerator, q.denominator
     for p in primes:
@@ -118,11 +122,11 @@ def dependence_witness(alpha, g: int, h: int) -> DependenceWitness | None:
         return DependenceWitness(1, 0, 0, degenerate=True)
 
     primes = sorted(factorint(g * h))
-    e_g = prime_exponent_vector(g, primes)
-    e_h = prime_exponent_vector(h, primes)
+    e_g = _prime_exponents(g, primes)
+    e_h = _prime_exponents(h, primes)
     # the first two primes with independent exponent columns; independent bases have them
     i, j = next((i, j) for i, j in combinations(range(len(primes)), 2) if e_g[j] * e_h[i] != e_g[i] * e_h[j])
-    e_a = prime_exponent_vector(a, primes)
+    e_a = _prime_exponents(a, primes)
 
     r = e_g[j] * e_h[i] - e_g[i] * e_h[j]
     s = e_h[i] * e_a[j] - e_h[j] * e_a[i]

@@ -16,26 +16,9 @@ from typing import Iterator
 from .radix import DomainError, _digit_count, _reverse, check_base, check_int, length_ranges, shown
 
 
-def mirror_half(half: int, g: int, half_len: int, odd: bool) -> int:
-    """Palindrome obtained by mirroring ``half`` (its ``half_len`` digits).
-
-    For odd total length the last digit of ``half`` is the shared middle
-    digit; for even total length the full half is mirrored.  Requires
-    ``half >= 1``; trailing zeros of ``half`` are fine, since its leading
-    digit becomes both ends.
-
-    >>> mirror_half(12, 10, 2, odd=False), mirror_half(12, 10, 2, odd=True)
-    (1221, 121)
-    >>> mirror_half(585, 10, 3, odd=False), mirror_half(123, 10, 3, odd=True)
-    (585585, 12321)
-    """
-    check_int(half_len, "half length must be a positive integer")
-    check_base(g)
-    return _mirror(check_int(half, "digit reversal is defined for positive integers only"), g, half_len, odd)
-
-
 def _mirror(half: int, g: int, half_len: int, odd: bool) -> int:
-    # mirror_half without the argument checks
+    # the palindrome whose top half_len digits are half (half >= 1; for odd
+    # length its last digit is the middle one), without argument checks
     return (half // g if odd else half) * g**half_len + _reverse(half, g)
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable
 
 from mpmath.libmp import fhalf, from_float, from_rational, fzero, mpf_add, mpf_floor, mpf_lt, mpf_sign
 from mpmath.libmp import mpi_abs, mpi_add, mpi_div, mpi_exp, mpi_gt, mpi_log, mpi_mul, mpi_neg
@@ -171,21 +170,21 @@ def _fractions(lower, upper) -> tuple[Fraction, Fraction]:
 class PreciseReal:
     """An interval [lower, upper] certified to contain one real number.
 
-    A ``source`` maps a precision to mpf tuple endpoints at that precision;
-    without one the value is fixed, with rational endpoints.
+    The constructor takes the rational endpoints of a fixed value.  Computed
+    values come only from operations, ``hp_log`` and ``hp_exp``, and keep a
+    ``_source`` that recomputes their mpf tuple endpoints at any precision.
     """
 
     __slots__ = ("_ends", "bits", "_source")
 
-    def __init__(self, lower, upper, bits: int, source: Callable[[int], tuple] | None = None):
-        if source is None:  # fixed endpoints are rationals; computed ones come ordered, at a checked precision
-            check_precision(bits)
-            lower, upper = _fractions(lower, upper)
-            if lower > upper:
-                raise DomainError(f"empty interval [{lower}, {upper}]")
+    def __init__(self, lower, upper, bits: int):
+        check_precision(bits)
+        lower, upper = _fractions(lower, upper)
+        if lower > upper:
+            raise DomainError(f"empty interval [{lower}, {upper}]")
         _set_ends(self, (lower, upper))
         _set_bits(self, bits)
-        _set_source(self, source)
+        _set_source(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PreciseReal is immutable; use refined() for new precision")

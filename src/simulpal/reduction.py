@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil
+from typing import NamedTuple
 
 from .bounds import require_family_bases, shift_exponent_bound
 from .lindep import DependenceWitness, dependence_witness
@@ -31,8 +32,8 @@ from .precise import (
 from .radix import DomainError, _digit_count, _reverse, check_int, is_palindrome_early_exit, shown
 
 __all__ = [
+    "Convergent",
     "ContinuedFraction",
-    "ReductionPair",
     "ReductionProblem",
     "ReductionOutcome",
     "DependentCaseResult",
@@ -45,6 +46,15 @@ __all__ = [
 ]
 
 
+class Convergent(NamedTuple):
+    """A convergent p/q of a continued fraction.  Those of epsilon with a
+    certified ||q * epsilon|| < 1/q are the reduction pairs: a reduction of
+    any bound X < q/2 uses one with kappa = q/(2X)."""
+
+    p: int
+    q: int
+
+
 @dataclass(frozen=True)
 class ContinuedFraction:
     """Certified partial quotients and convergents of a real number.
@@ -54,7 +64,7 @@ class ContinuedFraction:
     """
 
     quotients: tuple[int, ...]
-    convergents: tuple[tuple[int, int], ...]
+    convergents: tuple[Convergent, ...]
     exact: bool
 
 
@@ -96,25 +106,16 @@ def continued_fraction(x: PreciseReal, count: int) -> ContinuedFraction:
     convergents, (p0, q0), (p1, q1) = [], (0, 1), (1, 0)
     for a in quotients:
         p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-        convergents.append((p1, q1))
+        convergents.append(Convergent(p1, q1))
     return ContinuedFraction(tuple(quotients), tuple(convergents), exact)
 
 
-@dataclass(frozen=True)
-class ReductionPair:
-    """A convergent p/q of epsilon with certified ||q * epsilon|| < 1/q; a
-    reduction of any bound X < q/2 uses it with kappa = q/(2X)."""
-
-    p: int
-    q: int
-
-
-def _certified(epsilon: PreciseReal, convergents) -> tuple[ReductionPair, ...]:
+def _certified(epsilon: PreciseReal, convergents) -> tuple[Convergent, ...]:
     # the convergents p/q whose hypothesis ||q epsilon|| < 1/q is certified
-    return tuple(ReductionPair(p, q) for p, q in convergents if abs(epsilon * q - p).is_less(Fraction(1, q)))
+    return tuple(c for c in convergents if abs(epsilon * c.q - c.p).is_less(Fraction(1, c.q)))
 
 
-def precompute_reduction_pairs(epsilon: PreciseReal, X: int, count: int = 50) -> list[ReductionPair]:
+def precompute_reduction_pairs(epsilon: PreciseReal, X: int, count: int = 50) -> list[Convergent]:
     """Usable reduction pairs among the first ``count`` convergents of epsilon.
 
     Only convergents with q > 4X qualify (which keeps kappa = q/(2X) above
@@ -135,7 +136,7 @@ class _BasePair:
     log_h: PreciseReal
     epsilon: PreciseReal
     cf: ContinuedFraction
-    certified: tuple[ReductionPair, ...]
+    certified: tuple[Convergent, ...]
 
 
 @lru_cache
@@ -163,7 +164,7 @@ class ReductionProblem:
     c1: PreciseReal
     c2: PreciseReal
     X: int
-    pairs: tuple[ReductionPair, ...]
+    pairs: tuple[Convergent, ...]
 
     def __post_init__(self):
         check_int(self.X, "the prior bound X must be a positive integer")
@@ -176,7 +177,7 @@ class ReductionProblem:
 class ReductionOutcome:
     status: str  # "reduced" | "no-usable-pair"
     new_bound: int | None = None
-    pair_used: ReductionPair | None = None
+    pair_used: Convergent | None = None
 
 
 def baker_davenport_reduce(problem: ReductionProblem) -> ReductionOutcome:
@@ -258,15 +259,10 @@ def dependent_case_check(
     log_h, eps = base.log_h, base.epsilon
 
     # raise the floor until a non-convergent ratio is impossible for all
-    # n >= floor: h**n log h >= 2 c (r n + s_bound), plus an increment check
-    # making the left side grow faster from there on
+    # n >= floor: h**n log h > 2 c (r n + s_bound) at the floor holds beyond it too, since
+    # the left side's step h**n (h - 1) log h >= h**n log h exceeds 2 c r, the right side's
     floor_n = n_floor
-    while True:
-        lhs = log_h * Fraction(h) ** floor_n
-        if lhs.is_greater(2 * c * (r * floor_n + s_bound)) and (
-            log_h * (Fraction(h) ** floor_n * (h - 1))
-        ).is_greater(2 * c * r):
-            break
+    while not (log_h * Fraction(h) ** floor_n).is_greater(2 * c * (r * floor_n + s_bound)):
         floor_n += 1
         if floor_n > n_floor + 100000:
             raise UndecidedComparisonError("convergent-law floor did not stabilise")
@@ -276,7 +272,7 @@ def dependent_case_check(
 
     q_ceiling = r * X + s_bound
     cf = base.cf
-    while not (cf.exact or cf.convergents[-1][1] > q_ceiling):
+    while not (cf.exact or cf.convergents[-1].q > q_ceiling):
         cf = continued_fraction(eps, len(cf.quotients) + 20)
     candidates = [(p, q) for p, q in cf.convergents if q <= q_ceiling]
 
@@ -319,7 +315,7 @@ class FamilyReport:
     branch: str  # "excluded-parity" | "independent" | "dependent"
     bound: int
     reduced_bound: int | None
-    pair_used: ReductionPair | None
+    pair_used: Convergent | None
     dependent_result: DependentCaseResult | None
     witness: DependenceWitness | None
     tested_upper: int
@@ -332,7 +328,7 @@ def verify_family(
     h: int,
     *,
     bits: int = DEFAULT_PRECISION,
-    pairs: list[ReductionPair] | None = None,
+    pairs: list[Convergent] | None = None,
     bound: int | None = None,
     exhaustive_limit: int = 2000,
 ) -> FamilyReport:

@@ -16,7 +16,6 @@ from simulpal.bounds import (
     THREE_LOG_COEFF,
     laurent_lower_bound,
     matveev_lower_bound,
-    min_zero_run_for_tail_fit,
     shift_exponent_bound,
     shift_exponent_bound_terms,
     solve_log_majorant,
@@ -26,7 +25,7 @@ from simulpal.bounds import (
 from simulpal.lindep import dependence_witness, multiplicatively_independent
 from simulpal.palgen import family_instance
 from simulpal.precise import hp_log
-from simulpal.radix import DomainError
+from simulpal.radix import DomainError, digit_count
 from simulpal.reduction import verify_family
 
 
@@ -166,16 +165,16 @@ def test_laurent_validation():
 def test_tail_fit_threshold():
     assert math.isclose(tail_fit_threshold(1, 10, 2), math.log(10) / math.log(2), rel_tol=1e-9)
     assert math.isclose(tail_fit_threshold(10**6, 10, 2), math.log(10**7) / math.log(2), rel_tol=1e-9)
-    # exact integer version: smallest m with h**m > g*a
-    assert min_zero_run_for_tail_fit(1, 10, 2) == 4
-    assert min_zero_run_for_tail_fit(10**6, 10, 2) == 24
-    assert min_zero_run_for_tail_fit(1, 10, 9) == 2
+    # exact integer version, verify_family's regime floor: smallest m with h**m > g*a
+    assert digit_count(10, 2) == 4
+    assert digit_count(10**7, 2) == 24
+    assert digit_count(10, 9) == 2
 
 
 @pytest.mark.parametrize("g, h", [(10, 2), (12, 4), (12, 6), (24, 6), (6, 2)])
 def test_min_zero_run_is_the_least_fitting_power(g, h):
     for a in range(1, 3000):
-        m = min_zero_run_for_tail_fit(a, g, h)
+        m = digit_count(g * a, h)
         assert h**m > g * a >= h ** (m - 1)
 
 

@@ -394,6 +394,9 @@ def test_every_subcommand_prints_one_report(capsys, tmp_path, command, code, csv
         # temp file landed in the parent of the working directory
         pytest.param(["count", "10", "2", "1e5", "--resume", ""], 2, id="count-resume-empty"),
         pytest.param(["search", "10", "2", "1e5", "--checkpoint", ""], 2, id="search-checkpoint-empty"),
+        # an integer past the 4 300 digits Python converts to a string left json.dumps a traceback and exit 1
+        pytest.param(["check", "1e5000", "--bases", "10"], 2, id="check-past-digit-limit"),
+        pytest.param(["family", "74", "10", "2", "--bound", "1e5000"], 2, id="family-bound-past-digit-limit"),
     ],
 )
 def test_bad_input_exits_with_documented_code(capsys, argv, code):

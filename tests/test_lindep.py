@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from sympy import factorint
 
+from simulpal import lindep
 from simulpal.lindep import (
     dependence_witness,
     multiplicatively_independent,
@@ -76,6 +77,23 @@ def test_dependence_witness_examples():
     assert dependence_witness(Fraction(4, 7), 10, 2) is None
     w1 = dependence_witness(1, 10, 2)
     assert (w1.r, w1.s, w1.t) == (1, 0, 0) and w1.degenerate
+
+
+def test_dependence_witness_checks_its_ratio_once(monkeypatch):
+    # the witness checks alpha, g and h at entry and takes the exponent
+    # vectors unchecked; each of the three vectors re-checked its argument
+    calls = [0]
+    positive_rational = lindep.positive_rational
+
+    def counted(*args):
+        calls[0] += 1
+        return positive_rational(*args)
+
+    monkeypatch.setattr(lindep, "positive_rational", counted)
+    for alpha in (5, Fraction(4, 7), 1, Fraction(25, 3)):
+        calls[0] = 0
+        dependence_witness(alpha, 10, 2)
+        assert calls[0] == 1, alpha
 
 
 def test_dependence_witness_precondition():

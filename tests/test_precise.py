@@ -150,6 +150,14 @@ def test_log_positive_requirement():
         PreciseReal(2, 1, 64)
 
 
+def test_the_constructor_builds_only_checked_fixed_values():
+    # a source= recipe used to skip every check: PreciseReal(2, 1, 0, source=...)
+    # was an empty interval at 0 bits whose lower end raised a bare TypeError
+    with pytest.raises(TypeError):
+        PreciseReal(2, 1, 0, source=lambda bits: None)
+    assert not PreciseReal(1, 2, 64).refinable
+
+
 def test_a_fixed_value_at_one_bit_escalates_promptly():
     # the product starts at the fixed value's 1 bit; escalation doubles from
     # there, where 0 bits (now refused) doubled to 0 forever

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from simulpal.bounds import min_zero_run_for_tail_fit, shift_exponent_bound, tail_fit_threshold
-from simulpal.palgen import count_palindromes_upto, family_instance, iter_palindromes, mirror_half
+from simulpal.bounds import shift_exponent_bound, tail_fit_threshold
+from simulpal.palgen import count_palindromes_upto, family_instance, iter_palindromes
 from simulpal.radix import (
     DomainError,
     _mirror_test,
@@ -47,23 +47,20 @@ def test_non_integer_input_is_rejected(n):
             is_palindrome(n, base)
     # a prefix or a shift of the family a*g**n + rev(a) follows the same rule:
     # 5.0 and True gave bounds, and family_instance answered with digit_count's message
-    for f in (shift_exponent_bound, tail_fit_threshold, min_zero_run_for_tail_fit, verify_family):
+    for f in (shift_exponent_bound, tail_fit_threshold, verify_family):
         with pytest.raises(DomainError, match=f"prefix a must be a positive integer, got {n!r}"):
             f(n, 10, 2)
     with pytest.raises(DomainError, match=f"family prefix must be a positive integer, got {n!r}"):
         family_instance(n, 10, 2, 3)
     with pytest.raises(DomainError, match=f"shift exponent must be a positive integer, got {n!r}"):
         family_instance(74, 10, 2, n)
-    # an upper end or a half length: True counted 1, 2.5 came back as a range
-    # end, and 2.0 mirrored to 1221.0
+    # an upper end: True counted 1, and 2.5 came back as a range end
     with pytest.raises(DomainError, match=f"upper end must be an integer, got {n!r}"):
         count_palindromes_upto(10, n)
     with pytest.raises(DomainError, match=f"upper end must be an integer, got {n!r}"):
         list(length_ranges(10, 1, n))
     with pytest.raises(DomainError, match=f"upper end must be an integer >= 1, got {n!r}"):
         list(iter_palindromes(10, 1, n))
-    with pytest.raises(DomainError, match=f"half length must be a positive integer, got {n!r}"):
-        mirror_half(12, 10, n, False)
 
 
 def test_messages_name_an_integer_past_50_digits_by_its_digit_count():
