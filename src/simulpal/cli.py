@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
+import reprlib
 import sys
 import time
 from dataclasses import asdict
@@ -35,27 +37,36 @@ EXIT_CHECKPOINT = 3
 EXIT_UNDECIDED = 4
 
 
+_PLAIN_INT = re.compile(r"\s*([+-]?)0*(\d+)\s*")  # a sign and the digits past any leading zeros
+
+
 def parse_exact_int(text: str) -> int:
     """Integer parser accepting scientific shorthand: '1e18' -> 10**18 exactly.
 
     An integer with more digits than Python converts to a string
     (``sys.get_int_max_str_digits()``, 0 for no limit) is refused: no
-    report could print it.
+    report could print it.  Messages quote ``text`` cut to about 30
+    characters by ``reprlib.repr``: a refused text may run to thousands.
     """
     try:
         return int(text)
     except ValueError:
         pass
-    try:
-        q = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"not a number: {text!r}") from exc
-    if q.denominator != 1:
-        raise DomainError(f"{text!r} is not an integer")
     limit = getattr(sys, "get_int_max_str_digits", int)()  # Python before 3.10.7 has no limit
-    if limit and abs(q.numerator) >= 10**limit:
-        raise DomainError(f"{text!r} is {shown(q.numerator)}, more than the {limit} digits a report can print")
-    return q.numerator
+    plain = _PLAIN_INT.fullmatch(text)  # int() refuses it past the limit, counting leading zeros
+    if plain and len(plain[2]) > limit:
+        value = f"{'a negative' if plain[1] == '-' else 'an'} integer of {len(plain[2])} digits"
+    else:
+        try:
+            q = Fraction(plain[1] + plain[2] if plain else text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"not a number: {reprlib.repr(text)}") from exc
+        if q.denominator != 1:
+            raise DomainError(f"{reprlib.repr(text)} is not an integer")
+        if not limit or abs(q.numerator) < 10**limit:
+            return q.numerator
+        value = shown(q.numerator)
+    raise DomainError(f"{reprlib.repr(text)} is {value}, more than the {limit} digits a report can print")
 
 
 def parse_base_list(text: str) -> list[int]:
@@ -63,9 +74,9 @@ def parse_base_list(text: str) -> list[int]:
     try:
         out = [int(part) for part in text.split(",")]
     except ValueError as exc:
-        raise DomainError(f"bad base list {text!r}") from exc
+        raise DomainError(f"bad base list {reprlib.repr(text)}") from exc
     if len(set(out)) < len(out):
-        raise DomainError(f"base list {text!r} repeats a base")
+        raise DomainError(f"base list {reprlib.repr(text)} repeats a base")
     return out
 
 

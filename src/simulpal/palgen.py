@@ -98,12 +98,11 @@ def family_instance(a: int, g: int, h: int, n: int) -> FamilyInstance:
     N = a * g**n + rev_a
     rr = _reverse(rev_a, h)
     alpha = Fraction(a, rr)
-    # k = floor(log_h(N / rr)), by exact integer comparison
+    # k = floor(log_h(N / rr)), by exact integer comparison; never above the digit-count
+    # difference, since N < h**digits(N) and rr >= h**(digits(rr) - 1) give N / rr < h**(k + 1)
     k = _digit_count(N, h) - _digit_count(rr, h)
     if rr * h**k > N:
         k -= 1
-    elif rr * h ** (k + 1) <= N:
-        k += 1
     m = n - n_a
     m_tilde = m + n_a - _digit_count(rr, h)
     return FamilyInstance(a=a, g=g, h=h, n=n, N=N, n_a=n_a, m=m, alpha=alpha, k=k, m_tilde=m_tilde)

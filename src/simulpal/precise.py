@@ -3,17 +3,14 @@
 A :class:`PreciseReal` is an interval certified to contain one real number:
 an exact value has rational endpoints, a computed one has dyadic endpoints
 (raw mpmath ``mpf`` tuples) and a recipe to recompute them at any precision.
-Every operation, comparisons and floor included, is a row of one table: an
-exact formula on rationals, used when every operand is exact, and an mpmath
-interval function (``mpi_add``, ``mpi_log``, ...) at the result's precision,
-used otherwise with an exact operand rounded outward.  Log and exp have no
-exact formula, so their results are always computed.  ``_apply`` alone picks
-the endpoints and ``_compose`` alone builds a result, with a recipe only when
-it is computed; results skip the constructor's checks, which only endpoints
-from outside need.  ``upper_float`` and ``upper_floor`` round an upper end
-straight from its dyadic form, with no rational built.  Undecided comparisons
-refine the operands instead of guessing, and raise if certainty is
-unreachable.
+Each operation, comparisons and floor included, is one mpmath interval
+function (``mpi_add``, ``mpi_log``, ...) at the result's precision; rationals
+are only operands, which ``_apply`` rounds outward to it.  So every result is
+computed, from exact operands too, and ``_compose`` gives it a recipe and
+skips the constructor's checks.  ``upper_float`` and ``upper_floor`` round an
+upper end straight from its dyadic form, with no rational built.  Undecided
+comparisons refine the operands instead of guessing, and raise if certainty
+is unreachable.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from mpmath.libmp import fhalf, from_float, from_rational, fzero, mpf_add, mpf_f
 from mpmath.libmp import mpi_abs, mpi_add, mpi_div, mpi_exp, mpi_gt, mpi_log, mpi_mul, mpi_neg
 from mpmath.libmp import mpi_sub, to_float, to_int, to_rational, to_str
 
-from .radix import DomainError, check_int, positive_rational
+from .radix import DomainError, check_int, positive_rational, shown
 
 DEFAULT_PRECISION = 192
 MAX_PRECISION = 1 << 16
@@ -53,72 +50,25 @@ def _show(x) -> str:
     return repr(f) if f or x == fzero else to_str(x, 15)  # no underflow to 0.0
 
 
-def _corners(f):
-    # the interval spanned by f over the four pairs of endpoints
-    def op(a, b):
-        values = [f(x, y) for x in a for y in b]
-        return min(values), max(values)
-
-    return op
-
-
-_ZERO, _HALF = Fraction(0), Fraction(1, 2)
-
-
-def _exact_abs(a):
-    return max(_ZERO, a[0], -a[1]), max(-a[0], a[1])
-
-
 # The distance to the nearest integer shifts by an integer k near the lower
 # end, which leaves the lower end at least -1/2; an interval whose upper end
 # then passes 1/2 holds a half-integer, and its image is [0, 1/2].
-def _exact_dist(a):
-    k = math.floor(a[0] + _HALF)
-    lo, hi = a[0] - k, a[1] - k
-    return (_ZERO, _HALF) if hi > _HALF else _exact_abs((lo, hi))
-
-
 def _dyadic_dist(a, bits: int):
     k = mpf_floor(mpf_add(a[0], fhalf, bits, "f"))
     shifted = mpi_sub(a, (k, k), bits)
     return (fzero, fhalf) if mpf_lt(fhalf, shifted[1]) else mpi_abs(shifted, bits)
 
 
-def _common_floor(floor):
-    # the floor both endpoints share, else None (undecided); a precision passed is ignored
-    return lambda a, *bits: floor(a[0]) if floor(a[0]) == floor(a[1]) else None
+# decisions: True, False, or None while the endpoints overlap; the precision is unused
+_gt = lambda a, b, bits: mpi_gt(a, b)
 
 
-# the floor of one endpoint, indexed by whether it is computed: of a rational,
-# then of an mpf tuple (int(): gmpy's mpz)
-_FLOOR_OF = (math.floor, lambda q: int(to_int(q, "f")))
-
-# each operation as its exact formula on rationals, or None where it has none,
-# and as an mpmath interval function on mpf tuples, which takes the precision last
-_ADD = (lambda a, b: (a[0] + b[0], a[1] + b[1]), mpi_add)
-_SUB = (lambda a, b: (a[0] - b[1], a[1] - b[0]), mpi_sub)
-_MUL = (_corners(lambda x, y: x * y), mpi_mul)
-_DIV = (_corners(lambda x, y: x / y), mpi_div)
-_NEG = (lambda a: (-a[1], -a[0]), mpi_neg)
-_ABS = (_exact_abs, mpi_abs)
-_DIST = (_exact_dist, _dyadic_dist)
-_LOG = (None, mpi_log)
-_EXP = (None, mpi_exp)
-# decisions: True, False, or None while the endpoints overlap
-_GT = (lambda a, b: True if a[0] > b[1] else False if a[1] <= b[0] else None, lambda a, b, bits: mpi_gt(a, b))
-_FLOOR = tuple(map(_common_floor, _FLOOR_OF))
-
-_SOURCE, _BITS = attrgetter("_source"), attrgetter("bits")
+def _floor(a, bits: int):
+    lo, hi = (int(to_int(end, "f")) for end in a)  # int(): gmpy's mpz
+    return lo if lo == hi else None
 
 
-def _apply(op, operands: tuple["PreciseReal", ...], bits: int):
-    # op's exact formula on the rational endpoints if it has one and every
-    # operand is exact, else its mpmath function on mpf endpoints at bits,
-    # with an exact operand's endpoints rounded outward
-    exact, dyadic = op
-    if exact is not None and not any(map(_SOURCE, operands)):
-        return exact(*[x._ends for x in operands])
-    return dyadic(*[x._ends if x._source else _outward(x._ends, bits) for x in operands], bits)
+_BITS = attrgetter("bits")
 
 
 def _outward(ends: tuple[Fraction, Fraction], bits: int) -> tuple:
@@ -127,18 +77,21 @@ def _outward(ends: tuple[Fraction, Fraction], bits: int) -> tuple:
     return down, from_rational(hi.numerator, hi.denominator, bits, "c")
 
 
+def _apply(op, operands: tuple["PreciseReal", ...], bits: int):
+    # op, an mpmath interval function that takes the precision last, on the
+    # mpf endpoints at bits, with an exact operand's endpoints rounded outward
+    return op(*[x._ends if x._source else _outward(x._ends, bits) for x in operands], bits)
+
+
 def _compose(op, *operands: "PreciseReal", bits: int | None = None) -> "PreciseReal":
-    # op at bits, a checked precision, by default the coarsest of its operands'; the
-    # result refines while an operand does, and always where op has no exact formula
+    # op at bits, a checked precision, by default the coarsest of its operands';
+    # the result refines as its operands do, and toward a fixed operand's value
     bits = bits or min(map(_BITS, operands))
-    ends = _apply(op, operands, bits)
-    if op[0] is not None and not any(map(_SOURCE, operands)):
-        return _make(ends, bits, None)
 
     def endpoints(b: int) -> tuple:
         return _apply(op, tuple([x.refined(b) for x in operands]), b)
 
-    return _make(ends, bits, endpoints)
+    return _make(_apply(op, operands, bits), bits, endpoints)
 
 
 def _escalate(operands: tuple["PreciseReal", ...], decide, error: type[Exception], what: str):
@@ -179,10 +132,10 @@ class PreciseReal:
 
     def __init__(self, lower, upper, bits: int):
         check_precision(bits)
-        lower, upper = _fractions(lower, upper)
-        if lower > upper:
-            raise DomainError(f"empty interval [{lower}, {upper}]")
-        _set_ends(self, (lower, upper))
+        ends = _fractions(lower, upper)
+        if ends[0] > ends[1]:
+            raise DomainError(f"empty interval [{shown(lower)}, {shown(upper)}]")
+        _set_ends(self, ends)
         _set_bits(self, bits)
         _set_source(self, None)
 
@@ -233,55 +186,56 @@ class PreciseReal:
 
     @staticmethod
     def _coerce(x) -> "PreciseReal":
-        if isinstance(x, PreciseReal):
-            return x
-        return PreciseReal.exact(x)
+        return x if isinstance(x, PreciseReal) else PreciseReal.exact(x)
 
     def __add__(self, other):
-        return _compose(_ADD, self, self._coerce(other))
+        return _compose(mpi_add, self, self._coerce(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return _compose(_SUB, self, self._coerce(other))
+        return _compose(mpi_sub, self, self._coerce(other))
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
 
     def __mul__(self, other):
-        return _compose(_MUL, self, self._coerce(other))
+        return _compose(mpi_mul, self, self._coerce(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         decide = lambda b: None if b._signs()[0] <= 0 <= b._signs()[1] else b
         other = _escalate((self._coerce(other),), decide, ZeroDivisionError, "divisor interval contains zero")
-        return _compose(_DIV, self, other)
+        return _compose(mpi_div, self, other)
 
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)
 
     def __neg__(self):
-        return _compose(_NEG, self)
+        return _compose(mpi_neg, self)
 
     def __abs__(self):
-        return _compose(_ABS, self)
+        return _compose(mpi_abs, self)
 
     def log(self) -> "PreciseReal":
         """Enclosure of the natural logarithm (self must be certainly positive)."""
         decide = lambda a: a if a._signs()[0] > 0 else None
         me = _escalate((self,), decide, DomainError, "logarithm of an interval not certainly positive")
-        return _compose(_LOG, me, bits=me.bits if me.refinable else DEFAULT_PRECISION)
+        return _compose(mpi_log, me, bits=me.bits if me.refinable else DEFAULT_PRECISION)
 
     def dist_to_nearest_int(self) -> "PreciseReal":
         """Enclosure of the distance from the value to the nearest integer."""
-        return _compose(_DIST, self)
+        return _compose(_dyadic_dist, self)
 
     # certified decisions -------------------------------------------------
 
     def is_greater(self, other) -> bool:
-        """Certified strict comparison self > other (ties count as False)."""
-        decide = lambda a, b: _apply(_GT, (a, b), min(a.bits, b.bits))
+        """Certified strict comparison self > other.  A tie is False between
+        equal dyadic points (1/4 and 1/4); equal exact values that are not
+        dyadic (1/3 and 1/3) round outward to overlapping enclosures, which
+        raises UndecidedComparisonError."""
+        decide = lambda a, b: _apply(_gt, (a, b), min(a.bits, b.bits))
         return _escalate((self, self._coerce(other)), decide, UndecidedComparisonError, "comparison undecided")
 
     def is_less(self, other) -> bool:
@@ -289,7 +243,7 @@ class PreciseReal:
 
     def floor(self) -> int:
         """Certified floor of the value."""
-        return _escalate((self,), lambda a: _apply(_FLOOR, (a,), a.bits), UndecidedComparisonError, "floor undecided")
+        return _escalate((self,), lambda a: _apply(_floor, (a,), a.bits), UndecidedComparisonError, "floor undecided")
 
 
 _set_ends, _set_bits, _set_source = (getattr(PreciseReal, name).__set__ for name in PreciseReal.__slots__)
@@ -316,7 +270,8 @@ def upper_float(x) -> float:
 
 def upper_floor(x: PreciseReal) -> int:
     """The floor of the upper end of ``x``: an integer at least floor(x)."""
-    return _FLOOR_OF[x._source is not None](x._ends[1])
+    hi = x._ends[1]
+    return int(to_int(hi, "f")) if x._source else math.floor(hi)
 
 
 def hp_log(x, bits: int = DEFAULT_PRECISION) -> PreciseReal:
@@ -325,7 +280,7 @@ def hp_log(x, bits: int = DEFAULT_PRECISION) -> PreciseReal:
     ``hp_log(1)`` is exactly zero with radius zero.
     """
     q = positive_rational(x, "logarithm of non-positive value {}", x)
-    return _compose(_LOG, PreciseReal.exact(q), bits=check_precision(bits))
+    return _compose(mpi_log, PreciseReal.exact(q), bits=check_precision(bits))
 
 
 def hp_exp(x, bits: int = DEFAULT_PRECISION) -> PreciseReal:
@@ -335,4 +290,4 @@ def hp_exp(x, bits: int = DEFAULT_PRECISION) -> PreciseReal:
     A large |x| costs no more than a small one, but reading ``lower`` or
     ``upper`` builds a rational of about 1.44·|x| bits.
     """
-    return _compose(_EXP, PreciseReal.exact(x), bits=check_precision(bits))
+    return _compose(mpi_exp, PreciseReal.exact(x), bits=check_precision(bits))

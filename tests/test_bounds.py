@@ -24,7 +24,7 @@ from simulpal.bounds import (
 )
 from simulpal.lindep import dependence_witness, multiplicatively_independent
 from simulpal.palgen import family_instance
-from simulpal.precise import hp_log
+from simulpal.precise import PreciseReal, hp_log
 from simulpal.radix import DomainError, digit_count
 from simulpal.reduction import verify_family
 
@@ -283,10 +283,11 @@ def test_prefixes_past_the_int_to_str_limit_are_bounded():
         # a rational's numerator or denominator is named the same way
         (lambda: hp_log(Fraction(-(10**5000), 3)), "value the ratio of a negative integer of 5001 digits to 3"),
         (lambda: dependence_witness(Fraction(-(10**5000), 3), 10, 2), "got the ratio of a negative integer of 5001"),
+        (lambda: PreciseReal(10**5000, 1, 64), r"empty interval \[an integer of 5001 digits, 1\]"),
     ],
     ids=[
         "hp_log", "verify_family-negative", "verify_family-divisible", "family_instance", "witness", "independence",
-        "hp_log-fraction", "witness-fraction",
+        "hp_log-fraction", "witness-fraction", "empty-interval",
     ],
 )
 def test_rejected_arguments_past_the_int_to_str_limit_are_domain_errors(call, match):

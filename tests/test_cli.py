@@ -53,6 +53,10 @@ def test_parse_exact_int():
         cli.parse_exact_int("1.5")
     with pytest.raises(DomainError):
         cli.parse_exact_int("ten")
+    # int() counts leading zeros against its digit limit; the value has two digits
+    assert cli.parse_exact_int(" " + "0" * 5000 + "17") == 17
+    with pytest.raises(DomainError, match=r"^'1{12}\.\.\.1{13}' is an integer of 5000 digits, more than the"):
+        cli.parse_exact_int("1" * 5000)
 
 
 def test_check_exit_codes(capsys):
@@ -397,13 +401,19 @@ def test_every_subcommand_prints_one_report(capsys, tmp_path, command, code, csv
         # an integer past the 4 300 digits Python converts to a string left json.dumps a traceback and exit 1
         pytest.param(["check", "1e5000", "--bases", "10"], 2, id="check-past-digit-limit"),
         pytest.param(["family", "74", "10", "2", "--bound", "1e5000"], 2, id="family-bound-past-digit-limit"),
+        # a digit string past the limit read "not a number" and quoted all of its thousands of characters
+        pytest.param(["check", "1" * 5000, "--bases", "10"], 2, id="check-digit-string-past-limit"),
+        pytest.param(["check", "-" + "1" * 4301, "--bases", "10"], 2, id="check-digit-string-one-past-limit"),
+        pytest.param(["family", "74", "10", "2", "--bound", "1" * 5000], 2, id="family-bound-digit-string-past-limit"),
+        pytest.param(["check", "12" * 3000 + "x", "--bases", "10"], 2, id="check-long-non-number"),
+        pytest.param(["check", "585", "--bases", "10," + "2" * 5000], 2, id="check-long-base-list"),
     ],
 )
 def test_bad_input_exits_with_documented_code(capsys, argv, code):
     with deadline(30):
         got, out, err = run(capsys, *argv)
     assert got == code
-    assert out == "" and "Traceback" not in err and len(err.splitlines()) == 1
+    assert out == "" and "Traceback" not in err and len(err.splitlines()) == 1 and len(err) < 200
 
 
 def test_one_error_class_per_exit_code():

@@ -153,14 +153,20 @@ def test_family_instance_errors():
 
 
 def test_family_instance_derived_quantities():
-    fi = family_instance(74, 10, 2, 5)
-    rr = reverse_in_base(reverse_in_base(74, 10), 2)
-    assert fi.alpha == Fraction(74, rr)
-    # k is the exact floor of log2(N / rr)
-    assert rr * 2**fi.k <= fi.N < rr * 2 ** (fi.k + 1)
-    assert fi.m_tilde == fi.m + fi.n_a - digit_count(rr, 2)
-    assert 0 < fi.alpha.numerator < 74 * 10 * 2
-    assert 0 < fi.alpha.denominator < 74 * 10 * 2
+    for g, h in [(10, 2), (2, 10), (10, 3), (3, 7), (16, 10), (2, 3)]:
+        rng = random.Random(g * 100 + h)
+        for a in [1, 74, g + 1, g**3 - 1] + [rng.randrange(1, 10**6) for _ in range(30)]:
+            if a % g == 0:
+                continue
+            n_a = digit_count(a, g)
+            for n in (n_a, n_a + 1, n_a + 5, 3 * n_a + 7):
+                fi = family_instance(a, g, h, n)
+                rr = reverse_in_base(reverse_in_base(a, g), h)
+                assert fi.alpha == Fraction(a, rr)
+                assert 0 < fi.alpha.numerator <= a and 0 < fi.alpha.denominator <= rr
+                # k is the exact floor of log_h(N / rr)
+                assert rr * h**fi.k <= fi.N < rr * h ** (fi.k + 1)
+                assert fi.m_tilde == fi.m + fi.n_a - digit_count(rr, h)
 
 
 def test_family_values_are_palindromes_in_g():

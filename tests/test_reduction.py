@@ -16,7 +16,7 @@ from simulpal.bounds import (
 )
 from simulpal.lindep import DependenceWitness, dependence_witness, multiplicatively_independent
 from simulpal.palgen import family_instance
-from simulpal.precise import PreciseReal, hp_exp, hp_log
+from simulpal.precise import PreciseReal, UndecidedComparisonError, hp_exp, hp_log
 from simulpal.radix import DomainError, digit_count, is_palindrome, reverse_in_base
 from simulpal.reduction import (
     _base_pair,
@@ -174,6 +174,37 @@ def test_baker_davenport_synthetic_hand_checked():
     kappa = Fraction(outcome.pair_used.q, 2 * X)
     assert 15601 * mpmath.exp(-12) > float(1 / (2 * kappa))
     assert 15601 * mpmath.exp(-13) < float(1 / (2 * kappa))
+
+
+def test_baker_davenport_skips_a_pair_whose_test_ties():
+    # delta = 2X/q**2 makes ||q delta|| = 2X/q exactly, which is not dyadic:
+    # both sides round outward to overlapping enclosures, so the first pair is
+    # undecidable and skipped, and the second reduces the bound
+    X, one = 1000, PreciseReal.exact(1)
+    first, second = precompute_reduction_pairs(PreciseReal.log_ratio(3, 2, 192), X, 12)[:2]
+    delta = PreciseReal.exact(Fraction(2 * X, first.q**2))
+    with pytest.raises(UndecidedComparisonError):
+        (delta * first.q).dist_to_nearest_int().is_greater(Fraction(2 * X, first.q))
+    assert baker_davenport_reduce(ReductionProblem(delta, one, one, X, (first,))) == ReductionOutcome("no-usable-pair")
+    outcome = baker_davenport_reduce(ReductionProblem(delta, one, one, X, (first, second)))
+    # floor(log(q**2 c1 / X) / c2) with c1 = c2 = 1
+    assert (outcome.status, outcome.pair_used, outcome.new_bound) == ("reduced", second, 13)
+    assert mpmath.floor(mpmath.log(mpmath.mpf(second.q) ** 2 / X)) == 13
+
+
+def test_dependent_case_raises_a_low_floor_until_the_convergent_law_holds():
+    # 92 over (10, 2): alpha = 92/23 = 2**2; from any floor below 7 the sieve
+    # raises it to the least n with h**n log h > 2c(rn + s_bound), c = (11r/9) h**slack
+    report = verify_family(92, 10, 2)
+    w = report.witness
+    c = Fraction(11 * w.r, 9) * 2 ** digit_count(92, 10)
+    with mpmath.workdps(50):
+        law = lambda n: 2**n * mpmath.log(2) > 2 * mpmath.mpf(c.numerator) / c.denominator * (w.r * n + abs(w.s))
+        least = next(n for n in range(1, 100) if law(n))
+    assert least == 7
+    for n_floor in range(1, least):
+        result = dependent_case_check(w, 92, 10, 2, report.bound, n_floor=n_floor)
+        assert (result.floor, result.bound, result.survivors) == (least, least - 1, ())
 
 
 def test_dependent_case_model_structure():
