@@ -263,25 +263,32 @@ def tail_fit_threshold(a: int, g: int, h: int) -> float:
     prefix fits inside the base-h digits pinned down by the low block."""
     check_base(g)
     check_base(h)
-    return _tail_fit(check_int(a, _PREFIX_RULE), g, h)
+    return _tail_fit(hp_log(check_int(a, _PREFIX_RULE), _EVAL_BITS), g, h)
 
 
-def _tail_fit(a: int, g: int, h: int) -> float:
-    # tail_fit_threshold without the argument checks
-    return upper_float(hp_log(g * a, _EVAL_BITS) / _base_terms(g, h)[2])
+def _tail_fit(log_a: PreciseReal, g: int, h: int) -> float:
+    # tail_fit_threshold from log a, without the argument checks
+    log_g, log_h = _base_terms(g, h)[:2]
+    return upper_float((log_a + log_g) / log_h)
 
 
 @lru_cache
-def _base_terms(g: int, h: int) -> tuple[PreciseReal, PreciseReal, PreciseReal]:
-    # log g, (log 2)**3 and log h, shared by every prefix over bases g and h
-    return hp_log(g, _EVAL_BITS), _pow(hp_log(2, _EVAL_BITS), 3), hp_log(h, _EVAL_BITS)
+def _base_terms(g: int, h: int) -> tuple[PreciseReal, ...]:
+    """What every prefix over bases g and h shares, once per process: log g, log h,
+    log(g h), log g / (log 2)**3 (the dependence-degree factor) and SHIFT_THREE_LOG_COEFF * log g."""
+    log_g, log_h = hp_log(g, _EVAL_BITS), hp_log(h, _EVAL_BITS)
+    degree_factor = log_g / _pow(hp_log(2, _EVAL_BITS), 3)
+    return log_g, log_h, hp_log(g * h, _EVAL_BITS), degree_factor, SHIFT_THREE_LOG_COEFF * log_g
 
 
-def _shared_terms(a: int, g: int, h: int) -> tuple[PreciseReal, PreciseReal, dict[str, PreciseReal]]:
-    # log g, log(a g h) and the dependence-degree term, which both thresholds use
-    log_g, log2cubed, _ = _base_terms(g, h)
-    log_agh = hp_log(a * g * h, _EVAL_BITS)
-    return log_g, log_agh, {"dependence_degree": log_g * _pow(log_agh, 2) / log2cubed}
+def _shared_terms(a: int, g: int, h: int) -> tuple[PreciseReal, PreciseReal, dict[str, float]]:
+    """log a, the one logarithm a prefix takes, log(a g h) = log a + log(g h), and
+    the tail-fit and dependence-degree terms, which both thresholds use."""
+    _, _, log_gh, degree_factor, _ = _base_terms(g, h)
+    log_a = hp_log(a, _EVAL_BITS)
+    log_agh = log_a + log_gh
+    degree = upper_float(degree_factor * _pow(log_agh, 2))
+    return log_a, log_agh, {"tail_fit": _tail_fit(log_a, g, h), "dependence_degree": degree}
 
 
 def zero_run_threshold_terms(a: int, g: int, h: int, n: int) -> dict[str, float]:
@@ -291,24 +298,24 @@ def zero_run_threshold_terms(a: int, g: int, h: int, n: int) -> dict[str, float]
     palindrome.  Each is rounded outward (upward)."""
     require_family_bases(a, g, h)
     check_int(n, "shift exponent must be positive")
-    log_g, log_agh, terms = _shared_terms(a, g, h)
-    log_n = hp_log(n, _EVAL_BITS)
-    terms["two_log"] = TWO_LOG_COEFF * _pow(log_n, 2) * log_g
-    terms["three_log"] = THREE_LOG_COEFF * log_g * log_agh * log_n
-    return {"tail_fit": _tail_fit(a, g, h)} | {k: upper_float(v) for k, v in terms.items()}
+    _, log_agh, terms = _shared_terms(a, g, h)
+    log_g, log_n = _base_terms(g, h)[0], hp_log(n, _EVAL_BITS)
+    terms["two_log"] = upper_float(TWO_LOG_COEFF * _pow(log_n, 2) * log_g)
+    terms["three_log"] = upper_float(THREE_LOG_COEFF * log_g * log_agh * log_n)
+    return terms
 
 
 def shift_exponent_bound_terms(a: int, g: int, h: int) -> dict[str, float]:
     """The competing expressions whose maximum bounds the shift exponent."""
     require_family_bases(a, g, h)
-    log_g, log_agh, terms = _shared_terms(a, g, h)
-    terms["three_log_solved"] = SHIFT_THREE_LOG_COEFF * log_g * log_agh * _pow((log_g * log_agh).log(), 2)
+    log_a, log_agh, terms = _shared_terms(a, g, h)
+    log_g, _, _, _, shift_log_g = _base_terms(g, h)
+    terms["three_log_solved"] = upper_float(shift_log_g * log_agh * _pow((log_g * log_agh).log(), 2))
     if a >= 3:
         # below a = 3 the iterated logarithm is non-positive and the other
         # expressions dominate every solution of the two-log equation
-        log_a = hp_log(a, _EVAL_BITS)
-        terms["two_log_solved"] = SHIFT_TWO_LOG_COEFF * log_a * _pow(log_a.log(), 3)
-    return {"tail_fit": _tail_fit(a, g, h)} | {k: upper_float(v) for k, v in terms.items()}
+        terms["two_log_solved"] = upper_float(SHIFT_TWO_LOG_COEFF * log_a * _pow(log_a.log(), 3))
+    return terms
 
 
 def shift_exponent_bound(a: int, g: int, h: int) -> float:

@@ -17,17 +17,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import reprlib
 import sys
 import time
 from dataclasses import asdict
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import precise, reduction, simulcheck
 from .lindep import _require_independent
-from .radix import DomainError, check_base, is_palindrome, reverse_in_base, shown
+from .radix import DomainError, check_base, is_palindrome, reverse_in_base
 from .simulcheck import CheckpointMismatchError
 
 EXIT_OK = 0
@@ -37,35 +37,32 @@ EXIT_CHECKPOINT = 3
 EXIT_UNDECIDED = 4
 
 
-_PLAIN_INT = re.compile(r"\s*([+-]?)0*(\d+)\s*")  # a sign and the digits past any leading zeros
-
-
 def parse_exact_int(text: str) -> int:
     """Integer parser accepting scientific shorthand: '1e18' -> 10**18 exactly.
 
     An integer with more digits than Python converts to a string
     (``sys.get_int_max_str_digits()``, 0 for no limit) is refused: no
-    report could print it.  Messages quote ``text`` cut to about 30
-    characters by ``reprlib.repr``: a refused text may run to thousands.
+    report could print it, and its digit count comes from ``Decimal``,
+    which reads a mantissa of any length, with no value built.  Messages
+    quote ``text`` cut to about 30 characters by ``reprlib.repr``: a
+    refused text may run to thousands.
     """
     try:
         return int(text)
     except ValueError:
         pass
+    try:
+        q = Decimal(text)
+    except InvalidOperation:
+        q = Decimal("nan")
+    if not q.is_finite():
+        raise DomainError(f"not a number: {reprlib.repr(text)}")
+    if q != q.to_integral_value():
+        raise DomainError(f"{reprlib.repr(text)} is not an integer")
     limit = getattr(sys, "get_int_max_str_digits", int)()  # Python before 3.10.7 has no limit
-    plain = _PLAIN_INT.fullmatch(text)  # int() refuses it past the limit, counting leading zeros
-    if plain and len(plain[2]) > limit:
-        value = f"{'a negative' if plain[1] == '-' else 'an'} integer of {len(plain[2])} digits"
-    else:
-        try:
-            q = Fraction(plain[1] + plain[2] if plain else text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"not a number: {reprlib.repr(text)}") from exc
-        if q.denominator != 1:
-            raise DomainError(f"{reprlib.repr(text)} is not an integer")
-        if not limit or abs(q.numerator) < 10**limit:
-            return q.numerator
-        value = shown(q.numerator)
+    if not limit or not q or q.adjusted() < limit:  # adjusted(): the exponent of the leading digit
+        return int(q)
+    value = f"{'a negative' if q < 0 else 'an'} integer of {q.adjusted() + 1} digits"
     raise DomainError(f"{reprlib.repr(text)} is {value}, more than the {limit} digits a report can print")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
@@ -34,7 +35,7 @@ def prime_exponent_vector(x, primes: list[int]) -> list[int]:
     return _prime_exponents(positive_rational(x, "expected a positive rational, got {!r}", x), primes)
 
 
-def _prime_exponents(q: Fraction | int, primes: list[int]) -> list[int]:
+def _prime_exponents(q: Fraction | int, primes: list[int] | tuple[int, ...]) -> list[int]:
     # prime_exponent_vector without the argument check, for a positive q
     vec = []
     num, den = q.numerator, q.denominator
@@ -101,6 +102,16 @@ class DependenceWitness:
         return Fraction(alpha) ** self.r == Fraction(g) ** self.s * Fraction(h) ** self.t
 
 
+@lru_cache
+def _base_columns(g: int, h: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, int]]:
+    # the sorted primes of g*h, the exponent columns of g and h over them, and the first
+    # two primes where the columns are independent, which independent bases have
+    primes = tuple(sorted(factorint(g * h)))
+    e_g, e_h = tuple(_prime_exponents(g, primes)), tuple(_prime_exponents(h, primes))
+    pair = next((i, j) for i, j in combinations(range(len(primes)), 2) if e_g[j] * e_h[i] != e_g[i] * e_h[j])
+    return primes, e_g, e_h, pair
+
+
 def dependence_witness(alpha, g: int, h: int) -> DependenceWitness | None:
     """Minimal witness of multiplicative dependence of alpha on g and h, or None.
 
@@ -121,11 +132,7 @@ def dependence_witness(alpha, g: int, h: int) -> DependenceWitness | None:
     if a == 1:
         return DependenceWitness(1, 0, 0, degenerate=True)
 
-    primes = sorted(factorint(g * h))
-    e_g = _prime_exponents(g, primes)
-    e_h = _prime_exponents(h, primes)
-    # the first two primes with independent exponent columns; independent bases have them
-    i, j = next((i, j) for i, j in combinations(range(len(primes)), 2) if e_g[j] * e_h[i] != e_g[i] * e_h[j])
+    primes, e_g, e_h, (i, j) = _base_columns(g, h)
     e_a = _prime_exponents(a, primes)
 
     r = e_g[j] * e_h[i] - e_g[i] * e_h[j]

@@ -146,6 +146,12 @@ def _base_pair(g: int, h: int, bits: int) -> _BasePair:
     return _BasePair(hp_log(h, bits), epsilon, cf, _certified(epsilon, cf.convergents))
 
 
+@lru_cache
+def _c1(g: int, h: int, bits: int, n_a: int) -> PreciseReal:
+    # the Baker-Davenport constant 11 h**n_a / (9 log h) of every prefix of n_a base-g digits
+    return Fraction(11 * h**n_a, 9) / _base_pair(g, h, bits).log_h
+
+
 @lru_cache(maxsize=1024)
 def _convergent_terms(g: int, h: int, bits: int, p: int, q: int) -> tuple[PreciseReal, PreciseReal, PreciseReal]:
     # the dependent sieve's terms of one convergent p/q that no prefix changes:
@@ -377,9 +383,8 @@ def verify_family(
         if witness is None:
             base = _base_pair(g, h, bits)
             delta = hp_log(alpha, bits) / base.log_h
-            c1 = Fraction(11 * h**n_a, 9) / base.log_h
             pairs = tuple(pair for pair in base.certified if pair.q > 4 * X) if pairs is None else tuple(pairs)
-            outcome = baker_davenport_reduce(ReductionProblem(delta, c1, base.log_h, X, pairs))
+            outcome = baker_davenport_reduce(ReductionProblem(delta, _c1(g, h, bits, n_a), base.log_h, X, pairs))
             reduced_bound, pair_used = outcome.new_bound, outcome.pair_used
             certified, floor = reduced_bound, regime_floor
         elif X < max(30, regime_floor):

@@ -255,6 +255,23 @@ def test_shift_exponent_bound_terms_are_pinned(a, g, h, values, report):
         assert (r.bound, r.reduced_bound, r.pair_used.q) == report
 
 
+# literal floats, as above, for the terms `bound ... --n` prints; tail_fit_threshold
+# is the first of them
+@pytest.mark.parametrize(
+    "a, g, h, n, values",
+    [
+        (1, 10, 2, 3, (3.3219280948873626, 62.05050236331545, 394.63258129438225, 153230172572.60266)),
+        (123, 10, 2, 60, (10.264442600226603, 421.5117062136084, 5481.1641620313385, 1488388807575.9395)),
+        (35, 6, 2, 10**6, (7.714245517666123, 196.2970761024471, 48562.600049825196, 3023312581875.7603)),
+        (1234, 15, 5, 7, (6.10527832708171, 1063.3860830190433, 1456.09805464056, 1218473161098.1436)),
+    ],
+)
+def test_zero_run_threshold_terms_are_pinned(a, g, h, n, values):
+    names = ("tail_fit", "dependence_degree", "two_log", "three_log")
+    assert list(zero_run_threshold_terms(a, g, h, n).items()) == list(zip(names, values))
+    assert tail_fit_threshold(a, g, h) == values[0]
+
+
 def test_bounds_round_outward_past_float_range():
     # the product of 58 height bounds of 1e300 passes float range; the rounding
     # raised a bare OverflowError, where +inf (and -inf below) still bound it

@@ -53,10 +53,19 @@ def test_parse_exact_int():
         cli.parse_exact_int("1.5")
     with pytest.raises(DomainError):
         cli.parse_exact_int("ten")
+    with pytest.raises(DomainError, match="not a number"):  # a bound is an integer or shorthand, not a ratio
+        cli.parse_exact_int("6/3")
     # int() counts leading zeros against its digit limit; the value has two digits
     assert cli.parse_exact_int(" " + "0" * 5000 + "17") == 17
     with pytest.raises(DomainError, match=r"^'1{12}\.\.\.1{13}' is an integer of 5000 digits, more than the"):
         cli.parse_exact_int("1" * 5000)
+    # the digit count of shorthand comes from its exponent, whatever the mantissa's length
+    with pytest.raises(DomainError, match=r"^'1{12}\.\.\.1{11}e2' is an integer of 5002 digits, more than the 4300"):
+        cli.parse_exact_int("1" * 5000 + "e2")
+    assert cli.parse_exact_int("1" + "0" * 5000 + "e-4990") == 10**10
+    with deadline(5):  # the value, 10**10**7, is never built
+        with pytest.raises(DomainError, match="is an integer of 10000001 digits"):
+            cli.parse_exact_int("1e10000000")
 
 
 def test_check_exit_codes(capsys):
@@ -406,6 +415,8 @@ def test_every_subcommand_prints_one_report(capsys, tmp_path, command, code, csv
         pytest.param(["check", "-" + "1" * 4301, "--bases", "10"], 2, id="check-digit-string-one-past-limit"),
         pytest.param(["family", "74", "10", "2", "--bound", "1" * 5000], 2, id="family-bound-digit-string-past-limit"),
         pytest.param(["check", "12" * 3000 + "x", "--bases", "10"], 2, id="check-long-non-number"),
+        # shorthand with a mantissa past the limit read "not a number", since Fraction refused the mantissa
+        pytest.param(["check", "1" * 5000 + "e2", "--bases", "10"], 2, id="check-shorthand-mantissa-past-limit"),
         pytest.param(["check", "585", "--bases", "10," + "2" * 5000], 2, id="check-long-base-list"),
     ],
 )

@@ -5,7 +5,7 @@ from math import ceil
 import mpmath
 import pytest
 
-from simulpal import radix, reduction
+from simulpal import bounds, radix, reduction
 from simulpal.bounds import (
     LaurentInstance,
     MatveevInstance,
@@ -271,10 +271,12 @@ def test_verify_family_checks_each_argument_once_per_public_call(monkeypatch):
     # verify_family checks a, g and h at entry and then takes the unchecked
     # digit helpers; only the public stages it calls check their own arguments.
     # Outside the direct scan, whose per-shift palindrome test checks its own,
-    # that makes 11.04 check_int calls a prefix of (10, 2), where three checks
-    # of the bases and the checked digit helpers made 25.4, and a second check
-    # of the bases inside the independence test 13.7.  Of the 11.04, 0.57 is
-    # ReductionProblem's check that X is an int, once per independent prefix.
+    # that makes 9.85 check_int calls a prefix of (10, 2), where three checks
+    # of the bases and the checked digit helpers made 25.4, a second check of
+    # the bases inside the independence test 13.7, and three logarithms of the
+    # prefix in the bound, each checking its precision, 11.04.  Of the 9.85,
+    # 0.57 is ReductionProblem's check that X is an int, once per independent
+    # prefix.
     counts = {False: 0, True: 0}
     in_scan = [False]
     check_int = radix.check_int
@@ -299,8 +301,40 @@ def test_verify_family_checks_each_argument_once_per_public_call(monkeypatch):
     monkeypatch.setattr(reduction, "is_palindrome_early_exit", scan_test)
     for a in prefixes:
         verify_family(a, 10, 2)
-    assert counts[False] <= 11.1 * len(prefixes)
+    assert counts[False] <= 9.9 * len(prefixes)
     assert counts[True] > 0
+
+
+def test_verify_family_takes_one_logarithm_of_the_prefix(monkeypatch):
+    # everything that depends only on (g, h) is computed once per process and
+    # pair, so on a warm pass the bound takes log a alone and builds log(a g h)
+    # and log(g a) from it, where it took all three; an independent prefix adds
+    # log alpha in the reduction, 2 calls where there were 4
+    calls = {}
+
+    def counting(module):
+        def counted(*args, _log=module.hp_log, **kwargs):
+            calls[module.__name__] = calls.get(module.__name__, 0) + 1
+            return _log(*args, **kwargs)
+
+        return counted
+
+    prefixes = [a for a in range(1, 600) if a % 10]
+    for a in prefixes:  # fills the per-process caches first
+        verify_family(a, 10, 2)
+    for module in (bounds, reduction):
+        monkeypatch.setattr(module, "hp_log", counting(module))
+    branches = set()
+    for a in prefixes:
+        calls.clear()
+        branch = verify_family(a, 10, 2).branch
+        branches.add(branch)
+        in_bound = calls.get("simulpal.bounds", 0)
+        if branch == "independent":
+            assert (in_bound, calls.get("simulpal.reduction", 0)) == (1, 1)
+        else:
+            assert in_bound == (branch == "dependent")
+    assert branches == {"independent", "dependent", "excluded-parity"}
 
 
 def test_verify_family_closed_loop():
