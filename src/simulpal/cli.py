@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import reprlib
 import sys
 import time
@@ -43,9 +44,10 @@ def parse_exact_int(text: str) -> int:
     An integer with more digits than Python converts to a string
     (``sys.get_int_max_str_digits()``, 0 for no limit) is refused: no
     report could print it, and its digit count comes from ``Decimal``,
-    which reads a mantissa of any length, with no value built.  Messages
-    quote ``text`` cut to about 30 characters by ``reprlib.repr``: a
-    refused text may run to thousands.
+    which reads a mantissa of any length, with no value built; past its
+    exponent range, about 10**18, shorthand has more than 10**18 digits,
+    or is no integer.  Messages quote ``text`` cut to about 30 characters
+    by ``reprlib.repr``: a refused text may run to thousands.
     """
     try:
         return int(text)
@@ -54,7 +56,13 @@ def parse_exact_int(text: str) -> int:
     try:
         q = Decimal(text)
     except InvalidOperation:
-        q = Decimal("nan")
+        # Decimal refuses an exponent past about 10**18; shorthand with one is
+        # 0, not an integer (q = 0.5 stands for it) or an integer too long to build
+        parts = re.fullmatch(r"\s*([+-]?)(\d+\.?\d*|\.\d+)[eE]([+-]?)\d+\s*", text)
+        if parts and Decimal(parts[2]) and parts[3] != "-":
+            value = f"{'a negative' if parts[1] == '-' else 'an'} integer of more than 10**18 digits"
+            raise DomainError(f"{reprlib.repr(text)} is {value}, more than a report can print")
+        q = Decimal("nan" if parts is None else "0.5" if Decimal(parts[2]) else 0)
     if not q.is_finite():
         raise DomainError(f"not a number: {reprlib.repr(text)}")
     if q != q.to_integral_value():

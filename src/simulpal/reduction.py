@@ -12,6 +12,7 @@ arithmetic with automatic precision escalation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -250,9 +251,19 @@ def dependent_case_check(
     n -> ceil((q - s_bound)/r) and factor -> q, comparing in the log
     domain.  ``s_bound`` defaults to |s| of the witness, ``factor_floor``
     to max(1, r*floor + s), ``slack`` to the digit count of ``a``.
-    The terms of each convergent that no prefix changes, |epsilon - p/q|,
-    its log and log q + log log h, are computed once per process, base
-    pair and precision; each call builds only the prefix's right-hand sides.
+
+    Bisection decides the candidates with about log2 of their number of
+    certified comparisons, by two facts.  (1) For irrational epsilon (the
+    bases are independent) err_k = |epsilon - p_k/q_k| strictly decreases
+    (Khinchin, *Continued Fractions*, ch. I): the small regime, err_k >
+    rhs_small, is a prefix [0, m).  (2) RHS_k = log c - n_sub(q_k) log h -
+    (log q_k + log log h) does not increase, as n_sub = max(floor,
+    ceil((q - s_bound)/r)) never falls, and log err_k >= log err_last by
+    (1): once log err_last > RHS_k0 is certified, every k >= k0 is in the
+    large regime.  k0 = m is tried first and bisected only if that fails;
+    each k in [m, k0) is decided on its own.  The terms no prefix changes,
+    |epsilon - p/q|, its log and log q + log log h, are kept per process,
+    base pair and precision once probed; a call builds its right-hand sides.
     """
     require_family_bases(a, g, h)
     check_int(n_floor, "the testing floor must be a positive integer")
@@ -280,25 +291,24 @@ def dependent_case_check(
     cf = base.cf
     while not (cf.exact or cf.convergents[-1].q > q_ceiling):
         cf = continued_fraction(eps, len(cf.quotients) + 20)
-    candidates = [(p, q) for p, q in cf.convergents if q <= q_ceiling]
+    candidates = [pair for pair in cf.convergents if pair.q <= q_ceiling]
 
-    small_regime, large_regime, survivors = [], [], []
     log_c = hp_log(c, bits)
     rhs_small = Fraction(c, factor_floor * h**floor_n) / log_h
-    for p, q in candidates:
-        err, log_err, log_q_log_h = _convergent_terms(g, h, bits, p, q)
-        if err.is_greater(rhs_small):
-            small_regime.append(q)
-            continue
-        n_sub = max(floor_n, -((s_bound - q) // r))  # ceil((q - s_bound) / r)
-        if log_err.is_greater(log_c - n_sub * log_h - log_q_log_h):
-            large_regime.append(q)
-        else:
-            survivors.append(q)
+    terms = lambda k: _convergent_terms(g, h, bits, *candidates[k])
+    rhs_large = lambda k: log_c - max(floor_n, -((s_bound - candidates[k].q) // r)) * log_h - terms(k)[2]  # RHS_k
+    ks = range(len(candidates))
+    m = bisect_left(ks, True, key=lambda k: not terms(k)[0].is_greater(rhs_small))
+    covered = lambda k: terms(-1)[1].is_greater(rhs_large(k))  # log err_last > RHS_k
+    k0 = m if m == len(ks) or covered(m) else bisect_left(ks, True, lo=m + 1, key=covered)
+    large_regime, survivors = [], []
+    for k in range(m, k0):
+        (large_regime if terms(k)[1].is_greater(rhs_large(k)) else survivors).append(candidates[k].q)
 
     return DependentCaseResult(
         bound=X if survivors else floor_n - 1, floor=floor_n, q_ceiling=q_ceiling,
-        small_regime=tuple(small_regime), large_regime=tuple(large_regime), survivors=tuple(survivors),
+        small_regime=tuple(q for _, q in candidates[:m]),
+        large_regime=tuple(large_regime + [q for _, q in candidates[k0:]]), survivors=tuple(survivors),
     )
 
 

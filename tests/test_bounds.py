@@ -28,6 +28,8 @@ from simulpal.precise import PreciseReal, hp_log
 from simulpal.radix import DomainError, digit_count
 from simulpal.reduction import verify_family
 
+from test_acceptance import FAMILY_PAIRS
+
 
 def _zero_run_threshold(a, g, h, n):
     return max(zero_run_threshold_terms(a, g, h, n).values())
@@ -371,6 +373,22 @@ def test_majorant_reproduces_shift_coefficients():
             assert 142 + B2 / mpmath.log(142) ** 2 <= 130 * la
             C = 130 * la
             assert C * mpmath.log(C) ** 3 <= mpmath.mpf(1.91e7) * la * mpmath.log(la) ** 3
+
+
+def test_solved_shift_bound_leaves_a_zero_run_past_the_threshold():
+    # the solved coefficients are sound only if every shift n past the bound
+    # X leaves a zero run n - n_a longer than the unsolved threshold allows;
+    # checked at n = ceil(X), 2 ceil(X) and 10 ceil(X) on each family pair.
+    # The least margin, 17.9x, is at (6, 2), a = 1, n = ceil(X); with
+    # SHIFT_THREE_LOG_COEFF / 20 this fails there
+    margins = {}
+    for g, h in FAMILY_PAIRS:
+        for a in [a for a in range(1, 50) if a % g] + [10**k + 7 for k in range(3, 60, 4)]:
+            X, n_a = math.ceil(shift_exponent_bound(a, g, h)), digit_count(a, g)
+            for n in (X, 2 * X, 10 * X):
+                margins[g, h, a, n // X] = (n - n_a) / _zero_run_threshold(a, g, h, n)
+    assert min(margins.values()) > 1
+    assert min(margins, key=margins.get) == (6, 2, 1, 1)
 
 
 def test_majorant_validation():

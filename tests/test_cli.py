@@ -2,6 +2,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import signal
 from contextlib import contextmanager
 from pathlib import Path
@@ -66,6 +67,16 @@ def test_parse_exact_int():
     with deadline(5):  # the value, 10**10**7, is never built
         with pytest.raises(DomainError, match="is an integer of 10000001 digits"):
             cli.parse_exact_int("1e10000000")
+    # past Decimal's exponent range, about 10**18, shorthand was "not a number"
+    with pytest.raises(DomainError, match=r"^'1e9{19}' is an integer of more than 10\*\*18 digits"):
+        cli.parse_exact_int("1e" + "9" * 19)
+    with pytest.raises(DomainError, match=r"is a negative integer of more than 10\*\*18 digits"):
+        cli.parse_exact_int("-1E+" + "9" * 25)
+    with pytest.raises(DomainError, match=r"^'1e-9{19}' is not an integer$"):
+        cli.parse_exact_int("1e-" + "9" * 19)
+    assert cli.parse_exact_int("0e" + "9" * 19) == 0
+    with pytest.raises(DomainError, match="not a number"):
+        cli.parse_exact_int("1e2e" + "9" * 19)
 
 
 def test_check_exit_codes(capsys):
@@ -417,6 +428,8 @@ def test_every_subcommand_prints_one_report(capsys, tmp_path, command, code, csv
         pytest.param(["check", "12" * 3000 + "x", "--bases", "10"], 2, id="check-long-non-number"),
         # shorthand with a mantissa past the limit read "not a number", since Fraction refused the mantissa
         pytest.param(["check", "1" * 5000 + "e2", "--bases", "10"], 2, id="check-shorthand-mantissa-past-limit"),
+        # shorthand with an exponent past Decimal's range, about 10**18, read "not a number"
+        pytest.param(["check", "1e" + "9" * 19, "--bases", "10"], 2, id="check-shorthand-exponent-past-decimal-range"),
         pytest.param(["check", "585", "--bases", "10," + "2" * 5000], 2, id="check-long-base-list"),
     ],
 )
@@ -425,6 +438,8 @@ def test_bad_input_exits_with_documented_code(capsys, argv, code):
         got, out, err = run(capsys, *argv)
     assert got == code
     assert out == "" and "Traceback" not in err and len(err.splitlines()) == 1 and len(err) < 200
+    if any(re.fullmatch(r"[+-]?\d+[eE]\+?\d+", arg) for arg in argv):  # an integer in shorthand is a number
+        assert "not a number" not in err
 
 
 def test_one_error_class_per_exit_code():

@@ -21,6 +21,7 @@ from simulpal.radix import DomainError, digit_count, is_palindrome, reverse_in_b
 from simulpal.reduction import (
     _base_pair,
     _convergent_terms,
+    DependentCaseResult,
     ReductionOutcome,
     ReductionProblem,
     baker_davenport_reduce,
@@ -542,20 +543,24 @@ def test_dependent_case_candidates_match_fresh_expansion(X):
 
 
 def test_a_second_dependent_prefix_computes_no_convergent_term():
-    # 92 (witness (1, 0, 2)) has the larger ceiling, so 33 after it finds
-    # every convergent's terms in the memo; 92 after 33 computes only the
-    # one convergent its ceiling adds
+    # the bisections probe 6 of the 32 candidates of 92 (witness (1, 0, 2));
+    # 99, 313 and 585 have the same candidates and regimes, so after 92 they
+    # find every probed convergent's terms in the memo.  33 has 31 candidates,
+    # so its bisections probe 4 other convergents, before or after 92.  The
+    # linear sieve computed the terms of every candidate
     _convergent_terms.cache_clear()  # earlier tests of this process may have filled it
     first = verify_family(92, 10, 2)
-    assert first.branch == "dependent" and _convergent_terms.cache_info().misses > 0
-    misses = _convergent_terms.cache_info().misses
-    assert verify_family(33, 10, 2).branch == "dependent"
-    assert _convergent_terms.cache_info().misses == misses
+    assert first.branch == "dependent" and _convergent_terms.cache_info().misses == 6
+    for a in (99, 313, 585):
+        assert verify_family(a, 10, 2).branch == "dependent"
+    assert _convergent_terms.cache_info().misses == 6
+    verify_family(33, 10, 2)
+    assert _convergent_terms.cache_info().misses == 10
     _convergent_terms.cache_clear()
     verify_family(33, 10, 2)
-    misses = _convergent_terms.cache_info().misses
+    assert _convergent_terms.cache_info().misses == 6
     assert verify_family(92, 10, 2) == first
-    assert _convergent_terms.cache_info().misses == misses + 1
+    assert _convergent_terms.cache_info().misses == 10
 
 
 def _dependent_reports(g: int, h: int, max_prefix: int):
@@ -587,10 +592,123 @@ def test_dependent_sieve_cold_equals_warm(g, h):
 def test_dependent_sieve_cold_equals_warm_past_the_table():
     # X = 10**40 needs convergents past the table's 50 quotients
     check = lambda: dependent_case_check(DependenceWitness(1, 0, 0, degenerate=True), 999_999, 10, 2, 10**40)
+    # and the bisections probe 7 of its 89 candidates, where the linear
+    # sieve computed the terms of all of them
     _convergent_terms.cache_clear()
     cold = check()
-    assert _convergent_terms.cache_info().misses > 50
+    assert _convergent_terms.cache_info().misses == 7
     assert check() == cold
+    assert _convergent_terms.cache_info().misses == 7
+
+
+def linear_sieve(witness, a, g, h, X, n_floor=30, *, s_bound=None, factor_floor=None, slack=None, bits=192):
+    """The dependent sieve as a linear scan: the reference that the bisected
+    ``dependent_case_check`` must equal.  It decides every candidate
+    convergent by its own certified comparisons, from a fresh continued
+    fraction and with no memo, and rests on neither monotone fact."""
+    r, s = witness.r, witness.s
+    s_bound = abs(s) if s_bound is None else s_bound
+    slack = digit_count(a, g) if slack is None else slack
+    c = Fraction(11 * r, 9) * h**slack
+    log_h, eps = hp_log(h, bits), PreciseReal.log_ratio(g, h, bits)
+    floor_n = n_floor
+    while not (log_h * Fraction(h) ** floor_n).is_greater(2 * c * (r * floor_n + s_bound)):
+        floor_n += 1
+    factor_floor = max(1, r * floor_n + s) if factor_floor is None else factor_floor
+    q_ceiling = r * X + s_bound
+    count = 50
+    while continued_fraction(eps, count).convergents[-1].q <= q_ceiling:
+        count += 20
+    log_c = hp_log(c, bits)
+    rhs_small = Fraction(c, factor_floor * h**floor_n) / log_h
+    small_regime, large_regime, survivors = [], [], []
+    for p, q in continued_fraction(eps, count).convergents:
+        if q > q_ceiling:
+            break
+        err = abs(eps - Fraction(p, q))
+        if err.is_greater(rhs_small):
+            small_regime.append(q)
+            continue
+        n_sub = max(floor_n, -((s_bound - q) // r))  # ceil((q - s_bound) / r)
+        if err.log().is_greater(log_c - n_sub * log_h - (hp_log(q, bits) + log_h.log())):
+            large_regime.append(q)
+        else:
+            survivors.append(q)
+    return DependentCaseResult(
+        bound=X if survivors else floor_n - 1, floor=floor_n, q_ceiling=q_ceiling,
+        small_regime=tuple(small_regime), large_regime=tuple(large_regime), survivors=tuple(survivors),
+    )
+
+
+@pytest.mark.parametrize("g, h", FAMILY_PAIRS)
+def test_bisected_sieve_equals_linear_sieve_on_every_dependent_prefix(g, h):
+    # the sieve verify_family ran, from the floor it started at, against the linear scan
+    for report in _dependent_reports(g, h, 600):
+        n_a = digit_count(report.a, g)
+        n_floor = max(30, n_a + max(digit_count(g * report.a, h), 2))
+        oracle = linear_sieve(report.witness, report.a, g, h, report.bound, n_floor=n_floor, slack=n_a)
+        assert report.dependent_result == oracle
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        ((DependenceWitness(1, 0, 0, degenerate=True), 999_999, 10, 2, X_MODEL), {}),
+        ((DependenceWitness(1, 0, 0, degenerate=True), 999_999, 10, 2, X_MODEL),
+         {"n_floor": 30, "s_bound": 34, "factor_floor": 30, "slack": 6}),
+        ((DependenceWitness(1, 0, 0, degenerate=True), 999_999, 10, 2, 10**40), {}),
+        ((dependence_witness(Fraction(2), 24, 6), 5, 24, 6, 10**8), {}),
+    ]
+    + [((dependence_witness(Fraction(4), 10, 2), 92, 10, 2, X_MODEL), {"n_floor": n}) for n in range(1, 8)],
+    ids=["X_MODEL", "X_MODEL-structure", "1e40", "r-2", *(f"92-n_floor-{n}" for n in range(1, 8))],
+)
+def test_bisected_sieve_equals_linear_sieve(args, kwargs):
+    assert dependent_case_check(*args, **kwargs) == linear_sieve(*args, **kwargs)
+
+
+@pytest.mark.parametrize("g, h", FAMILY_PAIRS)
+def test_convergent_errors_strictly_decrease(g, h):
+    # fact 1 of the bisected sieve, certified: |epsilon - p/q| strictly
+    # decreases over the first 50 convergents, and for (10, 2) over the 89
+    # below the ceiling of X = 10**40
+    eps = PreciseReal.log_ratio(g, h)
+    convergents = continued_fraction(eps, 90 if (g, h) == (10, 2) else 50).convergents
+    if (g, h) == (10, 2):
+        convergents = [pair for pair in convergents if pair.q <= 10**40]
+        assert len(convergents) == 89
+    errors = [abs(eps - Fraction(p, q)) for p, q in convergents]
+    assert all(err.is_greater(following) for err, following in zip(errors, errors[1:]))
+
+
+def _counting_comparisons(monkeypatch) -> list:
+    calls = []
+    compare = PreciseReal.is_greater
+    monkeypatch.setattr(PreciseReal, "is_greater", lambda self, other: calls.append(1) or compare(self, other))
+    return calls
+
+
+def test_a_dependent_prefix_makes_at_most_eight_comparisons(monkeypatch):
+    # one for the floor, about log2(32) = 5 for the small regime's end and one
+    # for the large regime's start: 7.0 a prefix, where the linear sieve made
+    # one or two for each of the 31 or 32 candidates, 52.9 a prefix
+    prefixes = [1, 3, 5, 7, 9, 33, 92, 99, 313, 585]
+    for a in prefixes:  # fills the per-process caches first
+        verify_family(a, 10, 2)
+    calls = _counting_comparisons(monkeypatch)
+    for a in prefixes:
+        calls.clear()
+        assert verify_family(a, 10, 2).branch == "dependent"
+        assert len(calls) <= 8
+
+
+def test_the_sieve_past_the_table_makes_at_most_twelve_comparisons(monkeypatch):
+    # 89 candidates below the ceiling of X = 10**40: 8 comparisons, where the
+    # linear sieve made 171
+    check = lambda: dependent_case_check(DependenceWitness(1, 0, 0, degenerate=True), 999_999, 10, 2, 10**40)
+    check()
+    calls = _counting_comparisons(monkeypatch)
+    check()
+    assert len(calls) <= 12
 
 
 def test_verify_family_dependent_small_bound_scans_directly():
