@@ -20,10 +20,11 @@ from functools import lru_cache
 
 from . import lindep
 from .precise import PreciseReal, hp_exp, hp_log, upper_float
-from .radix import DomainError, check_base, check_int, positive_rational
+from .radix import DomainError, check_base, check_int, positive_rational, shown
 
 # evaluation precision for closed-form bound expressions
 _EVAL_BITS = 128
+_MAX_PREFIX_BITS = 2**50  # the largest prefix, in bits, of shift_exponent_bound's lemma
 
 # assembled constants of the underlying transcendence estimates, exact
 THREE_LOG_COEFF = Fraction(2_022 * 10**7)  # 2.022e10, with the three-log bound
@@ -309,8 +310,7 @@ def shift_exponent_bound_terms(a: int, g: int, h: int) -> dict[str, float]:
     """The competing expressions whose maximum bounds the shift exponent."""
     require_family_bases(a, g, h)
     log_a, log_agh, terms = _shared_terms(a, g, h)
-    log_g, _, _, _, shift_log_g = _base_terms(g, h)
-    terms["three_log_solved"] = upper_float(shift_log_g * log_agh * _pow((log_g * log_agh).log(), 2))
+    terms["three_log_solved"] = _three_log_solved(log_agh, g, h)
     if a >= 3:
         # below a = 3 the iterated logarithm is non-positive and the other
         # expressions dominate every solution of the two-log equation
@@ -318,10 +318,25 @@ def shift_exponent_bound_terms(a: int, g: int, h: int) -> dict[str, float]:
     return terms
 
 
+def _three_log_solved(log_agh: PreciseReal, g: int, h: int) -> float:
+    log_g, _, _, _, shift_log_g = _base_terms(g, h)
+    return upper_float(shift_log_g * log_agh * _pow((log_g * log_agh).log(), 2))
+
+
 def shift_exponent_bound(a: int, g: int, h: int) -> float:
     """Unconditional bound on the shift exponent n: if n exceeds this value,
-    a*g**n + rev(a) is not a palindrome in base h.  Rounded outward."""
-    return max(shift_exponent_bound_terms(a, g, h).values())
+    a*g**n + rev(a) is not a palindrome in base h.  Rounded outward.
+
+    Only the three-log term of :func:`shift_exponent_bound_terms`, their maximum, is evaluated.  With
+    A = log(a g h), G = log g >= log 3 and L = log(G A) > 0.677 it is 5.11e12 G A L**2; tail_fit <= A / log 2,
+    two_log_solved <= 1.91e7 A L**3 is less while L <= 2.9e5, and dependence_degree = G A**2 / (log 2)**3 while
+    A / L**2 <= 1.70e12.  A / L**2 <= A / log(A log 3)**2 falls up to A log 3 = e**2, then rises: refusing a
+    prefix of more than 2**50 bits leaves a margin of 2.6 there, with g h <= MAX_BASE**2 and G = log 3.
+    """
+    require_family_bases(a, g, h)
+    if a.bit_length() > _MAX_PREFIX_BITS:
+        raise DomainError(f"prefix {shown(a)} has more than {_MAX_PREFIX_BITS} bits, past the proven shift bound")
+    return _three_log_solved(hp_log(a, _EVAL_BITS) + _base_terms(g, h)[2], g, h)
 
 
 # --------------------------------------------------------------------------

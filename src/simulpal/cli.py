@@ -58,7 +58,8 @@ def parse_exact_int(text: str) -> int:
     except InvalidOperation:
         # Decimal refuses an exponent past about 10**18; shorthand with one is
         # 0, not an integer (q = 0.5 stands for it) or an integer too long to build
-        parts = re.fullmatch(r"\s*([+-]?)(\d+\.?\d*|\.\d+)[eE]([+-]?)\d+\s*", text)
+        d = r"\d(?:_?\d)*"  # digits, with the underscore grouping Decimal and int accept
+        parts = re.fullmatch(rf"\s*([+-]?)({d}\.?(?:{d})?|\.{d})[eE]([+-]?){d}\s*", text)
         if parts and Decimal(parts[2]) and parts[3] != "-":
             value = f"{'a negative' if parts[1] == '-' else 'an'} integer of more than 10**18 digits"
             raise DomainError(f"{reprlib.repr(text)} is {value}, more than a report can print")

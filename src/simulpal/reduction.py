@@ -128,11 +128,11 @@ def precompute_reduction_pairs(epsilon: PreciseReal, X: int, count: int = 50) ->
     return [pair for pair in _certified(epsilon, continued_fraction(epsilon, count).convergents) if pair.q > 4 * X]
 
 
-@dataclass(frozen=True)
+@dataclass
 class _BasePair:
-    """What every prefix over one base pair shares: log h, epsilon =
-    log g / log h, its first 50 partial quotients and the reduction pairs
-    among their convergents, of which each prefix takes those of q > 4X."""
+    """What every prefix over one base pair shares: log h, epsilon = log g / log h, its longest expansion yet
+    (50 quotients, more once a sieve needs them) and the reduction pairs among the first 50 convergents, of
+    which each prefix takes those of q > 4X."""
 
     log_h: PreciseReal
     epsilon: PreciseReal
@@ -261,9 +261,9 @@ def dependent_case_check(
     ceil((q - s_bound)/r)) never falls, and log err_k >= log err_last by
     (1): once log err_last > RHS_k0 is certified, every k >= k0 is in the
     large regime.  k0 = m is tried first and bisected only if that fails;
-    each k in [m, k0) is decided on its own.  The terms no prefix changes,
-    |epsilon - p/q|, its log and log q + log log h, are kept per process,
-    base pair and precision once probed; a call builds its right-hand sides.
+    each k in [m, k0) is decided on its own.  The terms no prefix changes, |epsilon - p/q|, its log and
+    log q + log log h, are kept per process, base pair and precision once probed, as is the longest
+    expansion of epsilon; a call builds its right-hand sides.
     """
     require_family_bases(a, g, h)
     check_int(n_floor, "the testing floor must be a positive integer")
@@ -290,7 +290,7 @@ def dependent_case_check(
     q_ceiling = r * X + s_bound
     cf = base.cf
     while not (cf.exact or cf.convergents[-1].q > q_ceiling):
-        cf = continued_fraction(eps, len(cf.quotients) + 20)
+        cf = base.cf = continued_fraction(eps, len(cf.quotients) + 20)
     candidates = [pair for pair in cf.convergents if pair.q <= q_ceiling]
 
     log_c = hp_log(c, bits)
@@ -350,10 +350,10 @@ def verify_family(
 ) -> FamilyReport:
     """The complete list of shifts n making a*g**n + rev(a) a base-h palindrome.
 
-    Pipeline: an unconditional bound X on n; a dependence decision for
-    alpha = a / rev(rev(a, g), h); Baker-Davenport reduction (independent
-    case) or the convergent sieve (dependent case) to shrink X to a small
-    top; then direct early-exit testing of every remaining shift.
+    Pipeline: an unconditional bound X on n, the three-log term of :func:`shift_exponent_bound`;
+    a dependence decision for alpha = a / rev(rev(a, g), h); Baker-Davenport reduction (independent
+    case) or the convergent sieve (dependent case) to shrink X to a small top; then direct early-exit
+    testing of every remaining shift.
     The work that depends only on (g, h, bits), the reduction pairs included,
     is done once per process, and each prefix takes the pairs of q > 4X;
     ``pairs`` replaces them, for example with pairs for a model bound or an

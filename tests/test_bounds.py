@@ -10,7 +10,10 @@ import mpmath
 import pytest
 
 import simulpal
+from simulpal import bounds, precise
 from simulpal.bounds import (
+    SHIFT_THREE_LOG_COEFF,
+    SHIFT_TWO_LOG_COEFF,
     LaurentInstance,
     MatveevInstance,
     THREE_LOG_COEFF,
@@ -25,7 +28,7 @@ from simulpal.bounds import (
 from simulpal.lindep import dependence_witness, multiplicatively_independent
 from simulpal.palgen import family_instance
 from simulpal.precise import PreciseReal, hp_log
-from simulpal.radix import DomainError, digit_count
+from simulpal.radix import MAX_BASE, DomainError, digit_count
 from simulpal.reduction import verify_family
 
 from test_acceptance import FAMILY_PAIRS
@@ -226,6 +229,64 @@ def test_shift_exponent_small_prefix_regime():
     terms = shift_exponent_bound_terms(3, 10, 2)
     assert "two_log_solved" in terms
     assert max(terms.values()) == terms["three_log_solved"]
+
+
+def test_shift_exponent_bound_is_its_three_log_term():
+    # shift_exponent_bound evaluates only the three-log term, by its lemma; on
+    # 5 316 prefixes it equals the maximum of the four terms, which is that
+    # term, and encloses an mpmath evaluation of it from above within 1e-14
+    prefixes = list(range(1, 400)) + [10**k + 7 for k in range(3, 300, 7)] + [10**5000 + 1]
+    for g, h in FAMILY_PAIRS:
+        with mpmath.workdps(40):
+            log_g = mpmath.log(g)
+            for a in prefixes:
+                terms = shift_exponent_bound_terms(a, g, h)
+                bound = shift_exponent_bound(a, g, h)
+                assert bound == max(terms.values()) == terms["three_log_solved"], (a, g, h)
+                log_agh = mpmath.log(a) + mpmath.log(g * h)
+                oracle = int(SHIFT_THREE_LOG_COEFF) * log_g * log_agh * mpmath.log(log_g * log_agh) ** 2
+                assert oracle <= bound <= oracle * (1 + mpmath.mpf(1e-14)), (a, g, h)
+
+
+def test_three_log_term_dominates_at_the_ends_of_the_lemma():
+    # the lemma of shift_exponent_bound, certified at its worst case: a of
+    # 2**50 bits, g h as large as the base check allows and G = log 3, where
+    # the degree term comes within 2.6x; and at A = log 6, below every
+    # A = log(a g h) of the domain, where A / L**2 has its other peak
+    log_2, log_3 = hp_log(2), hp_log(3)
+    edge = log_2 * 2**50 + hp_log(MAX_BASE**2)
+    for A, least, most in ((edge, Fraction(5, 2), Fraction(13, 5)), (hp_log(6), 10**11, None)):
+        L = (log_3 * A).log()
+        three_log = SHIFT_THREE_LOG_COEFF * log_3 * A * L * L
+        assert L.is_greater(Fraction(677, 1000)) and L.is_less(29 * 10**4)
+        assert three_log.is_greater(Fraction(10**12) * A / log_2)  # tail_fit
+        assert three_log.is_greater(SHIFT_TWO_LOG_COEFF * A * L * L * L)
+        degree = log_3 * A * A / (log_2 * log_2 * log_2)
+        assert three_log.is_greater(degree * least)
+        assert most is None or three_log.is_less(degree * most)
+
+
+def test_shift_exponent_bound_refuses_a_prefix_past_its_lemma(monkeypatch):
+    # no integer in memory has more than 2**50 bits: a lower limit shows the guard
+    monkeypatch.setattr(bounds, "_MAX_PREFIX_BITS", 200)
+    assert shift_exponent_bound(2**200 - 1, 10, 2) == max(shift_exponent_bound_terms(2**200 - 1, 10, 2).values())
+    with pytest.raises(DomainError, match="^prefix an integer of 61 digits has more than 200 bits"):
+        shift_exponent_bound(2**200 + 1, 10, 2)
+    with pytest.raises(DomainError, match="more than 200 bits"):
+        verify_family(2**200 + 1, 10, 2)
+
+
+def test_shift_exponent_bound_makes_seven_interval_operations(monkeypatch):
+    # log a, log(a g h), log g log(a g h), its log and square, and two products,
+    # each one mpmath interval operation, and one rounding to a float; the
+    # maximum of all four terms took 16 operations and 4 roundings
+    shift_exponent_bound(1, 10, 2)  # fills the per-base-pair cache
+    ops, roundings = [], []
+    compose, upper_float = precise._compose, bounds.upper_float
+    monkeypatch.setattr(precise, "_compose", lambda *args, **kw: ops.append(1) or compose(*args, **kw))
+    monkeypatch.setattr(bounds, "upper_float", lambda x: roundings.append(1) or upper_float(x))
+    shift_exponent_bound(123_457, 10, 2)
+    assert (len(ops), len(roundings)) == (7, 1)
 
 
 # literal floats: a change to the arithmetic or to its rounding that moves a

@@ -5,9 +5,11 @@ import pkgutil
 import re
 import signal
 from contextlib import contextmanager
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import simulpal
 from simulpal import cli, precise, simulcheck
@@ -77,6 +79,39 @@ def test_parse_exact_int():
     assert cli.parse_exact_int("0e" + "9" * 19) == 0
     with pytest.raises(DomainError, match="not a number"):
         cli.parse_exact_int("1e2e" + "9" * 19)
+    # the same with Python's underscore grouping read "not a number"
+    with pytest.raises(DomainError, match=r"^'1_0e9{19}' is an integer of more than 10\*\*18 digits"):
+        cli.parse_exact_int("1_0e" + "9" * 19)
+    with pytest.raises(DomainError, match=r"^'-1e9_9{18}' is a negative integer of more than 10\*\*18 digits"):
+        cli.parse_exact_int("-1e9_" + "9" * 18)
+
+
+_SIGNS = st.sampled_from(["", "+", "-"])
+
+
+@st.composite
+def _grouped(draw, most: int):
+    # an integer below ``most`` in digits, with single underscores between some of them
+    digits = str(draw(st.integers(0, most - 1)))
+    marks = draw(st.lists(st.booleans(), min_size=len(digits) - 1, max_size=len(digits) - 1))
+    return digits[0] + "".join("_" * mark + digit for mark, digit in zip(marks, digits[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SIGNS, _grouped(10**6), st.none() | _grouped(10**6), st.sampled_from("eE"), _SIGNS, _grouped(10**25))
+def test_shorthand_is_its_integer_or_a_domain_error(sign, whole, fraction, e, exponent_sign, exponent):
+    # integer shorthand, with exponents of up to 25 digits, is never "not a number"
+    mantissa = whole if fraction is None else f"{whole}.{fraction}"
+    text = f"{sign}{mantissa}{e}{exponent_sign}{exponent}"
+    try:
+        value = cli.parse_exact_int(text)
+    except DomainError as exc:
+        assert "not a number" not in str(exc)
+        return
+    try:
+        assert value == int(Decimal(text))
+    except InvalidOperation:  # past Decimal's exponent range only a zero mantissa gives an integer
+        assert value == 0 == Decimal(mantissa)
 
 
 def test_check_exit_codes(capsys):
@@ -430,6 +465,8 @@ def test_every_subcommand_prints_one_report(capsys, tmp_path, command, code, csv
         pytest.param(["check", "1" * 5000 + "e2", "--bases", "10"], 2, id="check-shorthand-mantissa-past-limit"),
         # shorthand with an exponent past Decimal's range, about 10**18, read "not a number"
         pytest.param(["check", "1e" + "9" * 19, "--bases", "10"], 2, id="check-shorthand-exponent-past-decimal-range"),
+        # the same with underscore grouping read "not a number" still
+        pytest.param(["check", "1_0e" + "9" * 19, "--bases", "10"], 2, id="check-grouped-shorthand-past-decimal-range"),
         pytest.param(["check", "585", "--bases", "10," + "2" * 5000], 2, id="check-long-base-list"),
     ],
 )
@@ -438,7 +475,7 @@ def test_bad_input_exits_with_documented_code(capsys, argv, code):
         got, out, err = run(capsys, *argv)
     assert got == code
     assert out == "" and "Traceback" not in err and len(err.splitlines()) == 1 and len(err) < 200
-    if any(re.fullmatch(r"[+-]?\d+[eE]\+?\d+", arg) for arg in argv):  # an integer in shorthand is a number
+    if any(re.fullmatch(r"[+-]?\d(?:_?\d)*[eE]\+?\d(?:_?\d)*", arg) for arg in argv):  # shorthand is a number
         assert "not a number" not in err
 
 

@@ -601,6 +601,18 @@ def test_dependent_sieve_cold_equals_warm_past_the_table():
     assert _convergent_terms.cache_info().misses == 7
 
 
+def test_a_warm_sieve_past_the_table_expands_no_continued_fraction(monkeypatch):
+    # the longest expansion of epsilon is kept per base pair and precision;
+    # a warm call at X = 10**40 expanded it anew to 70 and to 90 quotients
+    args = (DependenceWitness(1, 0, 0, degenerate=True), 999_999, 10, 2, 10**40)
+    dependent_case_check(*args)
+    calls, expand = [], reduction.continued_fraction
+    monkeypatch.setattr(reduction, "continued_fraction", lambda *a: calls.append(a) or expand(*a))
+    warm = dependent_case_check(*args)
+    assert calls == []
+    assert warm == linear_sieve(*args)
+
+
 def linear_sieve(witness, a, g, h, X, n_floor=30, *, s_bound=None, factor_floor=None, slack=None, bits=192):
     """The dependent sieve as a linear scan: the reference that the bisected
     ``dependent_case_check`` must equal.  It decides every candidate
