@@ -22,7 +22,6 @@ import reprlib
 import sys
 import time
 from dataclasses import asdict
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from . import bounds as bounds_mod
@@ -38,41 +37,42 @@ EXIT_CHECKPOINT = 3
 EXIT_UNDECIDED = 4
 
 
+_INTEGER_TEXT = re.compile(r"\s*([+-]?)(?=\.?\d)(\d(?:_?\d)*)?(?:\.(\d(?:_?\d)*)?)?(?:[eE]([+-]?)(\d(?:_?\d)*))?\s*")
+
+
 def parse_exact_int(text: str) -> int:
     """Integer parser accepting scientific shorthand: '1e18' -> 10**18 exactly.
 
-    An integer with more digits than Python converts to a string
-    (``sys.get_int_max_str_digits()``, 0 for no limit) is refused: no
-    report could print it, and its digit count comes from ``Decimal``,
-    which reads a mantissa of any length, with no value built; past its
-    exponent range, about 10**18, shorthand has more than 10**18 digits,
-    or is no integer.  Messages quote ``text`` cut to about 30 characters
-    by ``reprlib.repr``: a refused text may run to thousands.
+    ``_INTEGER_TEXT`` is ``float``'s spelling without inf and nan, in Unicode decimal digits with an underscore
+    only between two, as ``int`` has them; other text is "not a number".  The digit count comes first, from
+    the digit strings (20 significant exponent digits are past 10**18), and decides "is not an integer", then
+    the int-str limit (if off: the larger of Python's default and ``len(text)``); only then is the value built.
     """
+    parts = _INTEGER_TEXT.fullmatch(text.translate({ord(c): str(int(c)) for c in set(text) if c.isdecimal()}))
+    if parts is None:
+        raise DomainError(f"not a number: {reprlib.repr(text)}")
+    sign, whole, fraction, exponent_sign, exponent = (part.replace("_", "") for part in parts.groups(""))
+    digits = (whole + fraction).lstrip("0")
+    if not digits:  # zero, whatever its exponent
+        return 0
+    length = len(digits) - len(fraction) + int(exponent_sign + "0" + exponent.lstrip("0")[:20])  # digit count
+    if len(digits.rstrip("0")) > length:
+        raise DomainError(f"{reprlib.repr(text)} is not an integer")
+    default = getattr(sys.int_info, "default_max_str_digits", 4300)  # Python before 3.10.7 has no limit
+    limit = getattr(sys, "get_int_max_str_digits", int)() or max(default, len(text))
+    if length > limit:  # the limit is a C int, far below 10**18
+        count, most = ("more than 10**18", "a") if length > 10**18 else (length, f"the {limit} digits a")
+        size = f"{'a negative' if sign == '-' else 'an'} integer of {count} digits"
+        raise DomainError(f"{reprlib.repr(text)} is {size}, more than {most} report can print")
+    return int(sign + digits[:length]) * 10 ** max(length - len(digits), 0)
+
+
+def _int_argument(text: str) -> int:
+    # int's grammar, with no shorthand; argparse's own message would quote all of a refused text
     try:
         return int(text)
     except ValueError:
-        pass
-    try:
-        q = Decimal(text)
-    except InvalidOperation:
-        # Decimal refuses an exponent past about 10**18; shorthand with one is
-        # 0, not an integer (q = 0.5 stands for it) or an integer too long to build
-        d = r"\d(?:_?\d)*"  # digits, with the underscore grouping Decimal and int accept
-        parts = re.fullmatch(rf"\s*([+-]?)({d}\.?(?:{d})?|\.{d})[eE]([+-]?){d}\s*", text)
-        if parts and Decimal(parts[2]) and parts[3] != "-":
-            value = f"{'a negative' if parts[1] == '-' else 'an'} integer of more than 10**18 digits"
-            raise DomainError(f"{reprlib.repr(text)} is {value}, more than a report can print")
-        q = Decimal("nan" if parts is None else "0.5" if Decimal(parts[2]) else 0)
-    if not q.is_finite():
-        raise DomainError(f"not a number: {reprlib.repr(text)}")
-    if q != q.to_integral_value():
-        raise DomainError(f"{reprlib.repr(text)} is not an integer")
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # Python before 3.10.7 has no limit
-    if not limit or not q or q.adjusted() < limit:  # adjusted(): the exponent of the leading digit
-        return int(q)
-    value = f"{'a negative' if q < 0 else 'an'} integer of {q.adjusted() + 1} digits"
-    raise DomainError(f"{reprlib.repr(text)} is {value}, more than the {limit} digits a report can print")
+        raise argparse.ArgumentTypeError(f"invalid int value: {reprlib.repr(text)}") from None
 
 
 def parse_base_list(text: str) -> list[int]:
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     precision = argparse.ArgumentParser(add_help=False)
     precision.add_argument(
         "--precision",
-        type=int,
+        type=_int_argument,
         default=precise.DEFAULT_PRECISION,
         help=f"working precision in bits, 1 to {precise.MAX_PRECISION} "
         f"(default {precise.DEFAULT_PRECISION})",
@@ -240,20 +240,20 @@ def build_parser() -> argparse.ArgumentParser:
         ("count", "count simultaneous palindromes up to a bound"),
     ):
         p = sub.add_parser(name, parents=[fmt], help=helptext)
-        p.add_argument("g", type=int)
-        p.add_argument("h", type=int)
+        p.add_argument("g", type=_int_argument)
+        p.add_argument("h", type=_int_argument)
         p.add_argument("bound", help="inclusive bound; scientific shorthand like 1e14 is exact")
         state = p.add_mutually_exclusive_group()
         state.add_argument("--checkpoint", help="write resumable state to this file")
         state.add_argument("--resume", help="resume from this checkpoint file and keep updating it")
         p.add_argument(
             "--threads",
-            type=int,
+            type=_int_argument,
             default=simulcheck.usable_cpus(),
             help="worker processes, at least 1 (default: the CPUs this process may use; "
             "1 gives a sequential reference run)",
         )
-        p.add_argument("--enumeration-base", type=int, default=None)
+        p.add_argument("--enumeration-base", type=_int_argument, default=None)
         p.add_argument("--checkpoint-interval", type=float, default=300.0)
         p.add_argument("--progress", action="store_true", help="progress lines on stderr")
         p.set_defaults(func=cmd_search)
@@ -261,24 +261,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "family", parents=[fmt, precision], help="certify all n with a*g**n + rev(a) palindromic in base h"
     )
-    p.add_argument("a", type=int)
-    p.add_argument("g", type=int)
-    p.add_argument("h", type=int)
+    p.add_argument("a", type=_int_argument)
+    p.add_argument("g", type=_int_argument)
+    p.add_argument("h", type=_int_argument)
     p.add_argument("--bound", default=None, help="override the unconditional bound X")
-    p.add_argument("--exhaustive-limit", type=int, default=2000)
+    p.add_argument("--exhaustive-limit", type=_int_argument, default=2000)
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("bound", parents=[fmt], help="evaluate the explicit bounds term by term")
-    p.add_argument("a", type=int)
-    p.add_argument("g", type=int)
-    p.add_argument("h", type=int)
-    p.add_argument("n", type=int, nargs="?", default=None)
+    p.add_argument("a", type=_int_argument)
+    p.add_argument("g", type=_int_argument)
+    p.add_argument("h", type=_int_argument)
+    p.add_argument("n", type=_int_argument, nargs="?", default=None)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("cf", parents=[fmt, precision], help="continued fraction of log g / log h")
-    p.add_argument("g", type=int)
-    p.add_argument("h", type=int)
-    p.add_argument("count", type=int)
+    p.add_argument("g", type=_int_argument)
+    p.add_argument("h", type=_int_argument)
+    p.add_argument("count", type=_int_argument)
     p.set_defaults(func=cmd_cf)
     return parser
 

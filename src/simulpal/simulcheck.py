@@ -16,6 +16,7 @@ import os
 import tempfile
 import time
 import warnings
+import zlib
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -270,8 +271,12 @@ class SearchCheckpoint:
             "cursor": self.cursor,
             "hits": len(self.found),
             "found": self.found,
+            "checksum": self._checksum(),
         }
         return json.dumps(doc, indent=1)
+
+    def _checksum(self) -> int:
+        return zlib.crc32(repr((self.g, self.h, self.bound, self.cursor, self.found)).encode())
 
     @classmethod
     def from_json(cls, text: str) -> "SearchCheckpoint":
@@ -282,7 +287,9 @@ class SearchCheckpoint:
         (checked before any other key), a missing key or a value of the
         wrong type, a cursor outside [0, bound], a ``found`` entry that is
         not a palindrome in both bases, not ascending, or beyond the
-        cursor, and a ``hits`` count other than the number of entries.
+        cursor, a ``hits`` count other than the number of entries, a key
+        outside the schema, and a ``checksum``, which earlier releases did not
+        write, other than that of the rest: only it shows a cursor moved on.
         """
         try:
             doc = json.loads(text)
@@ -292,6 +299,9 @@ class SearchCheckpoint:
             g, h, bound, cursor, hits = (check_int(doc[k], f"{k} must be an integer", None) for k in keys)
             state = cls(g, h, bound, cursor, [check_int(x, "found must list integers", None) for x in doc["found"]])
             state._validate(hits)
+            checksum = doc.pop("checksum", None)
+            if set(doc) != {"version", *keys, "found"} or checksum not in (None, state._checksum()):
+                raise ValueError("the checkpoint does not match its checksum")
         except (KeyError, TypeError, ValueError, RecursionError) as exc:  # RecursionError: deeply nested JSON
             raise CheckpointMismatchError(f"damaged checkpoint: {exc!r}") from exc
         return state

@@ -1,12 +1,15 @@
 import importlib
+import io
 import json
 import os
 import pkgutil
 import re
 import signal
-from contextlib import contextmanager
+import sys
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,6 +87,32 @@ def test_parse_exact_int():
         cli.parse_exact_int("1_0e" + "9" * 19)
     with pytest.raises(DomainError, match=r"^'-1e9_9{18}' is a negative integer of more than 10\*\*18 digits"):
         cli.parse_exact_int("-1e9_" + "9" * 18)
+    # int and float allow an underscore only between two digits; Decimal, once read first, took these
+    for text in ("1__0", "._5e5", "1_.5e3", "._5e" + "9" * 19):
+        with pytest.raises(DomainError, match="not a number"):
+            cli.parse_exact_int(text)
+
+
+def test_parse_exact_int_with_the_digit_limit_off(capsys):
+    # with no int-str limit a value past Python's default limit and the text's own length is refused unbuilt:
+    # 1e10000000000 used to start building a 4 GB integer
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with deadline(5):
+            refused = r"^'1e10000000000' is an integer of 10000000001 digits, more than the 4300 digits a report"
+            with pytest.raises(DomainError, match=refused):
+                cli.parse_exact_int("1e10000000000")
+            with pytest.raises(DomainError, match="is an integer of 5003 digits, more than the 5002 digits"):
+                cli.parse_exact_int("1" * 5000 + "e3")
+            assert cli.parse_exact_int("1" * 5000 + "e2") == int("1" * 5000) * 100  # a written-out integer reads whole
+            assert cli.parse_exact_int("9" * 6000) == 10**6000 - 1
+            with pytest.raises(DomainError, match="more than 10\\*\\*18 digits"):
+                cli.parse_exact_int("1e" + "9" * 19)
+            code, out, err = run(capsys, "check", "1e10000000000", "--bases", "10")
+        assert code == 2 and out == "" and len(err.splitlines()) == 1 and len(err) < 200
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 _SIGNS = st.sampled_from(["", "+", "-"])
@@ -333,10 +362,8 @@ def test_checkpoint_of_another_version_exit_code(capsys, tmp_path, doc):
 def test_checkpoint_with_an_early_cursor_resumes(capsys, tmp_path):
     path = tmp_path / "cp.json"
     _, full, _ = run_json(capsys, "search", "10", "2", "1e6", "--checkpoint", str(path))
-    doc = json.loads(path.read_text())
-    doc["found"] = [n for n in doc["found"] if n <= 313]
-    doc.update(cursor=313, hits=len(doc["found"]))
-    path.write_text(json.dumps(doc))
+    found = [n for n in json.loads(path.read_text())["found"] if n <= 313]
+    simulcheck.SearchCheckpoint(10, 2, 10**6, 313, found).save(str(path))  # an early cursor, with its own checksum
     # the first run was driven by base 10; base 2 drives the resume
     code, resumed, _ = run_json(
         capsys, "search", "10", "2", "1e6", "--resume", str(path), "--enumeration-base", "2"
@@ -477,6 +504,126 @@ def test_bad_input_exits_with_documented_code(capsys, argv, code):
     assert out == "" and "Traceback" not in err and len(err.splitlines()) == 1 and len(err) < 200
     if any(re.fullmatch(r"[+-]?\d(?:_?\d)*[eE]\+?\d(?:_?\d)*", arg) for arg in argv):  # shorthand is a number
         assert "not a number" not in err
+
+
+# every integer argument that argparse reads with int's grammar: (argv, its name, its position in argv)
+_SEARCH_SLOTS = {"g": 1, "h": 2, "threads": 5, "enumeration-base": 7}
+_INT_SLOTS = [
+    (argv, name, slot)
+    for argv, slots in [
+        (["search", "10", "2", "1e3", "--threads", "1", "--enumeration-base", "10"], _SEARCH_SLOTS),
+        (["count", "10", "2", "1e3", "--threads", "1", "--enumeration-base", "10"], _SEARCH_SLOTS),
+        (
+            ["family", "74", "10", "2", "--exhaustive-limit", "50", "--precision", "64"],
+            {"a": 1, "g": 2, "h": 3, "exhaustive-limit": 5, "precision": 7},
+        ),
+        (["bound", "1", "10", "2", "5"], {"a": 1, "g": 2, "h": 3, "n": 4}),
+        (["cf", "10", "2", "5", "--precision", "64"], {"g": 1, "h": 2, "count": 3, "precision": 5}),
+    ]
+    for name, slot in slots.items()
+]
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "x" * 5000], ids=["past-digit-limit", "long-non-number"])
+@pytest.mark.parametrize(
+    "argv, slot",
+    [(argv, slot) for argv, _, slot in _INT_SLOTS],
+    ids=[f"{argv[0]}-{name}" for argv, name, _ in _INT_SLOTS],
+)
+def test_refused_int_argument_is_quoted_short(capsys, argv, slot, text):
+    # argparse's own message quoted the whole text: 5.1-5.4 KB of stderr
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv[:slot] + [text] + argv[slot + 1 :])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and len(err) < 1000
+    assert err.splitlines()[-1].endswith(f"invalid int value: '{text[:12]}...{text[-13:]}'")
+
+
+# the slots read by parse_exact_int, as (argv, position); _INT_SLOTS lists the others
+_SHORTHAND_SLOTS = [
+    (["check", "585", "--bases", "10,2"], 1),
+    (["search", "10", "2", "1e3", "--threads", "1"], 3),
+    (["count", "10", "2", "1e3", "--threads", "1"], 3),
+    (["family", "74", "10", "2", "--bound", "1e3"], 5),
+]
+# none is a valid large value: a search bound of 10**60 is a real search
+_HOSTILE = [
+    "1e5000", "1e10000000", "1e" + "9" * 19, "-1E+" + "9" * 25, "1" * 5000, "9" * 4301, "-" + "1" * 4301,
+    "1" * 5000 + "e2", "1e-5", "1e-" + "9" * 25, "2.5", "inf", "-inf", "nan", "NaN", "0x10", "1_000", "1__0",
+    "._5e5", "1_.5e3", "._5e" + "9" * 19, "٣", "１２", "١e٣", "", " ", "\t\n", "-3", "0",
+]
+# float's spelling of a number, infinities and nan aside
+_SHORTHAND = re.compile(r"\s*[+-]?(?:\d(?:_?\d)*(?:\.(?:\d(?:_?\d)*)?)?|\.\d(?:_?\d)*)(?:[eE][+-]?\d(?:_?\d)*)?\s*")
+
+
+@st.composite
+def _far_shorthand(draw):
+    # shorthand whose exponent is negative, so its value is below 10**6, or puts a nonzero value past 4 300 digits
+    # (0.01e4303 has 4 302), so it is refused
+    mantissa = draw(_grouped(10**6)) + draw(st.sampled_from(["", ".", ".5", ".0_1"]))
+    exponent_sign = draw(_SIGNS)
+    exponent = draw(st.integers(0, 10**25) if exponent_sign == "-" else st.integers(4303, 10**25))
+    return f"{draw(_SIGNS)}{mantissa}{draw(st.sampled_from('eE'))}{exponent_sign}{exponent}"
+
+
+@pytest.mark.filterwarnings("ignore:threads=")  # a thread count above the CPUs is capped, with a warning
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(_SHORTHAND_SLOTS) | st.sampled_from([(argv, slot) for argv, _, slot in _INT_SLOTS]),
+    st.sampled_from(_HOSTILE) | _far_shorthand() | st.text("0123456789_.+- ٣x", max_size=3),
+)
+def test_hostile_argument_ends_in_a_documented_exit_code(command, text):
+    # one integer slot at a time takes the text, every other slot a small valid value
+    argv, slot = command
+    argv = argv[:slot] + [text] + argv[slot + 1 :]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(simulcheck, "usable_cpus", lambda: 1), redirect_stdout(out), redirect_stderr(err):
+        with deadline(3):  # each valid run takes milliseconds
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse refused the command line
+                code = exc.code
+                assert code == 2
+    err = err.getvalue()
+    assert code in range(5)
+    if code in (2, 3):
+        assert len(err.encode()) < 1000 and len(err.splitlines()[-1].encode()) < 200
+    if _SHORTHAND.fullmatch(text):
+        assert "not a number" not in err
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "delete", "replace"]),
+            st.integers(0, 10**4),
+            st.integers(0, 255) | st.sampled_from(b'0123456789",:[]{} -.e'),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_mutated_checkpoint_resumes_or_exits_3(tmp_path_factory, edits):
+    # 1-3 bytes inserted, deleted or replaced in a valid v2 checkpoint of search 10 2 1e5 at cursor 5000
+    data = bytearray(simulcheck.SearchCheckpoint(10, 2, 10**5, 5000, simulcheck.search(10, 2, 5000)).to_json(), "utf-8")
+    for edit, at, byte in edits:
+        at %= len(data) + (edit == "insert")
+        if edit == "insert":
+            data[at:at] = bytes([byte])
+        elif edit == "delete":
+            del data[at]
+        else:
+            data[at] = byte
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["search", "10", "2", "1e5", "--threads", "1", "--resume", str(path)])
+    if code == 3:
+        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1 and len(err.getvalue().encode()) < 200
+    else:
+        assert code == 0 and json.loads(out.getvalue())["results"]["palindromes"] == simulcheck.search(10, 2, 10**5)
 
 
 def test_one_error_class_per_exit_code():

@@ -211,7 +211,7 @@ def test_checkpoint_roundtrip(tmp_path):
     loaded = SearchCheckpoint.load(str(path))
     assert loaded == cp
     doc = json.loads(path.read_text())
-    assert list(doc) == ["version", "g", "h", "bound", "cursor", "hits", "found"]
+    assert list(doc) == ["version", "g", "h", "bound", "cursor", "hits", "found", "checksum"]
     assert doc["version"] == "simulpal-checkpoint-v2"
     assert type(doc["cursor"]) is int and doc["cursor"] == 99999 and doc["hits"] == 2
 
@@ -559,6 +559,27 @@ def test_checkpoint_entry_beyond_cursor_is_refused(tmp_path):
     path, _ = _saved_checkpoint(tmp_path, found=[1, 585], hits=2, cursor=9)
     with pytest.raises(CheckpointMismatchError, match="beyond the cursor"):
         search(10, 2, 10**5, checkpoint_path=str(path), resume=True)
+
+
+def test_checkpoint_with_a_cursor_moved_on_is_refused(tmp_path):
+    # one byte, a space made a digit, turned cursor 5000 into 15000: every other field still agreed, and the
+    # resumed run skipped 7447 and 9009
+    path = tmp_path / "cp.json"
+    SearchCheckpoint(10, 2, 10**5, 5000, search(10, 2, 5000)).save(str(path))
+    path.write_text(path.read_text().replace('"cursor": 5000', '"cursor":15000'))
+    with pytest.raises(CheckpointMismatchError, match="does not match its checksum"):
+        search(10, 2, 10**5, checkpoint_path=str(path), resume=True)
+    # a key renamed stands in for no checksum, which only a file of an earlier release may lack
+    path.write_text(path.read_text().replace('"checksum"', '"checksuM"'))
+    with pytest.raises(CheckpointMismatchError, match="does not match its checksum"):
+        search(10, 2, 10**5, checkpoint_path=str(path), resume=True)
+
+
+def test_checkpoint_of_an_earlier_release_resumes_without_a_checksum(tmp_path):
+    path, doc = _saved_checkpoint(tmp_path, cursor=999, hits=10, found=search(10, 2, 999))
+    del doc["checksum"]
+    path.write_text(json.dumps(doc))
+    assert search(10, 2, 10**5, checkpoint_path=str(path), resume=True) == search(10, 2, 10**5)
 
 
 def test_checkpoint_cursor_outside_the_bound_is_refused(tmp_path):
