@@ -67,12 +67,12 @@ def parse_exact_int(text: str) -> int:
     return int(sign + digits[:length]) * 10 ** max(length - len(digits), 0)
 
 
-def _int_argument(text: str) -> int:
-    # int's grammar, with no shorthand; argparse's own message would quote all of a refused text
+def _number_argument(text: str, kind: type = int):
+    # kind's grammar, int's with no shorthand; argparse's own message would quote all of a refused text
     try:
-        return int(text)
+        return kind(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {reprlib.repr(text)}") from None
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {reprlib.repr(text)}") from None
 
 
 def parse_base_list(text: str) -> list[int]:
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     precision = argparse.ArgumentParser(add_help=False)
     precision.add_argument(
         "--precision",
-        type=_int_argument,
+        type=_number_argument,
         default=precise.DEFAULT_PRECISION,
         help=f"working precision in bits, 1 to {precise.MAX_PRECISION} "
         f"(default {precise.DEFAULT_PRECISION})",
@@ -240,45 +240,45 @@ def build_parser() -> argparse.ArgumentParser:
         ("count", "count simultaneous palindromes up to a bound"),
     ):
         p = sub.add_parser(name, parents=[fmt], help=helptext)
-        p.add_argument("g", type=_int_argument)
-        p.add_argument("h", type=_int_argument)
+        p.add_argument("g", type=_number_argument)
+        p.add_argument("h", type=_number_argument)
         p.add_argument("bound", help="inclusive bound; scientific shorthand like 1e14 is exact")
         state = p.add_mutually_exclusive_group()
         state.add_argument("--checkpoint", help="write resumable state to this file")
         state.add_argument("--resume", help="resume from this checkpoint file and keep updating it")
         p.add_argument(
             "--threads",
-            type=_int_argument,
+            type=_number_argument,
             default=simulcheck.usable_cpus(),
             help="worker processes, at least 1 (default: the CPUs this process may use; "
             "1 gives a sequential reference run)",
         )
-        p.add_argument("--enumeration-base", type=_int_argument, default=None)
-        p.add_argument("--checkpoint-interval", type=float, default=300.0)
+        p.add_argument("--enumeration-base", type=_number_argument, default=None)
+        p.add_argument("--checkpoint-interval", type=lambda text: _number_argument(text, float), default=300.0)
         p.add_argument("--progress", action="store_true", help="progress lines on stderr")
         p.set_defaults(func=cmd_search)
 
     p = sub.add_parser(
         "family", parents=[fmt, precision], help="certify all n with a*g**n + rev(a) palindromic in base h"
     )
-    p.add_argument("a", type=_int_argument)
-    p.add_argument("g", type=_int_argument)
-    p.add_argument("h", type=_int_argument)
+    p.add_argument("a", type=_number_argument)
+    p.add_argument("g", type=_number_argument)
+    p.add_argument("h", type=_number_argument)
     p.add_argument("--bound", default=None, help="override the unconditional bound X")
-    p.add_argument("--exhaustive-limit", type=_int_argument, default=2000)
+    p.add_argument("--exhaustive-limit", type=_number_argument, default=2000)
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("bound", parents=[fmt], help="evaluate the explicit bounds term by term")
-    p.add_argument("a", type=_int_argument)
-    p.add_argument("g", type=_int_argument)
-    p.add_argument("h", type=_int_argument)
-    p.add_argument("n", type=_int_argument, nargs="?", default=None)
+    p.add_argument("a", type=_number_argument)
+    p.add_argument("g", type=_number_argument)
+    p.add_argument("h", type=_number_argument)
+    p.add_argument("n", type=_number_argument, nargs="?", default=None)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("cf", parents=[fmt, precision], help="continued fraction of log g / log h")
-    p.add_argument("g", type=_int_argument)
-    p.add_argument("h", type=_int_argument)
-    p.add_argument("count", type=_int_argument)
+    p.add_argument("g", type=_number_argument)
+    p.add_argument("h", type=_number_argument)
+    p.add_argument("count", type=_number_argument)
     p.set_defaults(func=cmd_cf)
     return parser
 

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from operator import attrgetter
 
-from mpmath.libmp import fhalf, from_float, from_rational, fzero, mpf_add, mpf_floor, mpf_lt, mpf_sign
+from mpmath.libmp import fhalf, from_float, from_int, from_rational, fzero, mpf_add, mpf_floor, mpf_lt, mpf_sign
 from mpmath.libmp import mpi_abs, mpi_add, mpi_div, mpi_exp, mpi_gt, mpi_log, mpi_mul, mpi_neg
 from mpmath.libmp import mpi_sub, to_float, to_int, to_rational, to_str
 
@@ -71,10 +71,14 @@ def _floor(a, bits: int):
 _BITS = attrgetter("bits")
 
 
+def _round(q: Fraction, bits: int, rnd: str) -> tuple:
+    # q correctly rounded to bits in direction rnd; an integer needs no division by 1
+    n, d = q.numerator, q.denominator
+    return from_int(n, bits, rnd) if d == 1 else from_rational(n, d, bits, rnd)
+
+
 def _outward(ends: tuple[Fraction, Fraction], bits: int) -> tuple:
-    lo, hi = ends
-    down = from_rational(lo.numerator, lo.denominator, bits, "f")
-    return down, from_rational(hi.numerator, hi.denominator, bits, "c")
+    return _round(ends[0], bits, "f"), _round(ends[1], bits, "c")
 
 
 def _apply(op, operands: tuple["PreciseReal", ...], bits: int):

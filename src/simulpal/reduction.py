@@ -353,7 +353,12 @@ def verify_family(
     Pipeline: an unconditional bound X on n, the three-log term of :func:`shift_exponent_bound`;
     a dependence decision for alpha = a / rev(rev(a, g), h); Baker-Davenport reduction (independent
     case) or the convergent sieve (dependent case) to shrink X to a small top; then direct early-exit
-    testing of every remaining shift.
+    testing of every remaining shift, each first by its top base-h digits.  Lemma: with ell the base-h digit
+    count of rev(a) and b = rev(rev(a), h), a base-h palindrome x = a*g**n + rev(a) with h**n > rev(a), that is
+    n >= ell, begins with the ell digits of b.  Proof: h | g, so h**n | g**n and x = rev(a) mod h**n; as
+    rev(a) < h**n, the lowest ell digits of x are those of rev(a).  Every branch that scans has rev(a) % h != 0,
+    so b, their reversal, has exactly ell digits, and x >= rev(a) has at least ell.  So the palindrome test
+    runs only on a shift whose top ell digits read b, or with n < ell.
     The work that depends only on (g, h, bits), the reduction pairs included,
     is done once per process, and each prefix takes the pairs of q > 4X;
     ``pairs`` replaces them, for example with pairs for a model bound or an
@@ -375,6 +380,7 @@ def verify_family(
         raise DomainError(f"{g} divides {shown(a)}: family values are not base-{g} palindromes")
     rev_a = _reverse(a, g)
     n_a = _digit_count(a, g)
+    b, ell = _reverse(rev_a, h), _digit_count(rev_a, h)
     alpha = witness = reduced_bound = pair_used = dependent_result = None
     # each branch proves that no shift n > certified with n >= floor gives a
     # palindrome (certified None: it proves nothing); the shifts below floor
@@ -385,7 +391,7 @@ def verify_family(
         branch, X, certified, floor = "excluded-parity", 0, 0, 0
     else:
         X = bound if bound is not None else ceil(shift_exponent_bound(a, g, h))
-        alpha = Fraction(a, _reverse(rev_a, h))
+        alpha = Fraction(a, b)
         witness = dependence_witness(alpha, g, h)
         # below this shift the digit-containment regime does not apply (a zero run m needs h**m > g*a)
         regime_floor = n_a + max(_digit_count(g * a, h), 2)
@@ -393,7 +399,8 @@ def verify_family(
         if witness is None:
             base = _base_pair(g, h, bits)
             delta = hp_log(alpha, bits) / base.log_h
-            pairs = tuple(pair for pair in base.certified if pair.q > 4 * X) if pairs is None else tuple(pairs)
+            first = bisect_left(base.certified, 4 * X + 1, key=lambda pair: pair.q)  # their q ascend
+            pairs = base.certified[first:] if pairs is None else tuple(pairs)
             outcome = baker_davenport_reduce(ReductionProblem(delta, _c1(g, h, bits, n_a), base.log_h, X, pairs))
             reduced_bound, pair_used = outcome.new_bound, outcome.pair_used
             certified, floor = reduced_bound, regime_floor
@@ -418,11 +425,17 @@ def verify_family(
         top = undecided_above = max(floor - 1, exhaustive_limit)
 
     ns = []
-    power = g**n_a
+    power, h_ell, P = g**n_a, h**ell, 1  # P = h**(L - ell) for x of L base-h digits, once n >= ell
     for n in range(n_a, top + 1):
-        if is_palindrome_early_exit(a * power + rev_a, h):
-            ns.append(n)
+        x = a * power + rev_a
         power *= g
+        if n >= ell:  # the lemma: a palindrome's top ell digits read b
+            while h != 2 and P * h_ell <= x:
+                P *= h
+            if (x >> (x.bit_length() - ell) if h == 2 else x // P) != b:
+                continue
+        if is_palindrome_early_exit(x, h):
+            ns.append(n)
 
     return FamilyReport(
         a=a, g=g, h=h, alpha=alpha, ns=tuple(ns), status=status, branch=branch, bound=X, reduced_bound=reduced_bound,

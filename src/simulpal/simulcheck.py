@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import reprlib
 import tempfile
 import time
 import warnings
@@ -337,7 +338,8 @@ class SearchCheckpoint:
                     os.unlink(tmp)
                 raise
         except OSError as exc:
-            raise CheckpointMismatchError(f"cannot write checkpoint {path}: {exc}") from exc
+            why = exc.strerror or exc  # the text of an OSError repeats the path
+            raise CheckpointMismatchError(f"cannot write checkpoint {reprlib.repr(path)}: {why}") from exc
 
     @classmethod
     def load(cls, path: str) -> "SearchCheckpoint":
@@ -345,9 +347,10 @@ class SearchCheckpoint:
             with open(path) as fh:
                 text = fh.read()
         except FileNotFoundError as exc:
-            raise CheckpointMismatchError(f"no checkpoint at {path}") from exc
+            raise CheckpointMismatchError(f"no checkpoint at {reprlib.repr(path)}") from exc
         except (OSError, ValueError) as exc:
-            raise CheckpointMismatchError(f"cannot read checkpoint {path}: {exc}") from exc
+            why = getattr(exc, "strerror", None) or exc  # a ValueError has none
+            raise CheckpointMismatchError(f"cannot read checkpoint {reprlib.repr(path)}: {why}") from exc
         return cls.from_json(text)
 
     def require_match(self, g: int, h: int, bound: int) -> None:

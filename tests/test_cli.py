@@ -385,6 +385,15 @@ def test_unwritable_checkpoint_exit_code(capsys, tmp_path, is_dir):
     assert os.listdir(tmp_path) == (["cp"] if is_dir else [])  # no temp file left behind
 
 
+@pytest.mark.parametrize("option", ["--checkpoint", "--resume"])
+def test_long_checkpoint_path_is_quoted_short(capsys, tmp_path, option):
+    # the message quoted the whole path and the OSError text repeated it: 6.1 KB of stderr
+    path = str(tmp_path / ("f" * 3000) / "cp.json")
+    code, out, err = run(capsys, "search", "10", "2", "1e3", "--threads", "1", option, path)
+    assert code == 3 and out == "" and err.startswith("checkpoint error: ")
+    assert len(err.encode()) < 1000 and len(err.splitlines()[-1].encode()) < 200
+
+
 @pytest.mark.parametrize(
     "golden, argv",
     [
@@ -539,7 +548,24 @@ def test_refused_int_argument_is_quoted_short(capsys, argv, slot, text):
     assert err.splitlines()[-1].endswith(f"invalid int value: '{text[:12]}...{text[-13:]}'")
 
 
-# the slots read by parse_exact_int, as (argv, position); _INT_SLOTS lists the others
+# the argument argparse reads with float's grammar, as (argv, position)
+_FLOAT_SLOTS = [
+    ([command, "10", "2", "1e3", "--threads", "1", "--checkpoint-interval", "300"], 7) for command in ("search", "count")
+]
+
+
+@pytest.mark.parametrize("argv, slot", _FLOAT_SLOTS, ids=["search", "count"])
+def test_refused_float_argument_is_quoted_short(capsys, argv, slot):
+    # argparse's own message quoted the whole text: 5.4 KB of stderr
+    text = "x" * 5000
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv[:slot] + [text] + argv[slot + 1 :])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and len(err) < 1000
+    assert err.splitlines()[-1].endswith(f"invalid float value: '{text[:12]}...{text[-13:]}'")
+
+
+# the slots read by parse_exact_int, as (argv, position); _INT_SLOTS and _FLOAT_SLOTS list the others
 _SHORTHAND_SLOTS = [
     (["check", "585", "--bases", "10,2"], 1),
     (["search", "10", "2", "1e3", "--threads", "1"], 3),
@@ -550,7 +576,7 @@ _SHORTHAND_SLOTS = [
 _HOSTILE = [
     "1e5000", "1e10000000", "1e" + "9" * 19, "-1E+" + "9" * 25, "1" * 5000, "9" * 4301, "-" + "1" * 4301,
     "1" * 5000 + "e2", "1e-5", "1e-" + "9" * 25, "2.5", "inf", "-inf", "nan", "NaN", "0x10", "1_000", "1__0",
-    "._5e5", "1_.5e3", "._5e" + "9" * 19, "٣", "１２", "١e٣", "", " ", "\t\n", "-3", "0",
+    "._5e5", "1_.5e3", "._5e" + "9" * 19, "٣", "１２", "١e٣", "", " ", "\t\n", "-3", "0", "12" * 3000 + "x",
 ]
 # float's spelling of a number, infinities and nan aside
 _SHORTHAND = re.compile(r"\s*[+-]?(?:\d(?:_?\d)*(?:\.(?:\d(?:_?\d)*)?)?|\.\d(?:_?\d)*)(?:[eE][+-]?\d(?:_?\d)*)?\s*")
@@ -569,11 +595,11 @@ def _far_shorthand(draw):
 @pytest.mark.filterwarnings("ignore:threads=")  # a thread count above the CPUs is capped, with a warning
 @settings(max_examples=150, deadline=None)
 @given(
-    st.sampled_from(_SHORTHAND_SLOTS) | st.sampled_from([(argv, slot) for argv, _, slot in _INT_SLOTS]),
+    st.sampled_from(_SHORTHAND_SLOTS) | st.sampled_from([(argv, slot) for argv, _, slot in _INT_SLOTS] + _FLOAT_SLOTS),
     st.sampled_from(_HOSTILE) | _far_shorthand() | st.text("0123456789_.+- ٣x", max_size=3),
 )
 def test_hostile_argument_ends_in_a_documented_exit_code(command, text):
-    # one integer slot at a time takes the text, every other slot a small valid value
+    # one number slot at a time takes the text, every other slot a small valid value
     argv, slot = command
     argv = argv[:slot] + [text] + argv[slot + 1 :]
     out, err = io.StringIO(), io.StringIO()

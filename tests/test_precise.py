@@ -419,6 +419,15 @@ def test_binary_rows_are_mpmath_on_outward_rounded_operands(x, y, op, swap):
     assert (result.lower, result.upper, result.bits) == (*_rationals(mpi(_mpi(a, bits), _mpi(b, bits), bits)), bits)
 
 
+@settings(max_examples=300)
+@given(st.integers(-(2**400), 2**400), st.integers(-(2**400), 2**400), st.integers(1, 512) | st.just(MAX_PRECISION))
+def test_integer_ends_round_outward_as_from_rational_rounds_them(m, n, bits):
+    # _outward rounds an integer end with from_int, which skips from_rational's division by 1
+    lo, hi = sorted((m, n))
+    expected = (from_rational(lo, 1, bits, "f"), from_rational(hi, 1, bits, "c"))
+    assert precise._outward((Fraction(lo), Fraction(hi)), bits) == expected
+
+
 @given(_rational, _rational, st.sampled_from(sorted(_BINARY_ROWS)))
 def test_binary_rows_on_exact_operands_are_mpmath_at_their_precision(q, r, op):
     # two exact operands round outward at their MAX_PRECISION bits, and the

@@ -31,7 +31,7 @@ from simulpal.reduction import (
     verify_family,
 )
 
-from conftest import oracle_is_palindrome
+from conftest import oracle_digits, oracle_is_palindrome, oracle_reverse
 from test_acceptance import FAMILY_PAIRS
 
 X_MODEL = 2_650_000_000_000_000  # prior shift bound for bases (10, 2), prefixes < 1e6
@@ -271,15 +271,16 @@ def test_verify_family_rejects_divisible_prefix():
 def test_verify_family_checks_each_argument_once_per_public_call(monkeypatch):
     # verify_family checks a, g and h at entry and then takes the unchecked
     # digit helpers; only the public stages it calls check their own arguments.
-    # Outside the direct scan, whose per-shift palindrome test checks its own,
-    # that makes 9.85 check_int calls a prefix of (10, 2), where three checks
-    # of the bases and the checked digit helpers made 25.4, a second check of
-    # the bases inside the independence test 13.7, and three logarithms of the
-    # prefix in the bound, each checking its precision, 11.04.  Of the 9.85,
-    # 0.57 is ReductionProblem's check that X is an int, once per independent
-    # prefix.
+    # Outside the direct scan that makes 9.85 check_int calls a prefix of
+    # (10, 2), where three checks of the bases and the checked digit helpers
+    # made 25.4, a second check of the bases inside the independence test 13.7,
+    # and three logarithms of the prefix in the bound, each checking its
+    # precision, 11.04.  Of the 9.85, 0.57 is ReductionProblem's check that X
+    # is an int, once per independent prefix.  The scan hands the checked
+    # palindrome test only the shifts whose top base-h digits read
+    # rev(rev(a), h): 3.9 a prefix, where it tested all 35.4.
     counts = {False: 0, True: 0}
-    in_scan = [False]
+    in_scan, scan_calls = [False], [0]
     check_int = radix.check_int
 
     def counted(*args, **kwargs):
@@ -287,6 +288,7 @@ def test_verify_family_checks_each_argument_once_per_public_call(monkeypatch):
         return check_int(*args, **kwargs)
 
     def scan_test(n, h, test=reduction.is_palindrome_early_exit):
+        scan_calls[0] += 1
         in_scan[0] = True
         try:
             return test(n, h)
@@ -303,7 +305,7 @@ def test_verify_family_checks_each_argument_once_per_public_call(monkeypatch):
     for a in prefixes:
         verify_family(a, 10, 2)
     assert counts[False] <= 9.9 * len(prefixes)
-    assert counts[True] > 0
+    assert 0 < counts[True] and scan_calls[0] <= 4.5 * len(prefixes)
 
 
 def test_verify_family_takes_one_logarithm_of_the_prefix(monkeypatch):
@@ -734,3 +736,15 @@ def test_verify_family_dependent_small_bound_scans_directly():
     for a in (1, 11):
         with pytest.raises(ValueError):
             verify_family(a, 10, 2, bound=0)
+
+
+def test_direct_scan_keeps_the_shifts_of_a_string_oracle_scan():
+    # the scan tests a shift's top base-h digits before the palindrome test, and from n = ell on, where
+    # h**n > rev(a), only there; on every shift up to tested_upper it must keep what the oracle keeps,
+    # a = 3 over (10, 2) among them, whose shift 1 (33 = 100001 in base 2) comes before ell = 2
+    for g, h in FAMILY_PAIRS:
+        for a in range(1, 300):
+            if a % g:
+                report, rev_a = verify_family(a, g, h), oracle_reverse(a, g)
+                shifts = range(len(oracle_digits(a, g)), report.tested_upper + 1)
+                assert report.ns == tuple(n for n in shifts if oracle_is_palindrome(a * g**n + rev_a, h)), (g, h, a)
