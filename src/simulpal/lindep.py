@@ -32,11 +32,11 @@ def prime_exponent_vector(x, primes: list[int]) -> list[int]:
     >>> prime_exponent_vector(Fraction(4, 7), [2, 7])
     [2, -1]
     """
-    return _prime_exponents(positive_rational(x, "expected a positive rational, got {!r}", x), primes)
+    return _prime_exponents(positive_rational(x, "expected a positive rational, got {!r}", x), primes)[0]
 
 
-def _prime_exponents(q: Fraction | int, primes: list[int] | tuple[int, ...]) -> list[int]:
-    # prime_exponent_vector without the argument check, for a positive q
+def _prime_exponents(q: Fraction | int, primes: list[int] | tuple[int, ...]) -> tuple[list[int], int]:
+    # prime_exponent_vector without the argument check, for a positive q, and what is left of num * den after it
     vec = []
     num, den = q.numerator, q.denominator
     for p in primes:
@@ -48,7 +48,7 @@ def _prime_exponents(q: Fraction | int, primes: list[int] | tuple[int, ...]) -> 
             den //= p
             e -= 1
         vec.append(e)
-    return vec
+    return vec, num * den
 
 
 def multiplicatively_independent(g: int, h: int) -> bool:
@@ -107,7 +107,7 @@ def _base_columns(g: int, h: int) -> tuple[tuple[int, ...], tuple[int, ...], tup
     # the sorted primes of g*h, the exponent columns of g and h over them, and the first
     # two primes where the columns are independent, which independent bases have
     primes = tuple(sorted(factorint(g * h)))
-    e_g, e_h = tuple(_prime_exponents(g, primes)), tuple(_prime_exponents(h, primes))
+    e_g, e_h = (tuple(_prime_exponents(base, primes)[0]) for base in (g, h))
     pair = next((i, j) for i, j in combinations(range(len(primes)), 2) if e_g[j] * e_h[i] != e_g[i] * e_h[j])
     return primes, e_g, e_h, pair
 
@@ -133,7 +133,9 @@ def dependence_witness(alpha, g: int, h: int) -> DependenceWitness | None:
         return DependenceWitness(1, 0, 0, degenerate=True)
 
     primes, e_g, e_h, (i, j) = _base_columns(g, h)
-    e_a = _prime_exponents(a, primes)
+    e_a, rest = _prime_exponents(a, primes)
+    if rest != 1:  # a prime of alpha outside g*h: no power of alpha is g**s * h**t
+        return None
 
     r = e_g[j] * e_h[i] - e_g[i] * e_h[j]
     s = e_h[i] * e_a[j] - e_h[j] * e_a[i]

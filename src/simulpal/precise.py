@@ -7,8 +7,8 @@ Each operation, comparisons and floor included, is one mpmath interval
 function (``mpi_add``, ``mpi_log``, ...) at the result's precision; rationals
 are only operands, which ``_apply`` rounds outward to it.  So every result is
 computed, from exact operands too, and ``_compose`` gives it a recipe and
-skips the constructor's checks.  ``upper_float`` and ``upper_floor`` round an
-upper end straight from its dyadic form, with no rational built.  Undecided
+skips the constructor's checks.  ``upper_float`` rounds an upper end
+straight from its dyadic form, with no rational built.  Undecided
 comparisons refine the operands instead of guessing, and raise if certainty
 is unreachable.
 """
@@ -270,12 +270,6 @@ def upper_float(x) -> float:
         hi = from_rational(hi.numerator, hi.denominator, 53, "c")
     f = to_float(hi, rnd="c")  # exact unless it over- or underflows, where it may fall below hi
     return math.nextafter(f, math.inf) if mpf_lt(from_float(f), hi) else f
-
-
-def upper_floor(x: PreciseReal) -> int:
-    """The floor of the upper end of ``x``: an integer at least floor(x)."""
-    hi = x._ends[1]
-    return int(to_int(hi, "f")) if x._source else math.floor(hi)
 
 
 def hp_log(x, bits: int = DEFAULT_PRECISION) -> PreciseReal:

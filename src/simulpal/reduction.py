@@ -6,8 +6,9 @@ direct search can finish: certified continued-fraction convergents of
 log g / log h feed either a Baker-Davenport reduction (when the family
 ratio alpha is multiplicatively independent of the bases) or a convergent
 sieve on the two-logarithm inequality (when a dependence witness exists).
-Every inequality along the way is decided in certified interval
-arithmetic with automatic precision escalation.
+The reduction has the integer base h of the Dujella-Petho form, so its
+bound is a digit count.  Every inequality along the way is decided in
+certified interval arithmetic with automatic precision escalation.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .precise import (
     _escalate,
     check_precision,
     hp_log,
-    upper_floor,
 )
 from .radix import DomainError, _digit_count, _reverse, check_int, is_palindrome_early_exit, shown
 
@@ -164,17 +164,20 @@ def _convergent_terms(g: int, h: int, bits: int, p: int, q: int) -> tuple[Precis
 
 @dataclass(frozen=True)
 class ReductionProblem:
-    """Inequality |n1 + n2*epsilon + delta| < c1*exp(-n2*c2) with n2 <= X,
-    where each pair is a convergent of epsilon with q > 2X (kappa > 1)."""
+    """Inequality |n1 + n2*epsilon + delta| < c1 * B**(-n2) with n2 <= X, in the form of Dujella and Petho
+    (Quart. J. Math. Oxford 49, 1998), where c1 > 0, the base B is an integer >= 2 and each pair is a
+    convergent of epsilon with q > 2X (kappa > 1)."""
 
     delta: PreciseReal
     c1: PreciseReal
-    c2: PreciseReal
+    B: int
     X: int
     pairs: tuple[Convergent, ...]
 
     def __post_init__(self):
         check_int(self.X, "the prior bound X must be a positive integer")
+        check_int(self.B, "the base B must be an integer at least 2", 2)
+        _escalate((self.c1,), lambda c: c._signs()[0] > 0 or None, DomainError, "c1 must be certainly positive")
         for pair in self.pairs:
             if pair.q <= 2 * self.X:
                 raise DomainError(f"pair q={shown(pair.q)} needs q > 2X, got X={shown(self.X)}")
@@ -190,8 +193,16 @@ class ReductionOutcome:
 def baker_davenport_reduce(problem: ReductionProblem) -> ReductionOutcome:
     """Scan the prepared pairs in order; with kappa = q/(2X), the first whose
     certified test ||q * delta|| > 1/kappa = 2X/q succeeds reduces the bound on
-    n2 to floor(log(2 kappa q c1) / c2) = floor(log(q**2 c1 / X) / c2).  If no
-    pair qualifies the caller falls back to the unreduced bound."""
+    n2 to floor(log_B(2 kappa q c1)) = floor(log_B(q**2 c1 / X)): as X * B**t is an integer, the largest t
+    with X * B**t <= F = floor(q**2 c1), or -1 (no n2 >= 0 left) if F < X.  If no pair qualifies the
+    caller falls back to the unreduced bound.  With epsilon = log 3 / log 2, delta = 1/3, c1 = 1 and X = 1000:
+
+    >>> pairs = tuple(precompute_reduction_pairs(PreciseReal.log_ratio(3, 2), 1000, 12))
+    >>> delta, c1 = PreciseReal.exact(Fraction(1, 3)), PreciseReal.exact(1)
+    >>> outcome = baker_davenport_reduce(ReductionProblem(delta, c1, 2, 1000, pairs))
+    >>> outcome.pair_used.q, outcome.new_bound  # log_2(15601**2 / 1000) = 17.89
+    (15601, 17)
+    """
     for pair in problem.pairs:
         dist = (problem.delta * pair.q).dist_to_nearest_int()
         try:
@@ -201,8 +212,8 @@ def baker_davenport_reduce(problem: ReductionProblem) -> ReductionOutcome:
             # only weakens the reduction, never its soundness
             continue
         if usable:
-            value = (Fraction(pair.q * pair.q, problem.X) * problem.c1).log() / problem.c2
-            return ReductionOutcome("reduced", upper_floor(value), pair)
+            ratio = (problem.c1 * (pair.q * pair.q)).floor() // problem.X
+            return ReductionOutcome("reduced", _digit_count(ratio, problem.B) - 1 if ratio else -1, pair)
     return ReductionOutcome("no-usable-pair")
 
 
@@ -401,7 +412,7 @@ def verify_family(
             delta = hp_log(alpha, bits) / base.log_h
             first = bisect_left(base.certified, 4 * X + 1, key=lambda pair: pair.q)  # their q ascend
             pairs = base.certified[first:] if pairs is None else tuple(pairs)
-            outcome = baker_davenport_reduce(ReductionProblem(delta, _c1(g, h, bits, n_a), base.log_h, X, pairs))
+            outcome = baker_davenport_reduce(ReductionProblem(delta, _c1(g, h, bits, n_a), h, X, pairs))
             reduced_bound, pair_used = outcome.new_bound, outcome.pair_used
             certified, floor = reduced_bound, regime_floor
         elif X < max(30, regime_floor):

@@ -111,7 +111,7 @@ def test_criterion_6_reduction_power(model_pairs):
         if dependence_witness(alpha, 10, 2) is not None:
             continue
         delta = hp_log(alpha, 192) / log2
-        problem = ReductionProblem(delta, c1, log2, X_MODEL, tuple(model_pairs))
+        problem = ReductionProblem(delta, c1, 2, X_MODEL, tuple(model_pairs))
         outcome = baker_davenport_reduce(problem)
         assert outcome.status == "reduced", f"no usable pair for a={a}"
         assert outcome.new_bound <= 81, f"a={a} reduced only to {outcome.new_bound}"

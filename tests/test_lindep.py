@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from sympy import factorint
+from hypothesis import given, settings, strategies as st
+from sympy import Matrix, factorint
 
 from simulpal import lindep
 from simulpal.lindep import (
@@ -163,3 +165,49 @@ def test_random_family_ratios_bases_10_2():
             seen_dependent += 1
             assert w.holds_for(alpha, 10, 2)
     assert seen_dependent > 0
+
+
+def _witness_by_factoring(alpha, g, h):
+    # the witness (r, s, t) from sympy's factors: None if alpha has a prime
+    # outside g*h, else the unique rational (x, y) with e_alpha = x e_g + y e_h
+    # over the primes of g*h, or None if there is none, scaled by the least r
+    # that makes both integers
+    primes = sorted(factorint(g * h))
+    f_num, f_den = factorint(alpha.numerator), factorint(alpha.denominator)
+    if not set(f_num) | set(f_den) <= set(primes):
+        return None
+    columns = Matrix([[factorint(g).get(p, 0), factorint(h).get(p, 0)] for p in primes])
+    e_a = Matrix([f_num.get(p, 0) - f_den.get(p, 0) for p in primes])
+    try:
+        solution, free = columns.gauss_jordan_solve(e_a)
+    except ValueError:
+        return None
+    x, y = (Fraction(int(c.p), int(c.q)) for c in solution)
+    r = lcm(x.denominator, y.denominator)
+    return r, int(r * x), int(r * y)
+
+
+_WITNESS_BASES = [(10, 2), (12, 18), (6, 10), (72, 108)]
+
+
+@st.composite
+def _ratio_over_bases(draw):
+    # a product of the primes of g*h to signed exponents, sometimes times a
+    # prime of neither base to a nonzero one
+    g, h = draw(st.sampled_from(_WITNESS_BASES))
+    alpha = Fraction(1)
+    for p in sorted(factorint(g * h)):
+        alpha *= Fraction(p) ** draw(st.integers(-12, 12))
+    if draw(st.booleans()):
+        foreign = draw(st.sampled_from([7, 11, 13, 101]))
+        alpha *= Fraction(foreign) ** draw(st.sampled_from([-2, -1, 1, 3]))
+    return alpha, g, h
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ratio_over_bases())
+def test_dependence_witness_matches_factor_oracle(case):
+    alpha, g, h = case
+    w = dependence_witness(alpha, g, h)
+    assert (None if w is None else (w.r, w.s, w.t)) == _witness_by_factoring(alpha, g, h)
+    assert w is None or (w.holds_for(alpha, g, h) and w.degenerate == (alpha == 1))

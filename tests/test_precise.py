@@ -19,7 +19,6 @@ from simulpal.precise import (
     hp_exp,
     hp_log,
     upper_float,
-    upper_floor,
 )
 from simulpal.radix import DomainError
 
@@ -455,10 +454,9 @@ def test_unary_rows_are_mpmath_on_outward_rounded_operands(x, q, op):
 
 
 @given(st.one_of(_computed, _rational.map(PreciseReal.exact)))
-def test_upper_float_and_floor_round_the_upper_end(x):
+def test_upper_float_rounds_the_upper_end(x):
     up = upper_float(x)
     assert Fraction(up) >= x.upper and Fraction(math.nextafter(up, -math.inf)) < x.upper
-    assert upper_floor(x) == math.floor(x.upper)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ from math import ceil
 import mpmath
 import pytest
 
-from simulpal import bounds, radix, reduction
+from simulpal import bounds, precise, radix, reduction
 from simulpal.bounds import (
     LaurentInstance,
     MatveevInstance,
@@ -105,8 +105,29 @@ def test_reduction_problem_validation():
     q = pairs[0].q
     for X in ((q + 1) // 2, q):
         with pytest.raises(DomainError, match=f"pair q={q} needs q > 2X, got X={X}"):
-            ReductionProblem(eps, hp_log(2), hp_log(2), X, (pairs[0],))
-    assert ReductionProblem(eps, hp_log(2), hp_log(2), (q - 1) // 2, (pairs[0],)).pairs == (pairs[0],)
+            ReductionProblem(eps, hp_log(2), 2, X, (pairs[0],))
+    assert ReductionProblem(eps, hp_log(2), 2, (q - 1) // 2, (pairs[0],)).pairs == (pairs[0],)
+
+
+@pytest.mark.parametrize(
+    "c1, B, message",
+    [
+        # as c2 = log B, B = 1/e reduced to new_bound=-13, B = 1 raised a bare ZeroDivisionError, and c1 = -1 a
+        # logarithm DomainError only once a pair had passed
+        (PreciseReal.exact(1), -1, "the base B must be an integer at least 2, got -1"),
+        (PreciseReal.exact(1), 0, "the base B must be an integer at least 2, got 0"),
+        (PreciseReal.exact(1), 1, "the base B must be an integer at least 2, got 1"),
+        (PreciseReal.exact(1), 2.0, "the base B must be an integer at least 2, got 2.0"),
+        (PreciseReal.exact(-1), 2, "c1 must be certainly positive"),
+        (PreciseReal.exact(0), 2, "c1 must be certainly positive"),
+        (PreciseReal(-1, 1, 192), 2, "c1 must be certainly positive"),
+    ],
+)
+def test_reduction_problem_refuses_a_base_below_two_and_a_c1_not_certainly_positive(c1, B, message):
+    eps = PreciseReal.log_ratio(3, 2, 192)
+    pairs = tuple(precompute_reduction_pairs(eps, 1000, 12))
+    with pytest.raises(DomainError, match=message):
+        ReductionProblem(PreciseReal.exact(Fraction(1, 3)), c1, B, 1000, pairs)
 
 
 def _model_problem(a, pairs, bits=192):
@@ -114,7 +135,7 @@ def _model_problem(a, pairs, bits=192):
     rr = reverse_in_base(reverse_in_base(a, 10), 2)
     delta = hp_log(Fraction(a, rr), bits) / log2
     c1 = Fraction(11 * 2**6, 9) / log2
-    return ReductionProblem(delta, c1, log2, X_MODEL, tuple(pairs))
+    return ReductionProblem(delta, c1, 2, X_MODEL, tuple(pairs))
 
 
 def test_baker_davenport_model_sample():
@@ -144,7 +165,7 @@ def test_baker_davenport_soundness_above_new_bound():
     q = outcome.pair_used.q
     kappa = Fraction(q, 2 * X_MODEL)
     for n2 in (outcome.new_bound + 1, X_MODEL):
-        lhs = (problem.c1 * q).log() - n2 * problem.c2
+        lhs = (problem.c1 * q).log() - n2 * hp_log(problem.B)
         rhs = hp_log(Fraction(1, 2 * kappa))
         assert lhs.is_less(rhs)
 
@@ -152,29 +173,32 @@ def test_baker_davenport_soundness_above_new_bound():
 def test_baker_davenport_zero_shift_has_no_pair():
     eps = PreciseReal.log_ratio(10, 2, 192)
     pairs = precompute_reduction_pairs(eps, X_MODEL, 50)
-    problem = ReductionProblem(PreciseReal.exact(0), Fraction(11 * 64, 9) / hp_log(2), hp_log(2), X_MODEL, tuple(pairs))
+    problem = ReductionProblem(PreciseReal.exact(0), Fraction(11 * 64, 9) / hp_log(2), 2, X_MODEL, tuple(pairs))
     assert baker_davenport_reduce(problem) == ReductionOutcome("no-usable-pair")
 
 
 def test_baker_davenport_synthetic_hand_checked():
-    # epsilon = log 3 / log 2, delta = 1/3, c1 = 1, c2 = 1, X = 1000:
-    # the first usable convergent is q = 15601, so the bound drops to
-    # floor(log(2 kappa q)) = 12
+    # epsilon = log 3 / log 2, delta = 1/3, c1 = 1, X = 1000: the first usable
+    # convergent is q = 15601, so the bound drops to floor(log_B(q**2 / X)):
+    # log_2 = 17.89 and log_3 = 11.29
     eps = PreciseReal.log_ratio(3, 2, 192)
     X = 1000
     pairs = precompute_reduction_pairs(eps, X, 12)
     assert pairs[0].q == 15601
-    one = PreciseReal.exact(1)
-    problem = ReductionProblem(PreciseReal.exact(Fraction(1, 3)), one, one, X, tuple(pairs))
-    outcome = baker_davenport_reduce(problem)
-    assert outcome.status == "reduced"
-    assert outcome.pair_used.q == 15601
-    assert outcome.new_bound == 12
-    # inequality chain: c1 q exp(-n2 c2) > 1/(2 kappa) holds up to the bound
-    # and fails beyond it
-    kappa = Fraction(outcome.pair_used.q, 2 * X)
-    assert 15601 * mpmath.exp(-12) > float(1 / (2 * kappa))
-    assert 15601 * mpmath.exp(-13) < float(1 / (2 * kappa))
+    for B, bound in ((2, 17), (3, 11)):
+        problem = ReductionProblem(PreciseReal.exact(Fraction(1, 3)), PreciseReal.exact(1), B, X, tuple(pairs))
+        outcome = baker_davenport_reduce(problem)
+        assert outcome.status == "reduced"
+        assert outcome.pair_used.q == 15601
+        assert outcome.new_bound == bound
+        # the largest t with X B**t <= c1 q**2, in integers: 1000 * 2**17 = 131 072 000
+        # and 1000 * 3**11 = 177 147 000 are at most 15601**2 = 243 391 201, and
+        # 262 144 000 and 531 441 000 exceed it
+        assert X * B**bound <= 15601**2 < X * B ** (bound + 1)
+    # c1 = 10**-9 makes floor(q**2 c1) = 0 < X: no n2 >= 0 is left
+    tiny = PreciseReal.exact(Fraction(1, 10**9))
+    problem = ReductionProblem(PreciseReal.exact(Fraction(1, 3)), tiny, 2, X, tuple(pairs))
+    assert baker_davenport_reduce(problem) == ReductionOutcome("reduced", -1, pairs[0])
 
 
 def test_baker_davenport_skips_a_pair_whose_test_ties():
@@ -186,11 +210,12 @@ def test_baker_davenport_skips_a_pair_whose_test_ties():
     delta = PreciseReal.exact(Fraction(2 * X, first.q**2))
     with pytest.raises(UndecidedComparisonError):
         (delta * first.q).dist_to_nearest_int().is_greater(Fraction(2 * X, first.q))
-    assert baker_davenport_reduce(ReductionProblem(delta, one, one, X, (first,))) == ReductionOutcome("no-usable-pair")
-    outcome = baker_davenport_reduce(ReductionProblem(delta, one, one, X, (first, second)))
-    # floor(log(q**2 c1 / X) / c2) with c1 = c2 = 1
-    assert (outcome.status, outcome.pair_used, outcome.new_bound) == ("reduced", second, 13)
-    assert mpmath.floor(mpmath.log(mpmath.mpf(second.q) ** 2 / X)) == 13
+    assert baker_davenport_reduce(ReductionProblem(delta, one, 2, X, (first,))) == ReductionOutcome("no-usable-pair")
+    outcome = baker_davenport_reduce(ReductionProblem(delta, one, 2, X, (first, second)))
+    # floor(log_2(q**2 c1 / X)) with c1 = 1 and q = 31867: log_2 = 19.95, and
+    # 1000 * 2**19 = 524 288 000 <= 31867**2 = 1 015 505 689 < 1 048 576 000
+    assert (outcome.status, outcome.pair_used, outcome.new_bound) == ("reduced", second, 19)
+    assert second.q == 31867 and X * 2**19 <= second.q**2 < X * 2**20
 
 
 def test_dependent_case_raises_a_low_floor_until_the_convergent_law_holds():
@@ -271,12 +296,12 @@ def test_verify_family_rejects_divisible_prefix():
 def test_verify_family_checks_each_argument_once_per_public_call(monkeypatch):
     # verify_family checks a, g and h at entry and then takes the unchecked
     # digit helpers; only the public stages it calls check their own arguments.
-    # Outside the direct scan that makes 9.85 check_int calls a prefix of
+    # Outside the direct scan that makes 10.43 check_int calls a prefix of
     # (10, 2), where three checks of the bases and the checked digit helpers
     # made 25.4, a second check of the bases inside the independence test 13.7,
     # and three logarithms of the prefix in the bound, each checking its
-    # precision, 11.04.  Of the 9.85, 0.57 is ReductionProblem's check that X
-    # is an int, once per independent prefix.  The scan hands the checked
+    # precision, 11.04.  Of the 10.43, 1.15 is ReductionProblem's checks that X
+    # is an int and its base B an int >= 2, once each per independent prefix.  The scan hands the checked
     # palindrome test only the shifts whose top base-h digits read
     # rev(rev(a), h): 3.9 a prefix, where it tested all 35.4.
     counts = {False: 0, True: 0}
@@ -304,7 +329,7 @@ def test_verify_family_checks_each_argument_once_per_public_call(monkeypatch):
     monkeypatch.setattr(reduction, "is_palindrome_early_exit", scan_test)
     for a in prefixes:
         verify_family(a, 10, 2)
-    assert counts[False] <= 9.9 * len(prefixes)
+    assert counts[False] <= 10.5 * len(prefixes)
     assert 0 < counts[True] and scan_calls[0] <= 4.5 * len(prefixes)
 
 
@@ -338,6 +363,51 @@ def test_verify_family_takes_one_logarithm_of_the_prefix(monkeypatch):
         else:
             assert in_bound == (branch == "dependent")
     assert branches == {"independent", "dependent", "excluded-parity"}
+
+
+def test_verify_family_makes_three_interval_logarithms_an_independent_prefix(monkeypatch):
+    # on a warm pass the bound takes log a and log(log g * log(a g h)), and an
+    # independent prefix adds log alpha for delta, 3 calls of mpmath's interval
+    # log where the reduced bound, the floor of log(q**2 c1 / X) / log h, made
+    # a fourth: it is now an integer digit count; the dependent sieve takes
+    # log c, and an excluded-parity prefix takes none
+    calls = [0]
+
+    def counted(*args, _log=precise.mpi_log):
+        calls[0] += 1
+        return _log(*args)
+
+    prefixes = [a for a in range(1, 600) if a % 10]
+    for a in prefixes:  # fills the per-process caches first
+        verify_family(a, 10, 2)
+    monkeypatch.setattr(precise, "mpi_log", counted)
+    expected = {"independent": 3, "dependent": 3, "excluded-parity": 0}
+    branches = set()
+    for a in prefixes:
+        calls[0] = 0
+        branch = verify_family(a, 10, 2).branch
+        branches.add(branch)
+        assert calls[0] == expected[branch], (a, branch)
+    assert branches == set(expected)
+
+
+def test_reduced_bound_brackets_the_baker_davenport_value():
+    # an independent check of each independent report's reduced bound t, in
+    # plain mpmath at 256 bits: X h**t <= 11 q**2 h**n_a / (9 log h) < X h**(t+1),
+    # with q the pair used and n_a the base-g digit count of the prefix
+    cases = [(10, 2, 600)] + [(g, h, 100) for g, h in FAMILY_PAIRS]
+    checked = {}
+    with mpmath.workprec(256):
+        for g, h, below in cases:
+            for a in range(1, below):
+                report = verify_family(a, g, h) if a % g else None
+                if report is None or report.branch != "independent":
+                    continue
+                t, q, X = report.reduced_bound, report.pair_used.q, report.bound
+                value = 11 * mpmath.mpf(q) ** 2 * mpmath.mpf(h) ** digit_count(a, g) / (9 * mpmath.log(h))
+                assert X * h**t <= value < X * h ** (t + 1), (a, g, h)
+                checked[g, h] = checked.get((g, h), 0) + 1
+    assert len(checked) == len(FAMILY_PAIRS) and checked[10, 2] > 250
 
 
 def test_verify_family_closed_loop():
@@ -403,7 +473,7 @@ _EPSILON = PreciseReal.log_ratio(10, 2)
         (lambda: verify_family(True, 10, 2), "prefix a must be a positive integer, got True"),
         (lambda: precompute_reduction_pairs(_EPSILON, 1.5), "prior bound X must be a positive integer"),
         # X must be an int: kappa = q/(2X) is built from it as an exact rational
-        (lambda: ReductionProblem(_EPSILON, _EPSILON, _EPSILON, 1000.0, ()), "prior bound X must be a positive"),
+        (lambda: ReductionProblem(_EPSILON, _EPSILON, 2, 1000.0, ()), "prior bound X must be a positive"),
         # 2.5 quotients came back as 3
         (lambda: continued_fraction(_EPSILON, 2.5), "integer count of at least one quotient"),
         (lambda: dependent_case_check(DependenceWitness(1, 1, -1), 5, 10, 2, X=100.5), "integer at least the testing floor"),
