@@ -122,6 +122,11 @@ def _mirror_test(n: int, h: int, k: int, p: int) -> bool:
     return True
 
 
+def _binary_palindromes(runs) -> list[int]:
+    # the numbers of ``runs`` (iterables of integers >= 1) that _mirror_test(n, 2, 0, 1) keeps, in one pass
+    return [n for run in runs for n in run if (s := bin(n))[2:] == s[:1:-1]]
+
+
 def is_palindrome(n: int, g: int) -> bool:
     """True iff ``n >= 1`` equals its digit-reversed companion in base ``g``.
 

@@ -26,7 +26,8 @@ from math import gcd, lcm, log
 from typing import Callable
 
 from .lindep import multiplicatively_independent
-from .radix import DomainError, _mirror_test, _reverse, check_base, check_int, is_palindrome_early_exit, length_ranges
+from .radix import DomainError, _binary_palindromes, _mirror_test, _reverse, check_base, check_int, length_ranges
+from .radix import is_palindrome_early_exit
 
 CHECKPOINT_VERSION = "simulpal-checkpoint-v2"
 
@@ -134,20 +135,26 @@ def _scan_chunk(driver: int, tested: int, d: int, n_lo: int, n_hi: int) -> list[
 
     A listed number is tested in the tested base first.  Its top and low j
     base-h digits already match, so for h > 2 the test reads only the
-    w = L - 2j middle digits as one block, and none if w <= 0; base 2 reads
-    the whole binary string, one string comparison.  A base-2 leaf with
-    e >= 1 that would list 4 or more numbers, where MF has exactly j factors
-    2, is cut at mid = (2*top + 1) << (e - 1): bit j mirrors the next top
-    bit, 0 below mid and 1 from it on, so each half steps by 2*MF and the
-    leaf tests half as many numbers.
+    w = L - 2j middle digits as one block, and none if w <= 0.  Base 2 reads
+    the whole binary string, and a base-2 leaf tests nothing itself: it adds
+    its one or two ranges to its level's list, and at the level's end one pass
+    (``_binary_palindromes``) keeps the binary palindromes, the only numbers
+    tested in the driving base (138 of the 6 675 listed to 1e12 for (10, 2)).
+    A base-2 leaf with e >= 1 that would list 4 or more numbers, where MF has
+    exactly j factors 2, is cut at mid = (2*top + 1) << (e - 1): bit j mirrors
+    the next top bit, 0 below mid and 1 from it on, so each half steps by 2*MF
+    and the leaf lists half as many numbers.  A loop cutting on 2 to 4 mirrored
+    bits instead ran 10-25 % slower for (10, 2) to 1e12.
 
     A node lists its numbers once they are at most 4 times as many as its
     g/s children, or 8 times as many if 2 is one of the bases: a child
     costs a few tests.  Measured, best of 5 with each factor: (10, 2) and
-    (2, 3) ran within 8 % from 4 to 16 and up to 40 % slower with 1; (3, 5)
-    to 1e16 took 764, 708-724, 625-636, 578, 590 and 615 ms with 1, 2, 3,
-    4, 8 and 16, while (20, 22) to 1e16 and (11, 13) to 1e12 and 1e14 ran
-    within 5 % from 2 to 4.  A process builds its tables once.
+    (2, 3) ran within 8 % from 4 to 16 and up to 40 % slower with 1 (since
+    the one base-2 pass, (10, 2) to 1e12 took 9.2, 7.3, 7.7 and 8.4 ms with
+    2, 8, 16 and 32); (3, 5) to 1e16 took 764, 708-724, 625-636, 578, 590
+    and 615 ms with 1, 2, 3, 4, 8 and 16, while (20, 22) to 1e16 and
+    (11, 13) to 1e12 and 1e14 ran within 5 % from 2 to 4.  A process builds
+    its tables once.
     """
     g, h = driver, tested
     gp, hp, crt = _tables(g, h, d)
@@ -165,6 +172,7 @@ def _scan_chunk(driver: int, tested: int, d: int, n_lo: int, n_hi: int) -> list[
         # visits only the digits c ≡ c0 (mod step) of each
         nodes = [(0, 0, 1, 0)]
         k = 0
+        leaves: list[range] = []  # a base-2 level's runs, tested in one pass at its end
         while nodes:
             k += 1
             span, width, gk1, gk, crt_k = gp[d - k], gp[d - k + 1], gp[k - 1], gp[k], crt_L[k]
@@ -186,25 +194,26 @@ def _scan_chunk(driver: int, tested: int, d: int, n_lo: int, n_hi: int) -> list[
                     b = a + span
                     if cut:
                         a, b = max(a, lo), min(b, hi)
-                    # [a, b): the child's numbers; they share their top j = L - e base-h digits
+                    # [a, b): the child's numbers; they share their top j = L - e base-h digits,
+                    # which, mirrored, are N mod h**j
                     if two:
                         e = (a ^ (b - 1)).bit_length()
                         if e < e0:
                             e = e0
                         top = a >> e
+                        r = int(bin(top)[:1:-1], 2)
                     else:
                         e = e0
                         while (top := a // hp[e]) != (b - 1) // hp[e]:
                             e += 1
+                        r = _reverse(top, h)
                     j = L - e
                     entry = crt_k[j]
                     if entry is None:
                         entry = crt_k[j] = _crt_entry(gk, hp[j], g, f)
-                    q, m, inv, M, s, inv_s, qf, fm, inv_f, MF = entry
-                    # the top digits, mirrored, are N mod h**j
-                    r = _reverse(top, h)
-                    if (r - low1) % q:
+                    if (r - low1) % entry[0]:
                         continue
+                    q, m, inv, M, s, inv_s, qf, fm, inv_f, MF = entry
                     u = (r - low1) // q
                     R = low1 + gk * (u * inv % m)  # N mod M
                     if R % qf:
@@ -223,18 +232,18 @@ def _scan_chunk(driver: int, tested: int, d: int, n_lo: int, n_hi: int) -> list[
                             if _mirror_test(n, g, d - 1, top_g):
                                 found.append(n)
                         continue
-                    runs = (range(a + (R - a) % MF, b, MF),)
                     if e and MF >> j & 1 and b - a >= 4 * MF:
                         # bit j mirrors the next top bit, 0 below mid and 1 from it on: each
                         # half lists every 2 * MF from the residue whose bit j is that bit
                         mid = min(max((2 * top + 1) << (e - 1), a), b)
                         R0, R1 = (R + MF, R) if R >> j & 1 else (R, R + MF)
                         MF2 = 2 * MF
-                        runs = (range(a + (R0 - a) % MF2, mid, MF2), range(mid + (R1 - mid) % MF2, b, MF2))
-                    for run in runs:
-                        for n in run:
-                            if _mirror_test(n, 2, 0, 1) and _mirror_test(n, g, d - 1, top_g):
-                                found.append(n)
+                        leaves += range(a + (R0 - a) % MF2, mid, MF2), range(mid + (R1 - mid) % MF2, b, MF2)
+                    else:
+                        leaves.append(range(a + (R - a) % MF, b, MF))
+            if leaves:
+                found += [n for n in _binary_palindromes(leaves) if _mirror_test(n, g, d - 1, top_g)]
+                leaves.clear()
             nodes = children
         found.sort()
         hits += found

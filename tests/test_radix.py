@@ -7,6 +7,7 @@ from simulpal.bounds import shift_exponent_bound, tail_fit_threshold
 from simulpal.palgen import count_palindromes_upto, family_instance, iter_palindromes
 from simulpal.radix import (
     DomainError,
+    _binary_palindromes,
     _mirror_test,
     check_int,
     digit_count,
@@ -17,7 +18,7 @@ from simulpal.radix import (
 )
 from simulpal.reduction import verify_family
 
-from conftest import oracle_digits, oracle_reverse
+from conftest import oracle_digits, oracle_is_palindrome, oracle_reverse
 
 
 def test_base_range_is_checked():
@@ -153,6 +154,25 @@ def test_mirror_test_reads_a_zero_padded_block(h, w, data):
     padded = oracle_digits(block, h)
     padded += [0] * (w - len(padded))
     assert _mirror_test(block, h, w - 1, h ** (w - 1)) == (padded == padded[::-1])
+
+
+_starts = st.one_of(
+    st.integers(1, 2**80),
+    # 2**k - 1 and 2**k + 1 are binary palindromes on either side of a change of bit length
+    st.builds(lambda k, offset: max(2**k + offset, 1), st.integers(0, 80), st.integers(-3, 3)),
+)
+
+
+_runs = st.builds(lambda a, width, step: range(a, a + width, step), _starts, st.integers(0, 70), st.integers(1, 6))
+
+
+@given(st.lists(_runs, max_size=4))
+def test_binary_palindromes_match_the_oracle_and_the_single_test(runs):
+    # the search's one pass over a level's base-2 runs keeps exactly what the
+    # string oracle and _mirror_test(n, 2, 0, 1) keep, in order
+    listed = [n for run in runs for n in run]
+    expected = [n for n in listed if oracle_is_palindrome(n, 2)]
+    assert _binary_palindromes(runs) == expected == [n for n in listed if _mirror_test(n, 2, 0, 1)]
 
 
 @given(g=st.integers(2, 40), lo=st.integers(1, 10**5), width=st.integers(-3, 10**5))

@@ -5,6 +5,7 @@ import tempfile
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 from math import gcd, inf
 
 import pytest
@@ -24,7 +25,7 @@ from simulpal.simulcheck import (
     search,
 )
 
-from conftest import V1_CHECKPOINT, oracle_is_palindrome, oracle_reverse, oracle_simultaneous
+from conftest import V1_CHECKPOINT, oracle_digits, oracle_is_palindrome, oracle_reverse, oracle_simultaneous
 
 
 def test_early_exit_examples():
@@ -759,16 +760,34 @@ def test_search_matches_oracle_on_coprime_and_prime_sharing_pairs(g, h, shared, 
     assert found == oracle_simultaneous(bound, g, h)
 
 
+def _counting_children(monkeypatch):
+    # a child's mirrored top bits are the walk's only bin call, so against base 2
+    # the calls of bin from simulcheck count its children
+    calls = Counter()
+
+    def counting(n):
+        calls["children"] += 1
+        return bin(n)
+
+    monkeypatch.setattr(simulcheck, "bin", counting, raising=False)
+    return calls
+
+
+def _recording_leaves(monkeypatch):
+    # the runs each base-2 level hands to its one pass, in order
+    runs = []
+    real = simulcheck._binary_palindromes
+
+    def recording(level):
+        runs.extend(level)
+        return real(level)
+
+    monkeypatch.setattr(simulcheck, "_binary_palindromes", recording)
+    return runs
+
+
 def test_walk_skips_the_digits_its_residue_rules_out(monkeypatch):
-    calls = 0
-    real = simulcheck._reverse
-
-    def counting(a, g):
-        nonlocal calls
-        calls += 1
-        return real(a, g)
-
-    monkeypatch.setattr(simulcheck, "_reverse", counting)
+    calls = _counting_children(monkeypatch)
     for g, h, hits, most in [
         # a node in one base-2 length fixes its children's last bit, so the walk
         # steps over half of them; visiting every child took 17 291 reversals,
@@ -778,39 +797,34 @@ def test_walk_skips_the_digits_its_residue_rules_out(monkeypatch):
         # walk took 89 973 reversals driven by 2 and 73 899 driven by 3
         (2, 3, 5, 35_000),
     ]:
-        calls = 0
+        calls.clear()
         assert len(search(g, h, 10**12, threads=1)) == hits
-        assert calls <= most
+        assert 0 < calls["children"] <= most
 
 
 def test_walk_counts_of_search_10_2_and_2_3(monkeypatch):
-    # children are _reverse calls; a listed number takes one _mirror_test call
-    # in the tested base 2 and, if it passes, one in the driving base
-    children = 0
-    tests = Counter()
-    real_reverse, real_test = simulcheck._reverse, simulcheck._mirror_test
-
-    def reverse(a, g):
-        nonlocal children
-        children += 1
-        return real_reverse(a, g)
+    # a child makes one bin call; each level's listed numbers go to one base-2
+    # pass, and each of its survivors takes one _mirror_test call in the driving base
+    calls = _counting_children(monkeypatch)
+    runs = _recording_leaves(monkeypatch)
+    real_test = simulcheck._mirror_test
 
     def mirror_test(n, h, k, p):
-        tests[h] += 1
+        calls[h] += 1
         return real_test(n, h, k, p)
 
-    monkeypatch.setattr(simulcheck, "_reverse", reverse)
     monkeypatch.setattr(simulcheck, "_mirror_test", mirror_test)
     # base-2 leaves list each half of their middle bit's split; unsplit they
     # listed 11 489 and 614 570 numbers
     for g, h, bound, hits, walk in [
-        (10, 2, 10**12, 38, (3_642, {2: 6_675, 10: 138})),
-        (2, 3, 10**16, 5, (170_382, {2: 343_723, 3: 779})),
+        (10, 2, 10**12, 38, (3_642, 6_675, {10: 138})),
+        (2, 3, 10**16, 5, (170_382, 343_723, {3: 779})),
     ]:
-        children = 0
-        tests.clear()
+        calls.clear()
+        runs.clear()
         assert len(search(g, h, bound)) == hits
-        assert (children, dict(tests)) == walk
+        children = calls.pop("children")
+        assert (children, sum(map(len, runs)), dict(calls)) == walk
 
 
 def test_even_length_palindromes_are_multiples_of_base_plus_one():
@@ -831,15 +845,44 @@ def test_walk_tests_only_odd_numbers_of_its_chunk(monkeypatch, driver, d):
     # the walk lifts each node's residue into the node's interval, so it tests
     # only numbers of its chunk; against base 2 the residue fixes the last
     # bit to the top one, and a node whose residues disagree lists nothing
-    seen = []
-    real = simulcheck._mirror_test
-
-    def recording(n, h, k, p):
-        seen.append(n)
-        return real(n, h, k, p)
-
-    monkeypatch.setattr(simulcheck, "_mirror_test", recording)
+    runs = _recording_leaves(monkeypatch)
     n0, n1 = driver ** (d - 1), driver**d
     lo, hi = n0 + (n1 - n0) // 3, n1 - (n1 - n0) // 3
     _scan_chunk(driver, 2, d, lo, hi)
+    seen = [n for run in runs for n in run]
     assert seen and all(lo <= n < hi and n % 2 for n in seen)
+
+
+# the oracle's full scan, once per process for each of its arguments
+_oracle_hits = lru_cache(maxsize=None)(oracle_simultaneous)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from([(10, 2, 10**18), (6, 2, 6**7), (2, 3, 3**13)]), data=st.data())
+def test_base_2_leaves_cover_every_hit_of_their_chunk(known_list_10_2, case, data):
+    # a chunk of one driver length around a hit, from the shipped list or the
+    # oracle: the runs its levels hand to the base-2 pass lie inside the chunk,
+    # share no number, and list every simultaneous palindrome in it; each bound
+    # is a power of the driver, so a hit's whole driver length lies below it
+    g, h, bound = case
+    hits = known_list_10_2 if g == 10 else _oracle_hits(bound, g, h)
+    driver = plan_enumeration_base(g, h, 1)
+    n = data.draw(st.sampled_from(hits), label="hit")
+    d = len(oracle_digits(n, driver))
+    n0, n1 = driver ** (d - 1), driver**d
+    rng = data.draw(st.randoms(use_true_random=False), label="rng")
+
+    def gap(most):
+        # below a power of 2 drawn first, so chunks of every width up to the whole length turn up
+        return rng.randint(0, min(most, 2 ** rng.randint(0, most.bit_length())))
+
+    n_lo, n_hi = n - gap(n - n0), n + 1 + gap(n1 - 1 - n)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        runs = _recording_leaves(monkeypatch)
+        found = _scan_chunk(driver, 2, d, n_lo, n_hi)
+    listed = [m for run in runs for m in run]
+    expected = [m for m in hits if n_lo <= m < n_hi]
+    assert all(n_lo <= m < n_hi for m in listed)
+    assert len(set(listed)) == len(listed)
+    assert set(expected) <= set(listed)
+    assert found == expected
