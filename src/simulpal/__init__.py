@@ -23,7 +23,7 @@ from .reduction import (
     precompute_reduction_pairs,
     verify_family,
 )
-from .simulcheck import SearchCheckpoint, count, is_palindrome_early_exit, search
+from .simulcheck import SearchCheckpoint, count, search
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,6 @@ __all__ = [
     "family_instance",
     "hp_log",
     "is_palindrome",
-    "is_palindrome_early_exit",
     "iter_palindromes",
     "multiplicatively_independent",
     "precompute_reduction_pairs",

@@ -60,13 +60,19 @@ def require_family_bases(a: int, g: int, h: int) -> None:
 # --------------------------------------------------------------------------
 
 
+def _check_height(given, least: Fraction, what: str) -> None:
+    # a height given in place of a computed one: a positive rational at least the upper end ``least``
+    if positive_rational(given, what + " must be a positive rational, got {!r}", given) < least:
+        raise DomainError(f"{what} must be at least {upper_float(least)!r}, got {shown(given)!r}")
+
+
 @dataclass(frozen=True)
 class MatveevInstance:
     """Data of a linear form b_1 log a_1 + ... + b_n log a_n over rationals.
 
-    ``A`` entries must dominate max(D*height(alpha_i), |log alpha_i|); when
-    omitted they are computed (rounded outward).  ``kappa`` is 1 for a real
-    field, 2 otherwise.
+    ``A`` entries must dominate max(D*height(alpha_i), |log alpha_i|), at
+    least its upper end; when omitted they are computed (rounded outward).
+    ``kappa`` is 1 for a real field, 2 otherwise.
     """
 
     alphas: tuple
@@ -90,8 +96,11 @@ class MatveevInstance:
             what = "logarithm arguments must be positive and != 1, got {}"
             if positive_rational(x, what, x) == 1:
                 raise DomainError(what.format(x))
-        if self.A is not None and len(self.A) != len(self.alphas):
-            raise DomainError("need one height bound per logarithm")
+        if self.A is not None:
+            if len(self.A) != len(self.alphas):
+                raise DomainError("need one height bound per logarithm")
+            for given, x in zip(self.A, self.alphas):
+                _check_height(given, _matveev_height(x, self.D), "each height bound A")
 
 
 @dataclass(frozen=True)
@@ -107,14 +116,15 @@ class MatveevEvaluation:
     value: float
 
 
+def _matveev_height(x, D: int) -> Fraction:
+    height, logabs = _height_and_abs_log(Fraction(x))
+    return max(D * height, logabs)
+
+
 def _height_bounds(inst: MatveevInstance) -> tuple[float, ...]:
     if inst.A is not None:
         return tuple(float(a) for a in inst.A)
-    out = []
-    for x in inst.alphas:
-        height, logabs = _height_and_abs_log(Fraction(x))
-        out.append(upper_float(max(inst.D * height, logabs)))
-    return tuple(out)
+    return tuple(upper_float(_matveev_height(x, inst.D)) for x in inst.alphas)
 
 
 def _pow(x: PreciseReal, k: int) -> PreciseReal:
@@ -181,7 +191,8 @@ def matveev_lower_bound(inst: MatveevInstance) -> MatveevEvaluation:
 @dataclass(frozen=True)
 class LaurentInstance:
     """Data of |b2 log a2 - b1 log a1| for multiplicatively independent
-    positive rationals, with log A_i >= max(height, |log|/D, 1/D)."""
+    positive rationals, with log A_i >= max(height, |log|/D, 1/D), at least
+    its upper end when given."""
 
     alpha1: Fraction
     alpha2: Fraction
@@ -197,11 +208,11 @@ class LaurentInstance:
         check_int(self.b1, "the two coefficients must be positive integers")
         check_int(self.b2, "the two coefficients must be positive integers")
         check_int(self.D, "the degree D must be a positive integer")
-        if (
-            a1.denominator == a2.denominator == 1
-            and not lindep.multiplicatively_independent(a1.numerator, a2.numerator)
-        ):
-            raise DomainError(f"{a1} and {a2} are multiplicatively dependent")
+        if a1 == 1 or a2 == 1 or not lindep._independent(a1, a2):  # the descent would not end on 1
+            raise DomainError(f"{shown(a1)} and {shown(a2)} are multiplicatively dependent")
+        for given, x, what in ((self.logA1, a1, "logA1"), (self.logA2, a2, "logA2")):
+            if given is not None:
+                _check_height(given, _laurent_logA(x, self.D, None), what)
 
 
 @dataclass(frozen=True)
@@ -350,11 +361,13 @@ def solve_log_majorant(A: float, B: float, power: int) -> float:
     For ``power=1`` the closed form C*(log C)**2 with C = A + B/log(A) is
     used (valid for C > e**2), for ``power=2`` the form C*(log C)**3 with
     C = A + B/(log A)**2 (valid for C > 62).  Outside the validity range a
-    direct numeric search for the largest solution takes over.
+    direct numeric search for the largest solution takes over.  A must be a
+    positive rational, B 0 or one (not NaN, an infinity or a string).
     """
     check_int(power, "power must be 1 or 2", 1, 2)
-    if A <= 0 or B < 0:
-        raise DomainError("need A > 0 and B >= 0")
+    positive_rational(A, "need a rational A > 0, got {!r}", A)
+    if B != 0:
+        positive_rational(B, "need a rational B >= 0, got {!r}", B)
     if A > 1:
         logA = math.log(A)
         C = A + B / (logA if power == 1 else logA**2)

@@ -68,14 +68,23 @@ def multiplicatively_independent(g: int, h: int) -> bool:
     return _independent(check_int(g, _INDEPENDENCE_RULE, 2), check_int(h, _INDEPENDENCE_RULE, 2))
 
 
-def _independent(g: int, h: int) -> bool:
-    # multiplicatively_independent without the argument checks
-    while g != h:
-        if g < h:
-            g, h = h, g
-        if g % h:
+def _independent(x, y) -> bool:
+    # multiplicatively_independent without the argument checks, for positive rationals x, y != 1, each read
+    # as (n, d), the numerator and denominator of whichever of it and its inverse is above 1.  They are
+    # dependent iff both are powers of one rational c > 1, and then the larger numerator is the larger power
+    # (c's numerator is at least 2), so the same descent decides them on numerators and denominators at once
+    n, d, m, e = x.numerator, x.denominator, y.numerator, y.denominator
+    if n < d:
+        n, d = d, n
+    if m < e:
+        m, e = e, m
+    while n != m or d != e:
+        if n < m:
+            n, d, m, e = m, e, n, d
+        if n % m or d % e:
             return True
-        g //= h
+        n //= m
+        d //= e
     return False
 
 

@@ -141,14 +141,8 @@ def is_palindrome(n: int, g: int) -> bool:
     False
     """
     check_int(n, "palindrome test is defined for positive integers only")
-    if check_base(g) == 2:  # base 2's test reads the binary string: no digit count, no power
-        return _mirror_test(n, 2, 0, 1)
-    k = _digit_count(n, g) - 1
+    k = _digit_count(n, check_base(g)) - 1
     return _mirror_test(n, g, k, g**k)
-
-
-# the name under which the search and the certification scan call the test
-is_palindrome_early_exit = is_palindrome
 
 
 def digit_count(n: int, g: int) -> int:

@@ -6,9 +6,9 @@ direct search can finish: certified continued-fraction convergents of
 log g / log h feed either a Baker-Davenport reduction (when the family
 ratio alpha is multiplicatively independent of the bases) or a convergent
 sieve on the two-logarithm inequality (when a dependence witness exists).
-The reduction has the integer base h of the Dujella-Petho form, so its
-bound is a digit count.  Every inequality along the way is decided in
-certified interval arithmetic with automatic precision escalation.
+The reduction has the integer base h of the Dujella-Petho form, so its bound
+is a digit count; the convergent law makes every convergent a pair.  Every other
+inequality is decided in certified interval arithmetic with precision escalation.
 """
 
 from __future__ import annotations
@@ -30,7 +30,10 @@ from .precise import (
     check_precision,
     hp_log,
 )
-from .radix import DomainError, _digit_count, _reverse, check_int, is_palindrome_early_exit, shown
+from .radix import DomainError, _digit_count, _reverse, check_int, is_palindrome, shown
+
+# the direct scan's test, by the name perfbench's traced run wraps to count shifts; ROADMAP item 1b deletes it
+is_palindrome_early_exit = is_palindrome
 
 __all__ = [
     "Convergent",
@@ -48,9 +51,9 @@ __all__ = [
 
 
 class Convergent(NamedTuple):
-    """A convergent p/q of a continued fraction.  Those of epsilon with a
-    certified ||q * epsilon|| < 1/q are the reduction pairs: a reduction of
-    any bound X < q/2 uses one with kappa = q/(2X)."""
+    """A convergent p/q of a continued fraction.  Every convergent of epsilon has ||q * epsilon|| < 1/q by
+    the convergent law, so each is a reduction pair: a reduction of any bound X < q/2 uses one with
+    kappa = q/(2X)."""
 
     p: int
     q: int
@@ -111,40 +114,36 @@ def continued_fraction(x: PreciseReal, count: int) -> ContinuedFraction:
     return ContinuedFraction(tuple(quotients), tuple(convergents), exact)
 
 
-def _certified(epsilon: PreciseReal, convergents) -> tuple[Convergent, ...]:
-    # the convergents p/q whose hypothesis ||q epsilon|| < 1/q is certified
-    return tuple(c for c in convergents if abs(epsilon * c.q - c.p).is_less(Fraction(1, c.q)))
-
-
 def precompute_reduction_pairs(epsilon: PreciseReal, X: int, count: int = 50) -> list[Convergent]:
     """Usable reduction pairs among the first ``count`` convergents of epsilon.
 
     Only convergents with q > 4X qualify (which keeps kappa = q/(2X) above
-    2, so the per-instance test ||q delta|| > 1/kappa has room to succeed),
-    and only once ||q epsilon|| < 1/q is certified by interval arithmetic.
-    One list serves every family instance over the same base pair and X.
+    2, so the per-instance test ||q delta|| > 1/kappa has room to succeed);
+    each has ||q epsilon|| < 1/q by the convergent law (Khinchin, *Continued
+    Fractions*, ch. I).  One list serves every instance over one base pair and X.
     """
     check_int(X, "the prior bound X must be a positive integer")
-    return [pair for pair in _certified(epsilon, continued_fraction(epsilon, count).convergents) if pair.q > 4 * X]
+    return [pair for pair in continued_fraction(epsilon, count).convergents if pair.q > 4 * X]
 
 
 @dataclass
 class _BasePair:
     """What every prefix over one base pair shares: log h, epsilon = log g / log h, its longest expansion yet
-    (50 quotients, more once a sieve needs them) and the reduction pairs among the first 50 convergents, of
-    which each prefix takes those of q > 4X."""
+    (50 quotients, more once a sieve needs them) and the reduction pairs, its first 50 convergents, of which
+    each prefix takes those of q > 4X.  The pairs are taken once, so a sieve's longer expansion leaves them."""
 
     log_h: PreciseReal
     epsilon: PreciseReal
     cf: ContinuedFraction
-    certified: tuple[Convergent, ...]
+    pairs: tuple[Convergent, ...]
 
 
 @lru_cache
 def _base_pair(g: int, h: int, bits: int) -> _BasePair:
-    epsilon = PreciseReal.log_ratio(g, h, bits)
+    log_h = hp_log(h, bits)
+    epsilon = hp_log(g, bits) / log_h  # as PreciseReal.log_ratio composes it
     cf = continued_fraction(epsilon, 50)
-    return _BasePair(hp_log(h, bits), epsilon, cf, _certified(epsilon, cf.convergents))
+    return _BasePair(log_h, epsilon, cf, cf.convergents)
 
 
 @lru_cache
@@ -410,8 +409,8 @@ def verify_family(
         if witness is None:
             base = _base_pair(g, h, bits)
             delta = hp_log(alpha, bits) / base.log_h
-            first = bisect_left(base.certified, 4 * X + 1, key=lambda pair: pair.q)  # their q ascend
-            pairs = base.certified[first:] if pairs is None else tuple(pairs)
+            first = bisect_left(base.pairs, 4 * X + 1, key=lambda pair: pair.q)  # their q ascend
+            pairs = base.pairs[first:] if pairs is None else tuple(pairs)
             outcome = baker_davenport_reduce(ReductionProblem(delta, _c1(g, h, bits, n_a), h, X, pairs))
             reduced_bound, pair_used = outcome.new_bound, outcome.pair_used
             certified, floor = reduced_bound, regime_floor

@@ -27,7 +27,7 @@ from typing import Callable
 
 from .lindep import multiplicatively_independent
 from .radix import DomainError, _binary_palindromes, _mirror_test, _reverse, check_base, check_int, length_ranges
-from .radix import is_palindrome_early_exit
+from .radix import is_palindrome
 
 CHECKPOINT_VERSION = "simulpal-checkpoint-v2"
 
@@ -324,7 +324,7 @@ class SearchCheckpoint:
         for n in self.found:
             if not previous < n <= self.cursor:
                 raise ValueError(f"entry {n} is out of order or beyond the cursor {self.cursor}")
-            if not (is_palindrome_early_exit(n, self.g) and is_palindrome_early_exit(n, self.h)):
+            if not (is_palindrome(n, self.g) and is_palindrome(n, self.h)):
                 raise ValueError(f"entry {n} is not a palindrome in both bases")
             previous = n
         if hits != len(self.found):

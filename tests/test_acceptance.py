@@ -18,7 +18,7 @@ from simulpal.bounds import shift_exponent_bound
 from simulpal.lindep import dependence_witness, multiplicatively_independent
 from simulpal.palgen import iter_palindromes
 from simulpal.precise import PreciseReal, hp_log
-from simulpal.radix import reverse_in_base
+from simulpal.radix import is_palindrome, reverse_in_base
 from simulpal.reduction import (
     DependenceWitness,
     ReductionProblem,
@@ -28,7 +28,7 @@ from simulpal.reduction import (
     precompute_reduction_pairs,
     verify_family,
 )
-from simulpal.simulcheck import count, is_palindrome_early_exit, search
+from simulpal.simulcheck import count, search
 
 from conftest import oracle_digits, oracle_is_palindrome, oracle_reverse, oracle_simultaneous
 
@@ -235,7 +235,7 @@ def test_criterion_10_property_suites(tmp_path):
     for _ in range(10**6):
         n = rng.randrange(1, 10**12)
         h = rng.randrange(2, 17)
-        assert is_palindrome_early_exit(n, h) == oracle_is_palindrome(n, h)
+        assert is_palindrome(n, h) == oracle_is_palindrome(n, h)
     # mirrored-half enumeration against the brute filter
     for g in (2, 3, 10):
         brute = [n for n in range(1, 10**5 + 1) if oracle_is_palindrome(n, g)]

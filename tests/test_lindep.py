@@ -73,6 +73,27 @@ def test_independence_matches_factor_oracle_on_large_bases(g, h):
     assert multiplicatively_independent(h, g) == multiplicatively_independent(g, h)
 
 
+def _exponents(q: Fraction) -> dict[int, int]:
+    out = dict(factorint(q.numerator))
+    out.update({p: -e for p, e in factorint(q.denominator).items()})
+    return out
+
+
+def test_rational_independence_matches_factor_oracle():
+    # the one descent decides rationals too: two rationals other than 1 are dependent iff their exponent
+    # vectors over the primes are proportional
+    assert [lindep._independent(Fraction(x), Fraction(y)) for x, y in [
+        ("1/2", "1/4"), ("2/3", "4/9"), ("9/4", "27/8"), ("6/5", "5/6"), ("74/61", "2"), ("3", "2"), ("4/3", "8/3"),
+    ]] == [False, False, False, False, True, True, True]
+    values = sorted({Fraction(n, d) for n in range(1, 25) for d in range(1, 25)} - {1})
+    vectors = {x: _exponents(x) for x in values}
+    for x in values:
+        for y in values:
+            u, v = vectors[x], vectors[y]
+            dependent = all(u.get(p, 0) * v.get(q, 0) == u.get(q, 0) * v.get(p, 0) for p in u | v for q in u | v)
+            assert lindep._independent(x, y) != dependent, (x, y)
+
+
 def test_dependence_witness_examples():
     w = dependence_witness(5, 10, 2)
     assert (w.r, w.s, w.t) == (1, 1, -1) and not w.degenerate

@@ -12,6 +12,7 @@ from simulpal.bounds import (
     laurent_lower_bound,
     matveev_lower_bound,
     shift_exponent_bound,
+    solve_log_majorant,
     zero_run_threshold_terms,
 )
 from simulpal.lindep import DependenceWitness, dependence_witness, multiplicatively_independent
@@ -66,13 +67,20 @@ def test_continued_fraction_rational_terminates():
 
 
 def test_convergent_law_certified():
-    x = PreciseReal.log_ratio(10, 2, 192)
-    cf = continued_fraction(x, 30)
-    for p, q in cf.convergents:
-        # |x q - p| < 1/q, certified by interval comparison
-        assert abs(x * q - p).is_less(Fraction(1, q))
-        # and the classical quality bound |x - p/q| < 1/q**2
-        assert abs(x - Fraction(p, q)).is_less(Fraction(1, q * q))
+    # the reduction takes each of the first 50 convergents as a pair on the convergent law alone, with no
+    # comparison of its own; here the law is certified by interval comparison on every family pair and (3, 2)
+    witness = dependence_witness(5, 10, 2)
+    dependent_case_check(witness, 5, 10, 2, X=10**40)  # extends the cached expansion of (10, 2) past 50 quotients
+    assert len(_base_pair(10, 2, 192).cf.quotients) > 50
+    for g, h in [*FAMILY_PAIRS, (3, 2)]:
+        x = PreciseReal.log_ratio(g, h, 192)
+        cf = continued_fraction(x, 50)
+        assert _base_pair(g, h, 192).pairs == cf.convergents
+        for p, q in cf.convergents:
+            # |x q - p| < 1/q
+            assert abs(x * q - p).is_less(Fraction(1, q))
+            # and the classical quality bound |x - p/q| < 1/q**2
+            assert abs(x - Fraction(p, q)).is_less(Fraction(1, q * q))
 
 
 def test_precompute_pairs_model_case():
@@ -518,6 +526,23 @@ _EPSILON = PreciseReal.log_ratio(10, 2)
         (lambda: hp_log(2).refined(True), "precision must be in"),
         (lambda: hp_log(2).refined(-5), "precision must be in"),
         (lambda: PreciseReal(1, 2, 64).refined(0), "precision must be in"),
+        # "upper bounds" of 1.5 and 48.0 from a NaN, and a bare TypeError from a string
+        (lambda: solve_log_majorant(float("nan"), 1, 1), "need a rational A > 0, got nan"),
+        (lambda: solve_log_majorant(10, float("nan"), 2), "need a rational B >= 0, got nan"),
+        (lambda: solve_log_majorant("x", 1, 1), "need a rational A > 0, got 'x'"),
+        # a height override below the height it stands for gave a log-bound of +1.07e9 or -214 (not -1.63e8),
+        # and -1.07 (not -11792) for Laurent; NaN and a string were a bare ValueError, 0.0 a ZeroDivisionError
+        (lambda: MatveevInstance((2, 3), (1, 1), A=(-5.0, 1.0)), "A must be a positive rational, got -5.0"),
+        (lambda: MatveevInstance((2, 3), (1, 1), A=(0.001, 0.001)), "A must be at least 0.693147180559945"),
+        (lambda: MatveevInstance((2, 3), (1, 1), A=(float("nan"), 2.0)), "A must be a positive rational, got nan"),
+        (lambda: LaurentInstance(3, 2, b1=3, b2=7, logA1=0.01, logA2=0.01), "logA1 must be at least 1.09861228866"),
+        (lambda: LaurentInstance(3, 2, b1=3, b2=7, logA1=2.5, logA2=0.5), "logA2 must be at least 1.0, got 0.5"),
+        (lambda: LaurentInstance(3, 2, b1=3, b2=7, logA1=0.0), "logA1 must be a positive rational, got 0.0"),
+        (lambda: LaurentInstance(3, 2, b1=3, b2=7, logA2="x"), "logA2 must be a positive rational, got 'x'"),
+        # dependent rationals gave exp(-14880) as a lower bound of a form that is 0
+        (lambda: LaurentInstance(Fraction(1, 2), Fraction(1, 4), b1=2, b2=1), "1/2 and 1/4 are multiplicatively dep"),
+        (lambda: LaurentInstance(Fraction(9, 4), Fraction(27, 8), b1=3, b2=2), "9/4 and 27/8 are multiplicatively"),
+        (lambda: LaurentInstance(1, 2, b1=1, b2=1), "1 and 2 are multiplicatively dependent"),
     ],
     ids=[
         "hp_log-bits", "verify_family-bits", "log_ratio-bits", "verify_family-bound", "verify_family-parity-bound",
@@ -530,6 +555,9 @@ _EPSILON = PreciseReal.log_ratio(10, 2)
         "hp_exp-inf", "hp_exp-minus-inf", "hp_exp-nan", "hp_exp-string", "exact-nan", "times-inf",
         "fixed-bits-zero", "fixed-bits-negative", "fixed-bits-string", "fixed-bits-bool",
         "refined-bits-string", "refined-bits-zero", "refined-bits-bool", "refined-bits-negative", "refined-fixed-bits-zero",
+        "majorant-A-nan", "majorant-B-nan", "majorant-A-string", "matveev-A-negative", "matveev-A-small",
+        "matveev-A-nan", "laurent-logA1-small", "laurent-logA2-small", "laurent-logA1-zero", "laurent-logA2-string",
+        "laurent-dependent-halves", "laurent-dependent-powers", "laurent-one",
     ],
 )
 def test_certification_rejects_arguments_that_are_not_integers(call, match):
@@ -570,7 +598,7 @@ def test_base_pair_table_gives_the_precomputed_pairs(g, h):
     eps = PreciseReal.log_ratio(g, h)
     shift_bounds = [ceil(shift_exponent_bound(a, 10, 2)) for a in (1, 74, 999_999)]
     for X in [1, 10**3, 10**9, *shift_bounds]:
-        assert [pair for pair in table.certified if pair.q > 4 * X] == precompute_reduction_pairs(eps, X)
+        assert [pair for pair in table.pairs if pair.q > 4 * X] == precompute_reduction_pairs(eps, X)
 
 
 @pytest.mark.parametrize("g, h", [(10, 2), (12, 4)])
@@ -586,12 +614,12 @@ def test_verify_family_default_pairs_match_explicit_pairs(g, h):
 
 def test_prefixes_reduced_by_one_convergent_share_its_pair():
     # the pairs are built once per base pair, and each prefix reduces with
-    # the certified pairs themselves, not with copies made for its bound
+    # the base pair's pairs themselves, not with copies made for its bound
     first, second = verify_family(11, 10, 2), verify_family(13, 10, 2)
     assert first.branch == second.branch == "independent" and first.bound != second.bound
     assert first.pair_used.q == second.pair_used.q
     assert first.pair_used is second.pair_used
-    assert any(pair is first.pair_used for pair in _base_pair(10, 2, 192).certified)
+    assert any(pair is first.pair_used for pair in _base_pair(10, 2, 192).pairs)
 
 
 @pytest.mark.parametrize("X", [X_MODEL, 10**40])

@@ -20,7 +20,6 @@ from simulpal.simulcheck import (
     SearchCheckpoint,
     _scan_chunk,
     count,
-    is_palindrome_early_exit,
     plan_enumeration_base,
     search,
 )
@@ -29,13 +28,12 @@ from conftest import V1_CHECKPOINT, oracle_digits, oracle_is_palindrome, oracle_
 
 
 def test_early_exit_examples():
-    assert is_palindrome_early_exit is is_palindrome
-    assert is_palindrome_early_exit(585, 2)
-    assert not is_palindrome_early_exit(6, 2)  # 110: top 1 vs bottom 0
-    assert is_palindrome_early_exit(7451111547, 2)
-    assert is_palindrome_early_exit(1, 7)
+    assert is_palindrome(585, 2)
+    assert not is_palindrome(6, 2)  # 110: top 1 vs bottom 0
+    assert is_palindrome(7451111547, 2)
+    assert is_palindrome(1, 7)
     with pytest.raises(DomainError):
-        is_palindrome_early_exit(0, 2)
+        is_palindrome(0, 2)
 
 
 def test_early_exit_equals_naive_check():
@@ -43,11 +41,11 @@ def test_early_exit_equals_naive_check():
     for _ in range(20000):
         n = rng.randrange(1, 10**12)
         h = rng.randrange(2, 17)
-        assert is_palindrome_early_exit(n, h) == oracle_is_palindrome(n, h)
+        assert is_palindrome(n, h) == oracle_is_palindrome(n, h)
     # exhaustive small range keeps digit-length boundaries honest
     for n in range(1, 2000):
         for h in (2, 3, 7, 16):
-            assert is_palindrome_early_exit(n, h) == oracle_is_palindrome(n, h)
+            assert is_palindrome(n, h) == oracle_is_palindrome(n, h)
 
 
 def test_plan_enumeration_base(monkeypatch):
