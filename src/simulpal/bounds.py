@@ -14,6 +14,7 @@ upper bound of the exact expression.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -82,6 +83,10 @@ class MatveevInstance:
     A: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        sequences = {"alphas": self.alphas, "b_coeffs": self.b_coeffs, "A": () if self.A is None else self.A}
+        for name, value in sequences.items():
+            if not isinstance(value, (tuple, list)):
+                raise DomainError(f"{name} must be a tuple or a list, got {shown(value)!r}")
         if len(self.alphas) != len(self.b_coeffs):
             raise DomainError("need one integer coefficient per logarithm")
         if len(self.alphas) < 2:
@@ -362,12 +367,16 @@ def solve_log_majorant(A: float, B: float, power: int) -> float:
     used (valid for C > e**2), for ``power=2`` the form C*(log C)**3 with
     C = A + B/(log A)**2 (valid for C > 62).  Outside the validity range a
     direct numeric search for the largest solution takes over.  A must be a
-    positive rational, B 0 or one (not NaN, an infinity or a string).
+    positive rational, B 0 or one (not NaN, an infinity or a string), and
+    neither may exceed the largest float.
     """
     check_int(power, "power must be 1 or 2", 1, 2)
     positive_rational(A, "need a rational A > 0, got {!r}", A)
     if B != 0:
         positive_rational(B, "need a rational B >= 0, got {!r}", B)
+    for name, x in (("A", A), ("B", B)):
+        if x > sys.float_info.max:
+            raise DomainError(f"{name} must not exceed the largest float, got {shown(x)!r}")
     if A > 1:
         logA = math.log(A)
         C = A + B / (logA if power == 1 else logA**2)

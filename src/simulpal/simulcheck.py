@@ -79,13 +79,14 @@ def _crt_entry(m1: int, m2: int, g: int, f: int) -> tuple[int, ...]:
     # joining N ≡ low (mod m1 = g**k), N ≡ r (mod m2 = h**j) and N ≡ 0 (mod f):
     # (q = gcd(m1, m2), m2 // q, inverse of m1 // q modulo that, M = lcm(m1, m2),
     #  the children's step s, inverse of m1 // q modulo s,
-    #  qf = gcd(M, f), f // qf, inverse of M // qf modulo that, lcm(M, f))
+    #  qf = gcd(M, f), the lift K with N mod MF = (N mod M) * K mod MF, MF = lcm(M, f))
     q = gcd(m1, m2)
     M = m1 * (m2 // q)
     s = gcd(m1 * g, m2) // q
     qf = gcd(M, f)
+    MF = M * (f // qf)
     return (q, m2 // q, pow(m1 // q, -1, m2 // q), M, s, pow(m1 // q, -1, s),
-            qf, f // qf, pow(M // qf, -1, f // qf), M * (f // qf))
+            qf, (1 - M // qf * pow(M // qf, -1, f // qf)) % MF, MF)
 
 
 @lru_cache(maxsize=256)
@@ -96,6 +97,13 @@ def _tables(g: int, h: int, d: int) -> tuple[list[int], list[int], list]:
     while hp[-1] <= g**d:
         hp.append(hp[-1] * h)
     return [g**i for i in range(d + 1)], hp, [[[None] * len(hp) for _ in range((d + 1) // 2 + 1)] for _ in range(2)]
+
+
+@lru_cache(maxsize=256)
+def _mirrors(h: int) -> list[list[int]]:
+    # built once per process and base: _mirrors(h)[x][t] is t's x base-h digits reversed, leading
+    # zeros included (h**x's leading 1 keeps them), for each width x with h**x <= 2**11
+    return [[_reverse(h**x + t, h) // h for t in range(h**x)] for x in range(12) if h**x <= 2**11]
 
 
 def _scan_chunk(driver: int, tested: int, d: int, n_lo: int, n_hi: int) -> list[int]:
@@ -118,6 +126,18 @@ def _scan_chunk(driver: int, tested: int, d: int, n_lo: int, n_hi: int) -> list[
     rule is below).  For coprime bases that happens near k = d/3, for
     (10, 2) near d/2.7.
 
+    A node carries its e and r = N mod h**j; the root carries (L, 0), and a
+    child mirrors only the digits it adds.  Containment: a child's interval
+    lies in its parent's, so its numbers share the parent's top digits too,
+    e <= e_p and the parent's top is a prefix of the child's.  So with
+    x = e_p - e and t = top mod h**x, the child's r is r_p + rev_x(t) *
+    h**(L - e_p), where rev_x reverses t's x digits, leading zeros included.
+    rev_x is read from a table while h**x <= 2**11 (widths 0-11 for base 2,
+    0-3 for base 10); a wider x (1.3 % of the children for (10, 2) to 1e12,
+    4.4 % for (11, 13) to 1e14) reverses h**x + t, whose leading 1 keeps t's
+    zeros, and drops the 1.  Against a full reversal of top per child, this
+    ran 9 % faster for (10, 2) to 1e12 and 18 % for (11, 13) to 1e14.
+
     A node hands r = N mod h**j down: its children's N mod g**(k+1) =
     low + c*g**k must meet r modulo gcd(g**(k+1), h**j), which holds for
     c ≡ c0 (mod s), s = gcd(g**(k+1), h**j) / gcd(g**k, h**j).  The walk
@@ -128,10 +148,12 @@ def _scan_chunk(driver: int, tested: int, d: int, n_lo: int, n_hi: int) -> list[
     pairs contribute a*b**i*(1 + b**odd).  So N ≡ 0 modulo f, the lcm of
     g + 1 when d is even and h + 1 when L is even.  R joins that too: a
     node with R ≢ 0 modulo gcd(M, f) is dropped, and the listing starts
-    and steps by MF = lcm(M, f).  A palindrome ends in its nonzero top
-    digit, so for bases 2 and 3 a block of even length in either base
-    lists nothing: its nodes are dropped once their top digit in both
-    bases is fixed.
+    and steps by MF = lcm(M, f), from N mod MF = R*K mod MF with K = 1 -
+    (M/qf)*((M/qf)**-1 mod f/qf), qf = gcd(M, f): as qf | R, R*(M/qf) is a
+    multiple of M, so R*K ≡ R (mod M), and as f/qf | K, R*K ≡ 0 (mod f).
+    A palindrome ends in its nonzero top digit, so for bases 2 and 3 a
+    block of even length in either base lists nothing: its nodes are
+    dropped once their top digit in both bases is fixed.
 
     A listed number is tested in the tested base first.  Its top and low j
     base-h digits already match, so for h > 2 the test reads only the
@@ -158,6 +180,7 @@ def _scan_chunk(driver: int, tested: int, d: int, n_lo: int, n_hi: int) -> list[
     """
     g, h = driver, tested
     gp, hp, crt = _tables(g, h, d)
+    mir = _mirrors(h)
     two = h == 2
     cap = (8 if 2 in (g, h) else 4) * g  # numbers a node may list per child: see the docstring
     top_g = gp[d - 1]
@@ -168,9 +191,9 @@ def _scan_chunk(driver: int, tested: int, d: int, n_lo: int, n_hi: int) -> list[
         # a simultaneous palindrome with d base-g and L base-h digits is a multiple of f
         f = lcm(1 if d % 2 else g + 1, 1 if L % 2 else h + 1)
         found: list[int] = []
-        # the nodes of one level: (prefix, low = N mod g**(k-1), step, c0); the walk
-        # visits only the digits c ≡ c0 (mod step) of each
-        nodes = [(0, 0, 1, 0)]
+        # the nodes of one level: (prefix, low = N mod g**(k-1), step, c0, e, r = N mod h**(L-e));
+        # the walk visits only the digits c ≡ c0 (mod step) of each
+        nodes = [(0, 0, 1, 0, L, 0)]
         k = 0
         leaves: list[range] = []  # a base-2 level's runs, tested in one pass at its end
         while nodes:
@@ -179,8 +202,9 @@ def _scan_chunk(driver: int, tested: int, d: int, n_lo: int, n_hi: int) -> list[
             # a child cut narrower by the block's edge may share more top digits than it uses
             e0 = bisect_left(hp, span)
             children = []
-            for prefix, low, step, c0 in nodes:
+            for prefix, low, step, c0, ep, rp in nodes:
                 base = prefix * g
+                pw = hp[L - ep]
                 a0 = base * span
                 cut = a0 < lo or a0 + width > hi  # the node meets an edge of the block
                 if cut:
@@ -201,27 +225,29 @@ def _scan_chunk(driver: int, tested: int, d: int, n_lo: int, n_hi: int) -> list[
                         if e < e0:
                             e = e0
                         top = a >> e
-                        r = int(bin(top)[:1:-1], 2)
                     else:
                         e = e0
                         while (top := a // hp[e]) != (b - 1) // hp[e]:
                             e += 1
-                        r = _reverse(top, h)
+                    # top's last x = ep - e digits are new: mirrored, they go above the parent's r
+                    x = ep - e
+                    t = top % hp[x]
+                    r = rp + (mir[x][t] if x < len(mir) else _reverse(hp[x] + t, h) // h) * pw
                     j = L - e
                     entry = crt_k[j]
                     if entry is None:
                         entry = crt_k[j] = _crt_entry(gk, hp[j], g, f)
-                    if (r - low1) % entry[0]:
+                    u, rest = divmod(r - low1, entry[0])
+                    if rest:
                         continue
-                    q, m, inv, M, s, inv_s, qf, fm, inv_f, MF = entry
-                    u = (r - low1) // q
+                    _, m, inv, M, s, inv_s, qf, K, MF = entry
                     R = low1 + gk * (u * inv % m)  # N mod M
                     if R % qf:
                         continue
                     if (b - a) * s > cap * MF:
-                        children.append((base + c, low1, s, u * inv_s % s))
+                        children.append((base + c, low1, s, u * inv_s % s, e, r))
                         continue
-                    R += M * (-R // qf * inv_f % fm)  # N mod MF
+                    R = R * K % MF  # N mod MF
                     # list the numbers ≡ R in [a, b), tested base first
                     if not two:
                         # their top and low j base-h digits match: test the w middle ones, if any

@@ -543,6 +543,13 @@ _EPSILON = PreciseReal.log_ratio(10, 2)
         (lambda: LaurentInstance(Fraction(1, 2), Fraction(1, 4), b1=2, b2=1), "1/2 and 1/4 are multiplicatively dep"),
         (lambda: LaurentInstance(Fraction(9, 4), Fraction(27, 8), b1=3, b2=2), "9/4 and 27/8 are multiplicatively"),
         (lambda: LaurentInstance(1, 2, b1=1, b2=1), "1 and 2 are multiplicatively dependent"),
+        # a bare TypeError: "object of type 'float' has no len()", and the same for an int
+        (lambda: MatveevInstance((2, 3), (1, 1), A=5.0), "A must be a tuple or a list, got 5.0"),
+        (lambda: MatveevInstance(5, (1, 1)), "alphas must be a tuple or a list, got 5"),
+        (lambda: MatveevInstance((2, 3), 7), "b_coeffs must be a tuple or a list, got 7"),
+        # a bare OverflowError from the conversion to float
+        (lambda: solve_log_majorant(10**400, 0, 1), "A must not exceed the largest float, got an integer of 401 digits"),
+        (lambda: solve_log_majorant(10, Fraction(10**400, 3), 2), "B must not exceed the largest float, got the ratio"),
     ],
     ids=[
         "hp_log-bits", "verify_family-bits", "log_ratio-bits", "verify_family-bound", "verify_family-parity-bound",
@@ -557,7 +564,8 @@ _EPSILON = PreciseReal.log_ratio(10, 2)
         "refined-bits-string", "refined-bits-zero", "refined-bits-bool", "refined-bits-negative", "refined-fixed-bits-zero",
         "majorant-A-nan", "majorant-B-nan", "majorant-A-string", "matveev-A-negative", "matveev-A-small",
         "matveev-A-nan", "laurent-logA1-small", "laurent-logA2-small", "laurent-logA1-zero", "laurent-logA2-string",
-        "laurent-dependent-halves", "laurent-dependent-powers", "laurent-one",
+        "laurent-dependent-halves", "laurent-dependent-powers", "laurent-one", "matveev-A-float", "matveev-alphas-int",
+        "matveev-b-int", "majorant-A-huge", "majorant-B-huge",
     ],
 )
 def test_certification_rejects_arguments_that_are_not_integers(call, match):

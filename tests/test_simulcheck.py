@@ -758,16 +758,23 @@ def test_search_matches_oracle_on_coprime_and_prime_sharing_pairs(g, h, shared, 
     assert found == oracle_simultaneous(bound, g, h)
 
 
-def _counting_children(monkeypatch):
-    # a child's mirrored top bits are the walk's only bin call, so against base 2
-    # the calls of bin from simulcheck count its children
+def _counting_walk(monkeypatch):
+    # a child's residue check is the walk's only divmod call (a mirror wider than
+    # the table is reversed without one), so against any base the calls of divmod
+    # from simulcheck count its children; calls[b] counts the _mirror_test calls in base b
     calls = Counter()
+    real_test = simulcheck._mirror_test
 
-    def counting(n):
+    def counting(n, m):
         calls["children"] += 1
-        return bin(n)
+        return divmod(n, m)
 
-    monkeypatch.setattr(simulcheck, "bin", counting, raising=False)
+    def mirror_test(n, h, k, p):
+        calls[h] += 1
+        return real_test(n, h, k, p)
+
+    monkeypatch.setattr(simulcheck, "divmod", counting, raising=False)
+    monkeypatch.setattr(simulcheck, "_mirror_test", mirror_test)
     return calls
 
 
@@ -785,7 +792,7 @@ def _recording_leaves(monkeypatch):
 
 
 def test_walk_skips_the_digits_its_residue_rules_out(monkeypatch):
-    calls = _counting_children(monkeypatch)
+    calls = _counting_walk(monkeypatch)
     for g, h, hits, most in [
         # a node in one base-2 length fixes its children's last bit, so the walk
         # steps over half of them; visiting every child took 17 291 reversals,
@@ -801,17 +808,10 @@ def test_walk_skips_the_digits_its_residue_rules_out(monkeypatch):
 
 
 def test_walk_counts_of_search_10_2_and_2_3(monkeypatch):
-    # a child makes one bin call; each level's listed numbers go to one base-2
+    # a child makes one divmod call; each level's listed numbers go to one base-2
     # pass, and each of its survivors takes one _mirror_test call in the driving base
-    calls = _counting_children(monkeypatch)
+    calls = _counting_walk(monkeypatch)
     runs = _recording_leaves(monkeypatch)
-    real_test = simulcheck._mirror_test
-
-    def mirror_test(n, h, k, p):
-        calls[h] += 1
-        return real_test(n, h, k, p)
-
-    monkeypatch.setattr(simulcheck, "_mirror_test", mirror_test)
     # base-2 leaves list each half of their middle bit's split; unsplit they
     # listed 11 489 and 614 570 numbers
     for g, h, bound, hits, walk in [
@@ -823,6 +823,43 @@ def test_walk_counts_of_search_10_2_and_2_3(monkeypatch):
         assert len(search(g, h, bound)) == hits
         children = calls.pop("children")
         assert (children, sum(map(len, runs)), dict(calls)) == walk
+
+
+@pytest.mark.parametrize(
+    "g,h,bound", [(10, 2, 10**12), (2, 3, 10**12), (11, 13, 10**10), (12, 18, 10**10), (20, 22, 10**10)]
+)
+def test_mirrors_wider_than_the_table_match_the_table(monkeypatch, known_list_10_2, g, h, bound):
+    # with the mirror table cut to width 0, every child that adds a digit reverses
+    # its new digits itself: under each driver the hits and the walk must be those
+    # of the full table, and the hits those of the oracle
+    calls = _counting_walk(monkeypatch)
+    runs = _recording_leaves(monkeypatch)
+    real, real_reverse = simulcheck._mirrors, simulcheck._reverse
+    wide = Counter()
+
+    def reverse(a, b):
+        wide["calls"] += 1
+        return real_reverse(a, b)
+
+    def walk(driver, mirrors):
+        calls.clear()
+        runs.clear()
+        monkeypatch.setattr(simulcheck, "_mirrors", mirrors)
+        return search(g, h, bound, enumeration_base=driver), dict(calls), sum(map(len, runs))
+
+    monkeypatch.setattr(simulcheck, "_reverse", reverse)
+    for driver in (g, h):
+        full = walk(driver, real)
+        wide.clear()
+        assert walk(driver, lambda b: real(b)[:1]) == full
+        # driven by 2 a child adds under one tested digit, so only 37-44 % add any
+        assert 0 < full[1]["children"] / 3 < wide["calls"]
+    hits = full[0]
+    if g == 10:
+        assert hits == [n for n in known_list_10_2 if n <= bound]
+    else:
+        assert all(oracle_is_palindrome(n, g) and oracle_is_palindrome(n, h) for n in hits)
+        assert [n for n in hits if n <= 10**5] == _oracle_hits(10**5, g, h)
 
 
 def test_even_length_palindromes_are_multiples_of_base_plus_one():
