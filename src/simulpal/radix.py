@@ -54,7 +54,7 @@ def positive_rational(x, what: str, *args) -> Fraction:
     ``what.format(*args)``, built only then, each argument :func:`shown`."""
     try:
         q = Fraction(x)
-        if q > 0:
+        if q > 0 and not isinstance(x, str):  # Fraction parses a numeric string
             return q
     except (TypeError, ValueError, ArithmeticError):
         pass
@@ -103,11 +103,11 @@ def _mirror_test(n: int, h: int, k: int, p: int) -> bool:
     # remainder by p (the power is divided down, never re-exponentiated), the
     # i-th lowest from reducing a running lower remainder mod h.  Base 2
     # compares the binary string with its reversal instead, which is cheaper
-    # than any loop over the bits but drops leading zeros: in base 2, n must
-    # not start with a zero.
+    # than any loop over the bits; a 1 set above the k + 1 bits keeps their
+    # leading zeros.
     if h == 2:
-        s = bin(n)
-        return s[2:] == s[:1:-1]
+        s = bin(2 * p + n)
+        return s[3:] == s[:2:-1]
     top = n
     bot = n
     i = 0
@@ -120,11 +120,6 @@ def _mirror_test(n: int, h: int, k: int, p: int) -> bool:
         p //= h
         i += 1
     return True
-
-
-def _binary_palindromes(runs) -> list[int]:
-    # the numbers of ``runs`` (iterables of integers >= 1) that _mirror_test(n, 2, 0, 1) keeps, in one pass
-    return [n for run in runs for n in run if (s := bin(n))[2:] == s[:1:-1]]
 
 
 def is_palindrome(n: int, g: int) -> bool:

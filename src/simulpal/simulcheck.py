@@ -26,7 +26,7 @@ from math import gcd, lcm, log
 from typing import Callable
 
 from .lindep import multiplicatively_independent
-from .radix import DomainError, _binary_palindromes, _mirror_test, _reverse, check_base, check_int, length_ranges
+from .radix import DomainError, _mirror_test, _reverse, check_base, check_int, length_ranges
 from .radix import is_palindrome
 
 CHECKPOINT_VERSION = "simulpal-checkpoint-v2"
@@ -106,6 +106,21 @@ def _mirrors(h: int) -> list[list[int]]:
     return [[_reverse(h**x + t, h) // h for t in range(h**x)] for x in range(12) if h**x <= 2**11]
 
 
+def _level_hits(runs: list[range], js: list[int], g: int, h: int, d: int, k: int, L: int) -> list[int]:
+    # the numbers of one level's runs that are palindromes in both bases (the order of the tests
+    # is in _scan_chunk's docstring): a run's numbers share their top and low k of their d base-g
+    # digits and, with j its entry in js, their top and low j of their L base-h digits
+    gp, hp, _ = _tables(g, h, d)
+    w = d - 2 * k  # the base-g digits still free; with w <= 1 the pair reads digit k twice
+    gk, gt = gp[k], gp[max(d - k - 1, k)]
+    if h == 2:
+        hits = [n for run in runs for n in run if n // gk % g == n // gt % g and (s := bin(n))[2:] == s[:1:-1]]
+    else:
+        hits = [n for run, j in zip(runs, js) for n in run if n // gk % g == n // gt % g
+                and ((x := L - 2 * j) <= 0 or _mirror_test(n // hp[j] % hp[x], h, x - 1, hp[x - 1]))]
+    return hits if w < 2 else [n for n in hits if _mirror_test(n // gk % gp[w], g, w - 1, gp[w - 1])]
+
+
 def _scan_chunk(driver: int, tested: int, d: int, n_lo: int, n_hi: int) -> list[int]:
     """Simultaneous palindromes among the d-digit base-``driver`` palindromes
     in [n_lo, n_hi), ascending; [n_lo, n_hi) holds only d-digit integers.
@@ -155,35 +170,38 @@ def _scan_chunk(driver: int, tested: int, d: int, n_lo: int, n_hi: int) -> list[
     block of even length in either base lists nothing: its nodes are
     dropped once their top digit in both bases is fixed.
 
-    A listed number is tested in the tested base first.  Its top and low j
-    base-h digits already match, so for h > 2 the test reads only the
-    w = L - 2j middle digits as one block, and none if w <= 0.  Base 2 reads
-    the whole binary string, and a base-2 leaf tests nothing itself: it adds
-    its one or two ranges to its level's list, and at the level's end one pass
-    (``_binary_palindromes``) keeps the binary palindromes, the only numbers
-    tested in the driving base (138 of the 6 675 listed to 1e12 for (10, 2)).
-    A base-2 leaf with e >= 1 that would list 4 or more numbers, where MF has
-    exactly j factors 2, is cut at mid = (2*top + 1) << (e - 1): bit j mirrors
-    the next top bit, 0 below mid and 1 from it on, so each half steps by 2*MF
-    and the leaf lists half as many numbers.  A loop cutting on 2 to 4 mirrored
-    bits instead ran 10-25 % slower for (10, 2) to 1e12.
+    A leaf tests nothing itself: it adds its numbers ≡ R, as one range, and
+    its j to its level's lists, and at the level's end one pass
+    (``_level_hits``) tests them all.  A listed number's top and low k
+    base-g digits match already, so while the level leaves w = d - 2k >= 2
+    of them free, the number is tested first on the next pair, digit k
+    against digit d - k - 1: two divisions by per-level powers of g keep
+    about 1 in g of the numbers.  Then comes base h: base 2 reads the whole
+    binary string, and a base h > 2 only the L - 2j middle base-h digits,
+    as the top and low j match, and none if L - 2j <= 0.  Last, base g
+    reads only its w middle digits; with w <= 1 every base-g digit is
+    fixed and base g reads none.  For (10, 2) to 1e12 the levels list
+    11 489 numbers, 1 536 of the 11 054 with a pair pass it, and 14 binary
+    palindromes among those take the base-10 test.  Cutting each base-2
+    leaf where the bit mirroring its next top bit changes halves its list,
+    but beside the pair test that ran 5.77 ms against 5.36 ms without it
+    (best of 400, alternating in one process).
 
     A node lists its numbers once they are at most 4 times as many as its
     g/s children, or 8 times as many if 2 is one of the bases: a child
     costs a few tests.  Measured, best of 5 with each factor: (10, 2) and
     (2, 3) ran within 8 % from 4 to 16 and up to 40 % slower with 1 (since
-    the one base-2 pass, (10, 2) to 1e12 took 9.2, 7.3, 7.7 and 8.4 ms with
-    2, 8, 16 and 32); (3, 5) to 1e16 took 764, 708-724, 625-636, 578, 590
-    and 615 ms with 1, 2, 3, 4, 8 and 16, while (20, 22) to 1e16 and
-    (11, 13) to 1e12 and 1e14 ran within 5 % from 2 to 4.  A process builds
-    its tables once.
+    the pair test, (10, 2) to 1e12 took 5.59, 5.51, 5.36 and 5.46 ms with
+    4, 6, 8 and 10, best of 400); (3, 5) to 1e16 took 764, 708-724,
+    625-636, 578, 590 and 615 ms with 1, 2, 3, 4, 8 and 16, while (20, 22)
+    to 1e16 and (11, 13) to 1e12 and 1e14 ran within 5 % from 2 to 4.  A
+    process builds its tables once.
     """
     g, h = driver, tested
     gp, hp, crt = _tables(g, h, d)
     mir = _mirrors(h)
     two = h == 2
     cap = (8 if 2 in (g, h) else 4) * g  # numbers a node may list per child: see the docstring
-    top_g = gp[d - 1]
     hits: list[int] = []
     for L, lo, last in length_ranges(h, n_lo, n_hi - 1):
         hi = last + 1
@@ -195,7 +213,7 @@ def _scan_chunk(driver: int, tested: int, d: int, n_lo: int, n_hi: int) -> list[
         # the walk visits only the digits c ≡ c0 (mod step) of each
         nodes = [(0, 0, 1, 0, L, 0)]
         k = 0
-        leaves: list[range] = []  # a base-2 level's runs, tested in one pass at its end
+        runs, js = [], []  # a level's listed runs and their j, tested at the level's end
         while nodes:
             k += 1
             span, width, gk1, gk, crt_k = gp[d - k], gp[d - k + 1], gp[k - 1], gp[k], crt_L[k]
@@ -248,28 +266,11 @@ def _scan_chunk(driver: int, tested: int, d: int, n_lo: int, n_hi: int) -> list[
                         children.append((base + c, low1, s, u * inv_s % s, e, r))
                         continue
                     R = R * K % MF  # N mod MF
-                    # list the numbers ≡ R in [a, b), tested base first
-                    if not two:
-                        # their top and low j base-h digits match: test the w middle ones, if any
-                        w = L - 2 * j
-                        for n in range(a + (R - a) % MF, b, MF):
-                            if w > 0 and not _mirror_test(n // hp[j] % hp[w], h, w - 1, hp[w - 1]):
-                                continue
-                            if _mirror_test(n, g, d - 1, top_g):
-                                found.append(n)
-                        continue
-                    if e and MF >> j & 1 and b - a >= 4 * MF:
-                        # bit j mirrors the next top bit, 0 below mid and 1 from it on: each
-                        # half lists every 2 * MF from the residue whose bit j is that bit
-                        mid = min(max((2 * top + 1) << (e - 1), a), b)
-                        R0, R1 = (R + MF, R) if R >> j & 1 else (R, R + MF)
-                        MF2 = 2 * MF
-                        leaves += range(a + (R0 - a) % MF2, mid, MF2), range(mid + (R1 - mid) % MF2, b, MF2)
-                    else:
-                        leaves.append(range(a + (R - a) % MF, b, MF))
-            if leaves:
-                found += [n for n in _binary_palindromes(leaves) if _mirror_test(n, g, d - 1, top_g)]
-                leaves.clear()
+                    runs.append(range(a + (R - a) % MF, b, MF))
+                    js.append(j)
+            if runs:
+                found += _level_hits(runs, js, g, h, d, k, L)
+                runs, js = [], []
             nodes = children
         found.sort()
         hits += found

@@ -7,7 +7,6 @@ from simulpal.bounds import shift_exponent_bound, tail_fit_threshold
 from simulpal.palgen import count_palindromes_upto, family_instance, iter_palindromes
 from simulpal.radix import (
     DomainError,
-    _binary_palindromes,
     _mirror_test,
     check_int,
     digit_count,
@@ -18,7 +17,7 @@ from simulpal.radix import (
 )
 from simulpal.reduction import verify_family
 
-from conftest import oracle_digits, oracle_is_palindrome, oracle_reverse
+from conftest import oracle_digits, oracle_reverse
 
 
 def test_base_range_is_checked():
@@ -143,10 +142,10 @@ def test_palindrome_iff_digitstring_symmetric(n, g):
     assert digit_count(n, g) == len(ds)
 
 
-@given(h=st.integers(3, 36), w=st.integers(1, 7), data=st.data())
+@given(h=st.integers(2, 36), w=st.integers(1, 7), data=st.data())
 def test_mirror_test_reads_a_zero_padded_block(h, w, data):
-    # the search tests the w middle base-h digits of a number as one block,
-    # which may start with zeros; half the draws mirror their digits
+    # the search tests the w middle digits of a number as one block, which
+    # may start with zeros, in either base; half the draws mirror their digits
     digits = data.draw(st.lists(st.integers(0, h - 1), min_size=w, max_size=w), label="digits")
     if data.draw(st.booleans(), label="mirror"):
         digits[w // 2 :] = digits[: (w + 1) // 2][::-1]
@@ -154,25 +153,6 @@ def test_mirror_test_reads_a_zero_padded_block(h, w, data):
     padded = oracle_digits(block, h)
     padded += [0] * (w - len(padded))
     assert _mirror_test(block, h, w - 1, h ** (w - 1)) == (padded == padded[::-1])
-
-
-_starts = st.one_of(
-    st.integers(1, 2**80),
-    # 2**k - 1 and 2**k + 1 are binary palindromes on either side of a change of bit length
-    st.builds(lambda k, offset: max(2**k + offset, 1), st.integers(0, 80), st.integers(-3, 3)),
-)
-
-
-_runs = st.builds(lambda a, width, step: range(a, a + width, step), _starts, st.integers(0, 70), st.integers(1, 6))
-
-
-@given(st.lists(_runs, max_size=4))
-def test_binary_palindromes_match_the_oracle_and_the_single_test(runs):
-    # the search's one pass over a level's base-2 runs keeps exactly what the
-    # string oracle and _mirror_test(n, 2, 0, 1) keep, in order
-    listed = [n for run in runs for n in run]
-    expected = [n for n in listed if oracle_is_palindrome(n, 2)]
-    assert _binary_palindromes(runs) == expected == [n for n in listed if _mirror_test(n, 2, 0, 1)]
 
 
 @given(g=st.integers(2, 40), lo=st.integers(1, 10**5), width=st.integers(-3, 10**5))

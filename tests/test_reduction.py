@@ -550,6 +550,11 @@ _EPSILON = PreciseReal.log_ratio(10, 2)
         # a bare OverflowError from the conversion to float
         (lambda: solve_log_majorant(10**400, 0, 1), "A must not exceed the largest float, got an integer of 401 digits"),
         (lambda: solve_log_majorant(10, Fraction(10**400, 3), 2), "B must not exceed the largest float, got the ratio"),
+        # Fraction parses a numeric string: a bare TypeError, or the string taken as a number
+        (lambda: solve_log_majorant("10", 1, 1), "need a rational A > 0, got '10'"),
+        (lambda: hp_log("10"), "logarithm of non-positive value 10"),
+        (lambda: dependence_witness("5", 10, 2), "expected a positive rational, got '5'"),
+        (lambda: MatveevInstance(("2", "3"), (1, 1)), "logarithm arguments must be positive and != 1, got 2"),
     ],
     ids=[
         "hp_log-bits", "verify_family-bits", "log_ratio-bits", "verify_family-bound", "verify_family-parity-bound",
@@ -565,7 +570,8 @@ _EPSILON = PreciseReal.log_ratio(10, 2)
         "majorant-A-nan", "majorant-B-nan", "majorant-A-string", "matveev-A-negative", "matveev-A-small",
         "matveev-A-nan", "laurent-logA1-small", "laurent-logA2-small", "laurent-logA1-zero", "laurent-logA2-string",
         "laurent-dependent-halves", "laurent-dependent-powers", "laurent-one", "matveev-A-float", "matveev-alphas-int",
-        "matveev-b-int", "majorant-A-huge", "majorant-B-huge",
+        "matveev-b-int", "majorant-A-huge", "majorant-B-huge", "majorant-A-numeric-string", "hp_log-numeric-string",
+        "witness-numeric-string", "matveev-alphas-numeric-strings",
     ],
 )
 def test_certification_rejects_arguments_that_are_not_integers(call, match):

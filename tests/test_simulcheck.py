@@ -18,6 +18,7 @@ from simulpal.radix import DomainError, is_palindrome
 from simulpal.simulcheck import (
     CheckpointMismatchError,
     SearchCheckpoint,
+    _level_hits,
     _scan_chunk,
     count,
     plan_enumeration_base,
@@ -405,8 +406,9 @@ def _palindromes(g, d):
 def test_scan_chunk_matches_oracle_over_cuts_inside_nodes(pair, data):
     # cuts at random points of one driver length fall inside nodes of every
     # depth, not only near powers of h: the walk must clamp the nodes they cut
-    # and leave the others whole, split base-2 leaves at their middle, and
-    # skip the test of a block that leaves no middle base-h digits
+    # and leave the others whole, test each listed number's next driver digit
+    # pair and then its middle driver digits, and skip the test of a block that
+    # leaves no middle base-h digits
     g, h = pair
     d = data.draw(st.integers(2, 2 * max(t for t in range(1, 16) if g**t <= 30_000)), label="d")
     n0, n1 = g ** (d - 1), g**d
@@ -779,15 +781,15 @@ def _counting_walk(monkeypatch):
 
 
 def _recording_leaves(monkeypatch):
-    # the runs each base-2 level hands to its one pass, in order
+    # the runs each level hands to its one pass, in order
     runs = []
-    real = simulcheck._binary_palindromes
+    real = simulcheck._level_hits
 
-    def recording(level):
+    def recording(level, *args):
         runs.extend(level)
-        return real(level)
+        return real(level, *args)
 
-    monkeypatch.setattr(simulcheck, "_binary_palindromes", recording)
+    monkeypatch.setattr(simulcheck, "_level_hits", recording)
     return runs
 
 
@@ -808,21 +810,34 @@ def test_walk_skips_the_digits_its_residue_rules_out(monkeypatch):
 
 
 def test_walk_counts_of_search_10_2_and_2_3(monkeypatch):
-    # a child makes one divmod call; each level's listed numbers go to one base-2
-    # pass, and each of its survivors takes one _mirror_test call in the driving base
+    # a child makes one divmod call; each level's listed numbers go to one pass.
+    # A number takes one bin call, counted by whether its level has a driving-base
+    # digit pair (w >= 2), only past that pair, and one _mirror_test call on its w
+    # middle driving-base digits only past both; split at their middle bit, the
+    # base-2 leaves listed 6 675 and 343 723 numbers, and 138 and 779 took a full test
     calls = _counting_walk(monkeypatch)
     runs = _recording_leaves(monkeypatch)
-    # base-2 leaves list each half of their middle bit's split; unsplit they
-    # listed 11 489 and 614 570 numbers
+    counted, paired = simulcheck._level_hits, []
+
+    def level(level_runs, js, g, h, d, k, L):
+        paired.append(d - 2 * k >= 2)
+        return counted(level_runs, js, g, h, d, k, L)
+
+    def binary(n):
+        calls["past the pair" if paired[-1] else "unpaired"] += 1
+        return bin(n)
+
+    monkeypatch.setattr(simulcheck, "_level_hits", level)
+    monkeypatch.setattr(simulcheck, "bin", binary, raising=False)
     for g, h, bound, hits, walk in [
-        (10, 2, 10**12, 38, (3_642, 6_675, {10: 138})),
-        (2, 3, 10**16, 5, (170_382, 343_723, {3: 779})),
+        (10, 2, 10**12, 38, (3_642, 11_489, 1_536, 435, {10: 14})),
+        (2, 3, 10**16, 5, (170_382, 614_570, 204_838, 2, {3: 244})),
     ]:
         calls.clear()
         runs.clear()
         assert len(search(g, h, bound)) == hits
-        children = calls.pop("children")
-        assert (children, sum(map(len, runs)), dict(calls)) == walk
+        counts = [calls.pop(key) for key in ("children", "past the pair", "unpaired")]
+        assert (counts[0], sum(map(len, runs)), *counts[1:], dict(calls)) == walk
 
 
 @pytest.mark.parametrize(
@@ -888,6 +903,50 @@ def test_walk_tests_only_odd_numbers_of_its_chunk(monkeypatch, driver, d):
     assert seen and all(lo <= n < hi and n % 2 for n in seen)
 
 
+@lru_cache(maxsize=None)
+def _base_h_palindromes(g, h, d, k):
+    # the base-h palindromes of d base-g digits whose top and low k base-g digits mirror each other
+    lo, hi = g ** (d - 1), g**d
+    pals = [n for L in range(1, len(oracle_digits(hi, h)) + 1) for n in _palindromes(h, L) if lo <= n < hi]
+    return [n for n in pals if (digits := oracle_digits(n, g))[:k] == digits[::-1][:k]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=st.integers(2, 16), h=st.integers(2, 16), data=st.data())
+def test_level_hits_match_the_string_oracle(g, h, data):
+    # a level's one pass keeps exactly the numbers of its runs that the string
+    # oracle finds palindromic in both bases, in order, given what the walk
+    # guarantees: a run's numbers share their top and low k of d base-g digits
+    # and their top and low j of L base-h digits; some draws are palindromes in
+    # base g, in base h or in both, so that every test of the pass decides some
+    assume(g != h)
+    d = data.draw(st.integers(1, 2 * max(t for t in range(1, 16) if g**t <= 3_000)), label="d")
+    k = data.draw(st.integers(1, d), label="k")
+    pools = {"h": _base_h_palindromes(g, h, d, k)}
+    pools["both"] = [n for n in pools["h"] if oracle_is_palindrome(n, g)]
+
+    def number():
+        kind = data.draw(st.sampled_from(["k", "g", *(kind for kind, pool in pools.items() if pool)]), label="kind")
+        if kind in pools:
+            return data.draw(st.sampled_from(pools[kind]), label="n")
+        digits = oracle_digits(data.draw(st.integers(g ** (d - 1), g**d - 1), label="n"), g)
+        for i in range(d if kind == "g" else k):
+            digits[i] = digits[d - 1 - i]
+        return sum(x * g**i for i, x in enumerate(digits))
+
+    def mirrored(n):
+        # the most top base-h digits of n that mirror its low ones
+        digits = oracle_digits(n, h)
+        return next((i for i in range(len(digits)) if digits[i] != digits[-1 - i]), len(digits))
+
+    numbers = [number() for _ in range(data.draw(st.integers(1, 6), label="count"))]
+    L = len(oracle_digits(numbers[0], h))
+    numbers = [n for n in numbers if len(oracle_digits(n, h)) == L]
+    js = [data.draw(st.integers(0, mirrored(n)), label="j") for n in numbers]
+    expected = [n for n in numbers if oracle_is_palindrome(n, g) and oracle_is_palindrome(n, h)]
+    assert _level_hits([range(n, n + 1) for n in numbers], js, g, h, d, k, L) == expected
+
+
 # the oracle's full scan, once per process for each of its arguments
 _oracle_hits = lru_cache(maxsize=None)(oracle_simultaneous)
 
@@ -896,7 +955,7 @@ _oracle_hits = lru_cache(maxsize=None)(oracle_simultaneous)
 @given(case=st.sampled_from([(10, 2, 10**18), (6, 2, 6**7), (2, 3, 3**13)]), data=st.data())
 def test_base_2_leaves_cover_every_hit_of_their_chunk(known_list_10_2, case, data):
     # a chunk of one driver length around a hit, from the shipped list or the
-    # oracle: the runs its levels hand to the base-2 pass lie inside the chunk,
+    # oracle: the runs its levels hand to their pass lie inside the chunk,
     # share no number, and list every simultaneous palindrome in it; each bound
     # is a power of the driver, so a hit's whole driver length lies below it
     g, h, bound = case
